@@ -25,7 +25,7 @@ from scipy import ndimage
 
 from .errors import ConfigError, FormatError, GridMismatchError, ValidationError
 from .geometry import IMAGE_ORDERS, LABEL_ORDERS, interp_taps, sample_points
-from .volume import Volume
+from .volume import Volume, unique_labels
 
 TRANSFORM_NAMES = ("spatial", "blur", "sharpen", "lowres", "gamma", "noise")
 
@@ -207,7 +207,7 @@ def spatial_transform(img: Volume, lab: Volume, rotation, scale, preset: Augment
     if preset.label_order == 0:
         lab_out = sample_points(lab.data, coords, 0)
     else:
-        values = np.unique(lab.data)
+        values = unique_labels(lab.data)
         if len(values) == 1:
             lab_out = np.full(lab.dims, values[0], dtype=lab.data.dtype)
         else:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, GridMismatchError, ValidationError
 from .nifti import read_volume
-from .volume import Volume
+from .volume import Volume, unique_labels
 
 ENSEMBLE_MODES = ("prob_avg", "majority")
 CHECKPOINTS = ("best", "final")
@@ -208,7 +208,7 @@ def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[fl
         raise ValidationError(f"weights must be positive, got {weights}")
     _check_grids(label_members)
 
-    values = np.unique(np.concatenate([np.unique(v.data) for v in label_members]))
+    values = np.unique(np.concatenate([unique_labels(v.data) for v in label_members]))
     scores = np.zeros(label_members[0].dims + (len(values),), dtype=np.float64)
     for v, w in zip(label_members, weights):
         for j, value in enumerate(values):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .volume import Volume
+from .volume import Volume, unique_labels
 
 IMAGE_ORDERS = (0, 1, 3)
 LABEL_ORDERS = (0, 1)
@@ -209,7 +209,7 @@ def resample_labels(volume: Volume, plan: ResamplePlan) -> Volume:
     if plan.label_order == 0:
         out = _resample_grid_nearest(volume.data, plan)
     else:
-        values = np.unique(volume.data)
+        values = unique_labels(volume.data)
         if len(values) == 1:
             out = np.full(plan.target_dims, values[0], dtype=volume.data.dtype)
         else:

@@ -5,7 +5,9 @@ single-file images (magic ``n+1``), 3D scalar grids plus 4D stacks whose
 fourth axis is the class channel, and the common scalar datatypes.  On read
 the volume is reorientated to RAS+ by axis permutation and flips derived from
 the dominant direction of each affine column (sform preferred, then qform,
-then a plain pixdim diagonal).  Writing always emits an RAS+ diagonal sform.
+then a plain pixdim diagonal).  Reads make one layout copy: the reoriented
+view of the file buffer is byte-swapped, cast and laid out in C order in a
+single pass.  Writing always emits an RAS+ diagonal sform.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ _DTYPE_BY_CODE = {
 _CODE_BY_DTYPE = {np.dtype(d).str[1:]: c for c, d in _DTYPE_BY_CODE.items()}
 
 _UNIT_SCALE = {0: 1.0, 1: 1000.0, 2: 1.0, 3: 0.001}  # unknown, m, mm, um
+_INT32 = np.iinfo(np.int32)
 
 
 def _dtype_code(dtype: np.dtype) -> int:
@@ -184,6 +187,8 @@ def read_volume(
         raise FormatError(f"{path}: unsupported datatype code {h['datatype']}")
     dtype = np.dtype(_DTYPE_BY_CODE[h["datatype"]]).newbyteorder(h["endian"])
 
+    if not np.isfinite(h["vox_offset"]):
+        raise FormatError(f"{path}: vox_offset {h['vox_offset']} is not finite")
     offset = int(round(h["vox_offset"]))
     if offset < HEADER_SIZE:
         raise FormatError(f"{path}: vox_offset {offset} overlaps the header")
@@ -191,8 +196,7 @@ def read_volume(
     need = offset + count * dtype.itemsize
     if len(raw) < need:
         raise FormatError(f"{path}: truncated data section ({len(raw)} < {need} bytes)")
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    data = data.reshape(dims, order="F").astype(dtype.newbyteorder("="))
+    data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(dims, order="F")
 
     if ndim == 4:
         if kind == "probabilities":
@@ -209,16 +213,16 @@ def read_volume(
 
     slope, inter = h["scl_slope"], h["scl_inter"]
     scaled = slope not in (0.0, 1.0) or inter != 0.0
-    if scaled:
-        if kind == "labels":
-            raise FormatError(f"{path}: label volume carries intensity scaling")
-        data = data.astype(np.float32) * np.float32(slope) + np.float32(inter)
+    if scaled and kind == "labels":
+        raise FormatError(f"{path}: label volume carries intensity scaling")
 
     affine = _affine_from_header(h)
     unit = _UNIT_SCALE.get(h["xyzt_units"] & 0x07, 1.0)
     if unit != 1.0:
         affine = affine.copy()
         affine[:3, :] *= unit
+    if not np.isfinite(affine).all():
+        raise FormatError(f"{path}: affine has non-finite entries")
 
     perm, flips = _ras_reorientation(affine)
     data = np.transpose(data, perm + tuple(range(3, data.ndim)))
@@ -231,14 +235,27 @@ def read_volume(
     origin = tuple(float(v) for v in (affine[:3, :3] @ corner + affine[:3, 3]))
 
     if kind == "labels":
-        if np.issubdtype(data.dtype, np.floating):
+        target = np.dtype(np.int32)
+        if data.dtype.kind == "f":
             rounded = np.rint(data)
-            if np.abs(data - rounded).max(initial=0.0) > 1e-6:
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN, caught below
+                integral = (np.abs(data - rounded) <= 1e-6).all()
+            if not integral:
                 raise FormatError(f"{path}: label volume has non-integral values")
-            data = rounded.astype(np.int32)
-        else:
-            data = data.astype(np.int32)
-    data = np.ascontiguousarray(data)
+            data = rounded
+        if not np.can_cast(data.dtype, target):
+            lo, hi = data.min(), data.max()
+            if lo < _INT32.min or hi > _INT32.max:
+                raise FormatError(f"{path}: label values {lo}..{hi} exceed the int32 range")
+    elif scaled:
+        target = np.dtype(np.float32)
+    else:
+        target = dtype.newbyteorder("=")
+    # the one copy: byte swap, cast and RAS+ C-order layout in a single pass
+    data = np.array(data, dtype=target, order="C")
+    if scaled:
+        data *= np.float32(slope)
+        data += np.float32(inter)
 
     vol = Volume(data=data, spacing=spacing, origin=origin, kind=kind, meta={"source": str(path)})
     if kind == "labels" and label_set is not None:

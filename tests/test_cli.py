@@ -3,6 +3,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -436,6 +437,40 @@ def test_json_errors_flag_emits_machine_readable_stderr(tmp_path, capsys):
     doc = json.loads(err)
     assert doc["error"]["exit_code"] == 2
     assert doc["error"]["type"] in ("FormatError", "FileNotFoundError")
+
+
+def _malformed_labels(path, defect):
+    """A small uncompressed label file carrying one header or value defect."""
+    arr = _ball()
+    _write_labels(path, arr)
+    raw = bytearray(path.read_bytes())
+    if defect == "nan_vox_offset":
+        struct.pack_into("<f", raw, 108, float("nan"))
+    elif defect == "nan_srow_x":
+        struct.pack_into("<f", raw, 280, float("nan"))
+    else:  # int64 label 2**32 + 2 would wrap to tumor label 2 in int32
+        struct.pack_into("<2h", raw, 70, 1024, 64)
+        wide = arr.astype("<i8")
+        wide[wide == 2] = 2**32 + 2
+        raw = raw[:352] + wide.tobytes(order="F")
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("defect", ["nan_vox_offset", "nan_srow_x", "int64_label_wrap"])
+def test_malformed_label_file_exits_two_with_json_error(tmp_path, capsys, defect):
+    ref = tmp_path / "ref.nii.gz"
+    pred = tmp_path / "pred.nii"
+    _write_labels(ref, _ball())
+    _malformed_labels(pred, defect)
+    code, out, err = _run(
+        capsys, "eval-case", "--ref", str(ref), "--pred", str(pred), "--json-errors"
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"]["exit_code"] == 2
+    assert doc["error"]["type"] == "FormatError"
 
 
 def test_config_layering_file_env_flags(tmp_path, capsys, monkeypatch):

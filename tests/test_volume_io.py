@@ -5,14 +5,20 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from pancseg import volume as volume_module
 from pancseg.errors import FormatError, HeaderLimitError, LabelSetError, ValidationError
-from pancseg.nifti import read_volume, write_volume
+from pancseg.nifti import _DTYPE_BY_CODE, read_volume, write_volume
 from pancseg.volume import (
+    LABEL_SCAN_MAX_SPAN,
     Manifest,
     ManifestRow,
     Volume,
     read_manifest,
+    unique_labels,
     validate_label_set,
     write_manifest,
 )
@@ -30,6 +36,12 @@ def test_volume_rejects_bad_inputs(rng):
         Volume(good, (1.0, 0.0, 1.0))
     with pytest.raises(ValidationError):
         Volume(good, (1.0, 1.0, -2.0))
+    for spacing in ((1.0, np.nan, 1.0), (np.inf, 1.0, 1.0)):
+        with pytest.raises(ValidationError):
+            Volume(good, spacing)
+    for origin in ((0.0, 0.0, np.nan), (-np.inf, 0.0, 0.0)):
+        with pytest.raises(ValidationError):
+            Volume(good, (1.0, 1.0, 1.0), origin=origin)
     bad = good.copy()
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValidationError):
@@ -86,6 +98,41 @@ def test_validate_label_set():
     validate_label_set(labels, (0, 1, 2, 3))
     with pytest.raises(LabelSetError):
         validate_label_set(labels, (0, 1, 2))
+
+
+def test_validate_label_set_message_is_the_same_on_both_scan_paths(monkeypatch):
+    labels = Volume(np.array([[[0, 3], [7, 2]]], dtype=np.int32), (1, 1, 1), kind="labels")
+    with pytest.raises(LabelSetError) as fast:
+        validate_label_set(labels, (0, 1, 2))
+    monkeypatch.setattr(volume_module, "LABEL_SCAN_MAX_SPAN", -1)  # always sort
+    with pytest.raises(LabelSetError) as sorted_:
+        validate_label_set(labels, (0, 1, 2))
+    assert str(fast.value) == str(sorted_.value)
+    assert "[3, 7]" in str(fast.value)
+
+
+@st.composite
+def _label_arrays(draw):
+    dtype = draw(st.sampled_from([np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]))
+    base = draw(st.integers(0, 100))
+    span = draw(st.sampled_from([0, 1, 2, 5, LABEL_SCAN_MAX_SPAN, LABEL_SCAN_MAX_SPAN + 1, 150]))
+    values = st.one_of(st.just(base), st.just(base + span), st.integers(base, base + span))
+    shape = array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6)
+    return draw(arrays(dtype, shape, elements=values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_arrays())
+@example(np.array([0, 300, 0], dtype=np.int16))
+@example(np.array([300, 0, 300, 300], dtype=np.int32))
+@example(np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max], dtype=np.int64))
+@example(np.array([2**64 - 1, 2**64 - 3], dtype=np.uint64))
+def test_unique_labels_matches_np_unique(data):
+    expected = np.unique(data)
+    got = unique_labels(data)
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
 
 
 def test_label_round_trip_is_bit_exact(tmp_path, rng):
@@ -277,7 +324,7 @@ def _raw_nifti(
 ):
     """Hand-assembled single-file NIfTI for header-variant tests."""
     data = np.asarray(data)
-    code = {np.float32: 16, np.int16: 4, np.uint8: 2}[data.dtype.type]
+    code = {np.dtype(d): c for c, d in _DTYPE_BY_CODE.items()}[data.dtype]
     hdr = bytearray(HEADER := 348)
     struct.pack_into(endian + "i", hdr, 0, HEADER)
     dim = [data.ndim] + list(data.shape) + [1] * (7 - data.ndim)
@@ -311,6 +358,172 @@ def _raw_nifti(
     swapped = data.astype(data.dtype.newbyteorder(endian), copy=False)
     pad = b"\x00" * (vox_offset - HEADER)
     return bytes(hdr) + pad + swapped.tobytes(order="F")
+
+
+# (perm, flips) of RAS+ reorientation: world axis w comes from voxel axis
+# perm[w], reversed where flips[w]
+_ORIENTATIONS = [
+    ((0, 1, 2), (False, False, False)),
+    ((2, 0, 1), (False, False, False)),
+    ((0, 1, 2), (True, False, True)),
+    ((1, 2, 0), (False, True, False)),
+]
+
+
+def _srows(perm, flips, spacing=(1.5, 0.75, 2.0)):
+    rot = np.zeros((3, 3))
+    for w in range(3):
+        rot[w, perm[w]] = -spacing[w] if flips[w] else spacing[w]
+    return [tuple(rot[w]) + (float(w),) for w in range(3)]
+
+
+def _reference_decode(raw, dtype, shape, perm, flips, kind):
+    """The decode chain the single-copy read replaces: cast, reorient, copy."""
+    data = np.frombuffer(raw, dtype=dtype, count=int(np.prod(shape)), offset=352)
+    data = data.reshape(shape, order="F").astype(dtype.newbyteorder("="))
+    data = np.transpose(data, perm + tuple(range(3, data.ndim)))
+    for w in range(3):
+        if flips[w]:
+            data = np.flip(data, axis=w)
+    if kind == "labels":
+        data = data.astype(np.int32)
+    return np.ascontiguousarray(data)
+
+
+@pytest.mark.parametrize("code", sorted(_DTYPE_BY_CODE))
+@pytest.mark.parametrize("endian", ["<", ">"])
+@pytest.mark.parametrize("perm, flips", _ORIENTATIONS)
+def test_single_copy_read_matches_reference_decode(tmp_path, rng, code, endian, perm, flips):
+    dtype = np.dtype(_DTYPE_BY_CODE[code])
+    cases = [("labels", rng.integers(0, 3, size=(4, 3, 5)).astype(dtype))]
+    if dtype.kind == "f":
+        cases.append(("image", rng.normal(size=(4, 3, 5)).astype(dtype)))
+        onehot = np.eye(3, dtype=dtype)[rng.integers(0, 3, size=(4, 3, 5))]
+        cases.append(("probabilities", onehot))
+    else:
+        cases.append(("image", rng.integers(0, 100, size=(4, 3, 5)).astype(dtype)))
+    for kind, data in cases:
+        raw = _raw_nifti(data, endian=endian, srows=_srows(perm, flips))
+        path = tmp_path / f"{kind}.nii"
+        path.write_bytes(raw)
+        vol = read_volume(path, kind=kind, label_set=None)
+        expected = _reference_decode(
+            raw, dtype.newbyteorder(endian), data.shape, perm, flips, kind
+        )
+        assert vol.data.dtype == expected.dtype
+        assert vol.data.dtype.isnative
+        assert vol.data.shape == expected.shape
+        assert np.array_equal(vol.data, expected)
+        assert vol.data.flags.c_contiguous
+        assert not vol.data.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "dtype, wide",
+    [
+        (np.int64, 2**32 + 2),  # would wrap to tumor label 2 in int32
+        (np.uint64, 2**32 + 2),
+        (np.uint32, 2**32 - 1),
+        (np.float64, 2**32 + 2),
+    ],
+)
+def test_labels_beyond_int32_are_format_errors(tmp_path, dtype, wide):
+    data = np.zeros((2, 3, 2), dtype=dtype)
+    data[1, 2, 0] = wide
+    path = tmp_path / "wide.nii"
+    path.write_bytes(_raw_nifti(data))
+    with pytest.raises(FormatError, match="int32 range"):
+        read_volume(path, kind="labels", label_set=None)
+    data[1, 2, 0] = 2**31 - 1  # the widest value that still fits
+    path.write_bytes(_raw_nifti(data))
+    assert read_volume(path, kind="labels", label_set=None).data.max() == 2**31 - 1
+
+
+def test_non_finite_float_labels_are_format_errors(tmp_path):
+    for bad in (np.nan, np.inf):
+        data = np.zeros((2, 2, 2), dtype=np.float32)
+        data[0, 1, 1] = bad
+        path = tmp_path / "nonfinite.nii"
+        path.write_bytes(_raw_nifti(data))
+        with pytest.raises(FormatError):
+            read_volume(path, kind="labels", label_set=None)
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value",
+    [
+        (108, "<f", np.nan),  # vox_offset
+        (108, "<f", np.inf),
+        (280, "<f", np.nan),  # srow_x[0]
+        (300, "<f", -np.inf),  # srow_y[1]
+        (324, "<f", np.nan),  # srow_z[3], the z origin
+    ],
+)
+def test_non_finite_header_fields_are_format_errors(tmp_path, offset, fmt, value):
+    path = tmp_path / "hdr.nii"
+    write_volume(Volume(np.zeros((2, 2, 2), dtype=np.int32), (1, 1, 1), kind="labels"), path)
+    _patch_header(path, offset, fmt, value)
+    with pytest.raises(FormatError):
+        read_volume(path, kind="labels")
+
+
+def test_non_finite_qform_and_pixdim_are_format_errors(tmp_path, rng):
+    data = rng.normal(size=(3, 3, 3)).astype(np.float32)
+    path = tmp_path / "q.nii"
+    path.write_bytes(_raw_nifti(data, pixdim=(1.0, np.nan, 1.0)))
+    with pytest.raises(FormatError):
+        read_volume(path)
+    path.write_bytes(_raw_nifti(data, qform={"offset": (0.0, np.inf, 0.0)}))
+    with pytest.raises(FormatError):
+        read_volume(path)
+
+
+# byte ranges of the header fields the fuzz test rewrites: (offset, struct code)
+_HEADER_FIELDS = {
+    "dim": (40, "8h"),
+    "datatype": (70, "2h"),
+    "pixdim": (76, "8f"),
+    "vox_offset": (108, "f"),
+    "qform_sform_code": (252, "2h"),
+    "quatern": (256, "6f"),
+    "srow": (280, "12f"),
+}
+
+
+@st.composite
+def _header_mutation(draw):
+    name = draw(st.sampled_from(sorted(_HEADER_FIELDS)))
+    offset, code = _HEADER_FIELDS[name]
+    size = struct.calcsize("<" + code)
+    n, kind = int(code[:-1] or 1), code[-1]
+    if kind == "f":
+        scalar = st.floats(width=32, allow_nan=True, allow_infinity=True)
+    else:
+        scalar = st.integers(-(2**15), 2**15 - 1)
+    packed = st.lists(scalar, min_size=n, max_size=n).map(lambda v: struct.pack("<" + code, *v))
+    return offset, draw(st.one_of(st.binary(min_size=size, max_size=size), packed))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutations=st.lists(_header_mutation(), min_size=1, max_size=3))
+def test_header_mutations_give_a_volume_or_a_format_error(tmp_path_factory, mutations):
+    # voxel bytes 0..2 decode to small finite non-negative values in every
+    # datatype, so a Volume check can only fail through the header
+    data = np.arange(60, dtype=np.uint8).reshape(3, 4, 5) % 3
+    raw = bytearray(_raw_nifti(data, srows=_srows((0, 1, 2), (False, False, False))))
+    for offset, blob in mutations:
+        raw[offset : offset + len(blob)] = blob
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.nii"
+    path.write_bytes(bytes(raw))
+    for kind in ("image", "labels"):
+        try:
+            vol = read_volume(path, kind=kind, label_set=None)
+        except FormatError:
+            continue
+        assert isinstance(vol, Volume)
+        assert all(0 < s < np.inf for s in vol.spacing)
+        assert np.isfinite(vol.origin).all()
+        assert vol.data.flags.c_contiguous and not vol.data.flags.writeable
 
 
 def test_big_endian_files_read_identically(tmp_path, rng):
