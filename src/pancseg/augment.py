@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, FormatError, GridMismatchError, ValidationError
-from .geometry import IMAGE_ORDERS, LABEL_ORDERS, interp_taps, sample_points
-from .volume import Volume, unique_labels
+from .errors import ConfigError, FormatError, ValidationError
+from .geometry import IMAGE_ORDERS, LABEL_ORDERS, resample_separable, sample_points
+from .volume import Volume, check_same_grid, label_argmax, unique_labels
 
 TRANSFORM_NAMES = ("spatial", "blur", "sharpen", "lowres", "gamma", "noise")
 
@@ -192,11 +192,7 @@ def spatial_transform(img: Volume, lab: Volume, rotation, scale, preset: Augment
     """
     if any(s <= 0 for s in scale):
         raise ValidationError(f"scale components must be positive, got {tuple(scale)}")
-    if img.dims != lab.dims:
-        raise GridMismatchError(f"image dims {img.dims} != label dims {lab.dims}")
-    for a, b in zip(img.spacing, lab.spacing):
-        if abs(a - b) > 1e-5 * max(abs(a), abs(b)):
-            raise GridMismatchError(f"image spacing {img.spacing} != label spacing {lab.spacing}")
+    check_same_grid((img.dims, img.spacing), (lab.dims, lab.spacing), "image and label")
 
     coords = _spatial_coords(img.dims, img.spacing, rotation, scale)
 
@@ -207,14 +203,11 @@ def spatial_transform(img: Volume, lab: Volume, rotation, scale, preset: Augment
     if preset.label_order == 0:
         lab_out = sample_points(lab.data, coords, 0)
     else:
-        values = unique_labels(lab.data)
-        if len(values) == 1:
-            lab_out = np.full(lab.dims, values[0], dtype=lab.data.dtype)
-        else:
-            scores = np.stack(
-                [sample_points((lab.data == v).astype(np.float64), coords, 1) for v in values]
-            )
-            lab_out = values[np.argmax(scores, axis=0)].astype(lab.data.dtype)
+        lab_out = label_argmax(
+            unique_labels(lab.data),
+            lambda v: sample_points((lab.data == v).astype(np.float64), coords, 1),
+            lab.dims,
+        )
 
     return img.with_data(img_out), lab.with_data(lab_out)
 
@@ -271,27 +264,6 @@ def intensity_transform(img: Volume, kind: str, params: dict, seed: int = 0) -> 
     return img.with_data(out)
 
 
-def _resample_to_dims(data: np.ndarray, target_dims, order: int) -> np.ndarray:
-    # shape-ratio alignment: output center j maps to (j + 0.5) * n/m - 0.5
-    out = data
-    for ax in range(3):
-        n = out.shape[ax]
-        m = int(target_dims[ax])
-        c = (np.arange(m, dtype=np.float64) + 0.5) * (n / m) - 0.5
-        taps, weights = interp_taps(c, n, order)
-        if order == 0:
-            out = np.take(out, taps[0], axis=ax)
-            continue
-        acc = None
-        wshape = [1, 1, 1]
-        wshape[ax] = m
-        for k in range(taps.shape[0]):
-            term = np.take(out, taps[k], axis=ax) * weights[k].reshape(wshape)
-            acc = term if acc is None else acc + term
-        out = acc
-    return out
-
-
 def simulate_low_res(img: Volume, factor: float) -> Volume:
     """Nearest-neighbor downsample by ``factor``, tricubic upsample back."""
     if img.kind != "image":
@@ -299,8 +271,12 @@ def simulate_low_res(img: Volume, factor: float) -> Volume:
     if factor < 1:
         raise ValidationError(f"low-res factor must be >= 1, got {factor}")
     small_dims = [max(1, math.floor(d / factor + 0.5)) for d in img.dims]
-    small = _resample_to_dims(img.data.astype(np.float64, copy=False), small_dims, 0)
-    out = _resample_to_dims(small, img.dims, 3)
+    # shape-ratio alignment: going from n to m voxels, center j maps to
+    # (j + 0.5) * n/m - 0.5
+    down = [d / s for d, s in zip(img.dims, small_dims)]
+    up = [s / d for d, s in zip(img.dims, small_dims)]
+    small = resample_separable(img.data, small_dims, down, 0)
+    out = resample_separable(small, img.dims, up, 3)
     if img.data.dtype != np.float64:
         out = out.astype(np.float32)
     return img.with_data(out)

@@ -31,6 +31,7 @@ from .metrics import EvalConfig, aggregate_cohort, evaluate_case
 from .nifti import read_volume, write_volume
 from .report import (
     case_report_to_dict,
+    config_to_dict,
     dumps_json,
     format_sig,
     report_to_csv,
@@ -318,19 +319,9 @@ def cmd_eval_case(args, cfg: RunConfig) -> int:
     pred = read_volume(args.pred, kind="labels")
     case_id = args.case_id or _default_case_id(args.pred)
     case = evaluate_case(ref, pred, config, case_id=case_id)
-    echo = _config_echo(config)
-    prov = None if args.no_provenance else provenance(echo, [args.ref, args.pred])
+    prov = None if args.no_provenance else provenance(config_to_dict(config), [args.ref, args.pred])
     _emit(dumps_json(case_report_to_dict(case, config, prov)), args.out)
     return EXIT_OK
-
-
-def _config_echo(config: EvalConfig) -> dict:
-    return {
-        "label_id": config.label_id,
-        "tolerance_mm": round_sig(config.tolerance_mm),
-        "empty_policy": config.empty_policy,
-        "volume_unit": config.volume_unit,
-    }
 
 
 def _evaluate_manifest(manifest, config: EvalConfig, jobs: int):
@@ -358,7 +349,7 @@ def cmd_eval_cohort(args, cfg: RunConfig) -> int:
         inputs = [args.manifest]
         for row in manifest.rows:
             inputs.extend([row.reference, row.prediction])
-        prov = provenance(_config_echo(config), inputs)
+        prov = provenance(config_to_dict(config), inputs)
     _emit(dumps_json(report_to_dict(report, prov)), args.out)
     return EXIT_OK
 
@@ -414,7 +405,7 @@ def cmd_select(args, cfg: RunConfig) -> int:
         "size_min": size_min,
         "size_max": size_max,
         "beam_width": args.beam,
-        **_config_echo(config),
+        **config_to_dict(config),
     }
     inputs = {str(args.pool)}
     base_dir = Path(pool.base_dir) if pool.base_dir else None
@@ -547,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--beam", type=int, help="beam width (enables beam search)")
     p.add_argument("--top", type=int, default=10, help="ranking entries to emit")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--spec-out", help="write the winning ensemble spec here")
     p.add_argument("--report-out", help="write the winning cohort report here")
     p.set_defaults(handler=cmd_select)

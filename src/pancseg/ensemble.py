@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, GridMismatchError, ValidationError
 from .nifti import read_volume
-from .volume import Volume, unique_labels
+from .volume import Volume, check_same_grid, label_argmax, unique_labels
 
 ENSEMBLE_MODES = ("prob_avg", "majority")
 CHECKPOINTS = ("best", "final")
@@ -96,33 +96,59 @@ class EnsembleSpec:
         return tuple(sorted(self.members, key=lambda m: m.member_id))
 
 
-def load_ensemble_spec(path: str | Path) -> EnsembleSpec:
-    """Parse a JSON spec: {"mode": ..., "members": [{member fields}...]}."""
-    path = Path(path)
+def read_member_file(path: Path, what: str) -> tuple[dict, tuple[EnsembleMember, ...]]:
+    """Decode a JSON object file and parse its ``members`` list (default empty).
+
+    Ensemble specs and candidate pools share this parser.  Every malformed
+    input, from unreadable bytes to a mistyped member field, is a FormatError
+    naming ``what`` and the file.
+    """
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise FormatError(f"cannot read ensemble spec {path}: {exc}") from exc
+        raise FormatError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise FormatError(f"ensemble spec {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "members" not in doc:
-        raise FormatError(f"ensemble spec {path} must be an object with a 'members' list")
+        raise FormatError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} {path} must hold a JSON object")
+    entries = doc.get("members", [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{what} {path}: 'members' must be a list")
     members = []
-    for i, entry in enumerate(doc["members"]):
+    for i, entry in enumerate(entries):
+        where = f"{what} {path}: member {i}"
+        if not isinstance(entry, dict):
+            raise FormatError(f"{where} must be an object, got {entry!r}")
         try:
-            members.append(
-                EnsembleMember(
-                    member_id=entry["member_id"],
-                    path=entry["path"],
-                    model_tag=entry.get("model_tag", ""),
-                    fold=int(entry.get("fold", 0)),
-                    checkpoint=entry.get("checkpoint", "best"),
-                    weight=float(entry.get("weight", 1.0)),
-                )
-            )
+            member_id, member_path = entry["member_id"], entry["path"]
+            fold = int(entry.get("fold", 0))
+            weight = float(entry.get("weight", 1.0))
         except KeyError as exc:
-            raise FormatError(f"ensemble spec {path}: member {i} is missing {exc}") from exc
-    return EnsembleSpec(members=tuple(members), mode=doc.get("mode", "prob_avg"))
+            raise FormatError(f"{where} is missing {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{where}: fold and weight must be numbers ({exc})") from exc
+        if not isinstance(member_id, str) or not isinstance(member_path, str):
+            raise FormatError(f"{where}: member_id and path must be strings")
+        members.append(
+            EnsembleMember(
+                member_id=member_id,
+                path=member_path,
+                model_tag=entry.get("model_tag", ""),
+                fold=fold,
+                checkpoint=entry.get("checkpoint", "best"),
+                weight=weight,
+            )
+        )
+    return doc, tuple(members)
+
+
+def load_ensemble_spec(path: str | Path) -> EnsembleSpec:
+    """Parse a JSON spec: {"mode": ..., "members": [{member fields}...]}."""
+    path = Path(path)
+    doc, members = read_member_file(path, "ensemble spec")
+    if "members" not in doc:
+        raise FormatError(f"ensemble spec {path} must be an object with a 'members' list")
+    return EnsembleSpec(members=members, mode=doc.get("mode", "prob_avg"))
 
 
 def save_ensemble_spec(spec: EnsembleSpec, path: str | Path) -> None:
@@ -146,10 +172,7 @@ def save_ensemble_spec(spec: EnsembleSpec, path: str | Path) -> None:
 def _check_grids(volumes: Sequence[Volume]):
     first = volumes[0]
     for v in volumes[1:]:
-        if v.dims != first.dims or not v.same_grid(first):
-            raise GridMismatchError(
-                f"member grids differ: {first.dims}@{first.spacing} vs {v.dims}@{v.spacing}"
-            )
+        check_same_grid((first.dims, first.spacing), (v.dims, v.spacing), "member")
 
 
 def average_probabilities(stacks: Sequence[Volume], weights: Optional[Sequence[float]] = None) -> Volume:
@@ -208,13 +231,14 @@ def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[fl
         raise ValidationError(f"weights must be positive, got {weights}")
     _check_grids(label_members)
 
+    def votes(value):
+        acc = weights[0] * (label_members[0].data == value)
+        for v, w in zip(label_members[1:], weights[1:]):
+            acc += w * (v.data == value)
+        return acc
+
     values = np.unique(np.concatenate([unique_labels(v.data) for v in label_members]))
-    scores = np.zeros(label_members[0].dims + (len(values),), dtype=np.float64)
-    for v, w in zip(label_members, weights):
-        for j, value in enumerate(values):
-            scores[..., j] += w * (v.data == value)
-    # values ascending, so the first maximum is the lowest label id
-    out = values[np.argmax(scores, axis=-1)].astype(np.int32)
+    out = label_argmax(values, votes, label_members[0].dims).astype(np.int32, copy=False)
     return Volume(
         data=out,
         spacing=label_members[0].spacing,

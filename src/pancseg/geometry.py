@@ -14,6 +14,10 @@ Conventions, fixed so that independent implementations can agree exactly:
 - Label maps resample either nearest (order 0) or by trilinear interpolation
   of one-hot indicators with argmax decoding, ties to the lowest label id
   (order 1).  Either way the output label set is a subset of the input's.
+
+One separable resampler, ``resample_separable``, serves both plan resampling
+(centre ratio ``target_spacing / source_spacing`` per axis) and the low-res
+simulation in ``augment`` (ratio ``source_dims / target_dims``).
 """
 from __future__ import annotations
 
@@ -23,12 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .volume import Volume, unique_labels
+from .volume import Volume, check_same_grid, label_argmax, same_grid, unique_labels
 
 IMAGE_ORDERS = (0, 1, 3)
 LABEL_ORDERS = (0, 1)
-
-SPACING_RTOL = 1e-5
 
 
 def target_grid(source_dims, source_spacing, target_spacing) -> tuple[int, int, int]:
@@ -95,27 +97,9 @@ class ResamplePlan:
         )
 
     def is_identity(self) -> bool:
-        return self.source_dims == self.target_dims and all(
-            abs(a - b) <= SPACING_RTOL * max(a, b)
-            for a, b in zip(self.source_spacing, self.target_spacing)
+        return same_grid(
+            (self.source_dims, self.source_spacing), (self.target_dims, self.target_spacing)
         )
-
-
-def _check_plan(volume: Volume, plan: ResamplePlan):
-    if volume.dims != plan.source_dims:
-        raise GridMismatchError(
-            f"plan source dims {plan.source_dims} do not match volume dims {volume.dims}"
-        )
-    for a, b in zip(volume.spacing, plan.source_spacing):
-        if abs(a - b) > SPACING_RTOL * max(abs(a), abs(b)):
-            raise GridMismatchError(
-                f"plan source spacing {plan.source_spacing} does not match "
-                f"volume spacing {volume.spacing}"
-            )
-
-
-def _centers(n_tgt: int, s_sp: float, t_sp: float) -> np.ndarray:
-    return (np.arange(n_tgt, dtype=np.float64) + 0.5) * (t_sp / s_sp) - 0.5
 
 
 def interp_taps(c: np.ndarray, n: int, order: int):
@@ -146,28 +130,48 @@ def interp_taps(c: np.ndarray, n: int, order: int):
     return np.clip(taps, 0, n - 1), weights
 
 
-def _resample_grid_nearest(data: np.ndarray, plan: ResamplePlan) -> np.ndarray:
-    idx = []
-    for ax in range(3):
-        c = _centers(plan.target_dims[ax], plan.source_spacing[ax], plan.target_spacing[ax])
-        taps, _ = interp_taps(c, plan.source_dims[ax], 0)
-        idx.append(taps[0])
-    return data[np.ix_(idx[0], idx[1], idx[2])]
+def resample_separable(data: np.ndarray, target_dims, ratios, order: int) -> np.ndarray:
+    """Resample a 3D array onto ``target_dims``, one axis at a time.
 
-
-def _resample_grid_interp(data: np.ndarray, plan: ResamplePlan, order: int) -> np.ndarray:
-    out = data.astype(np.float64, copy=False)
+    Output index ``j`` on axis ``ax`` samples source coordinate
+    ``(j + 0.5) * ratios[ax] - 0.5`` with the kernels and edge clamping of
+    ``interp_taps``.  Order 0 is a pure gather and keeps the dtype; orders 1
+    and 3 compute in float64.
+    """
+    out = data if order == 0 else data.astype(np.float64, copy=False)
     for ax in range(3):
-        c = _centers(plan.target_dims[ax], plan.source_spacing[ax], plan.target_spacing[ax])
-        taps, weights = interp_taps(c, plan.source_dims[ax], order)
+        c = (np.arange(target_dims[ax], dtype=np.float64) + 0.5) * ratios[ax] - 0.5
+        taps, weights = interp_taps(c, out.shape[ax], order)
+        if order == 0:
+            out = np.take(out, taps[0], axis=ax)
+            continue
         acc = None
         wshape = [1, 1, 1]
-        wshape[ax] = taps.shape[1]
+        wshape[ax] = len(c)
         for k in range(taps.shape[0]):
             term = np.take(out, taps[k], axis=ax) * weights[k].reshape(wshape)
             acc = term if acc is None else acc + term
         out = acc
     return out
+
+
+def _apply_plan(data: np.ndarray, plan: ResamplePlan, order: int) -> np.ndarray:
+    ratios = [t / s for s, t in zip(plan.source_spacing, plan.target_spacing)]
+    return resample_separable(data, plan.target_dims, ratios, order)
+
+
+def _on_target_grid(volume: Volume, plan: ResamplePlan, out: np.ndarray) -> Volume:
+    origin = tuple(
+        o - 0.5 * s + 0.5 * t
+        for o, s, t in zip(volume.origin, plan.source_spacing, plan.target_spacing)
+    )
+    return Volume(
+        data=out,
+        spacing=plan.target_spacing,
+        origin=origin,
+        kind=volume.kind,
+        meta=dict(volume.meta),
+    )
 
 
 def resample_image(volume: Volume, plan: ResamplePlan) -> Volume:
@@ -179,60 +183,35 @@ def resample_image(volume: Volume, plan: ResamplePlan) -> Volume:
     """
     if volume.kind != "image":
         raise GridMismatchError(f"resample_image expects an image volume, got {volume.kind}")
-    _check_plan(volume, plan)
-    if plan.image_order == 0:
-        out = _resample_grid_nearest(volume.data, plan)
-    else:
-        out = _resample_grid_interp(volume.data, plan, plan.image_order)
+    check_same_grid(
+        (volume.dims, volume.spacing), (plan.source_dims, plan.source_spacing), "volume and plan"
+    )
+    out = _apply_plan(volume.data, plan, plan.image_order)
+    if plan.image_order > 0:
         if plan.image_order == 3 and plan.clamp_cubic:
             out = np.clip(out, float(volume.data.min()), float(volume.data.max()))
         if volume.data.dtype != np.float64:
             out = out.astype(np.float32)
-    origin = tuple(
-        o - 0.5 * s + 0.5 * t
-        for o, s, t in zip(volume.origin, plan.source_spacing, plan.target_spacing)
-    )
-    return Volume(
-        data=out,
-        spacing=plan.target_spacing,
-        origin=origin,
-        kind="image",
-        meta=dict(volume.meta),
-    )
+    return _on_target_grid(volume, plan, out)
 
 
 def resample_labels(volume: Volume, plan: ResamplePlan) -> Volume:
     """Resample a label map; output labels always come from the input set."""
     if volume.kind != "labels":
         raise GridMismatchError(f"resample_labels expects a label volume, got {volume.kind}")
-    _check_plan(volume, plan)
+    check_same_grid(
+        (volume.dims, volume.spacing), (plan.source_dims, plan.source_spacing), "volume and plan"
+    )
     if plan.label_order == 0:
-        out = _resample_grid_nearest(volume.data, plan)
+        out = _apply_plan(volume.data, plan, 0)
     else:
-        values = unique_labels(volume.data)
-        if len(values) == 1:
-            out = np.full(plan.target_dims, values[0], dtype=volume.data.dtype)
-        else:
-            # one-hot channels interpolated trilinearly; argmax with np.argmax
-            # returns the first (= lowest, values sorted) label on ties
-            scores = np.stack(
-                [
-                    _resample_grid_interp((volume.data == v).astype(np.float64), plan, 1)
-                    for v in values
-                ]
-            )
-            out = values[np.argmax(scores, axis=0)].astype(volume.data.dtype)
-    origin = tuple(
-        o - 0.5 * s + 0.5 * t
-        for o, s, t in zip(volume.origin, plan.source_spacing, plan.target_spacing)
-    )
-    return Volume(
-        data=out,
-        spacing=plan.target_spacing,
-        origin=origin,
-        kind="labels",
-        meta=dict(volume.meta),
-    )
+        # one-hot channels interpolated trilinearly, decoded by argmax
+        out = label_argmax(
+            unique_labels(volume.data),
+            lambda v: _apply_plan((volume.data == v).astype(np.float64), plan, 1),
+            plan.target_dims,
+        )
+    return _on_target_grid(volume, plan, out)
 
 
 def sample_points(data: np.ndarray, coords: np.ndarray, order: int) -> np.ndarray:

@@ -23,14 +23,12 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, EmptySurfaceError, GridMismatchError, ValidationError
+from .errors import ConfigError, EmptySurfaceError, ValidationError
 from .surfels import border_map, neighbour_codes, surfel_area_table
-from .volume import Volume
+from .volume import Volume, check_same_grid
 
 EMPTY_POLICIES = ("penalize", "exclude")
 VOLUME_UNITS = ("mm3", "ml")
-
-GRID_RTOL = 1e-5
 
 HD_FRACTION = 0.95
 
@@ -83,22 +81,10 @@ class BinaryMask:
     def is_empty(self) -> bool:
         return not bool(self.bits.any())
 
-    def physical_diagonal_mm(self) -> float:
-        ext = [d * s for d, s in zip(self.dims, self.spacing)]
-        return float(np.sqrt(sum(e * e for e in ext)))
-
-
-def _check_same_grid(ref: BinaryMask, pred: BinaryMask):
-    if ref.dims != pred.dims:
-        raise GridMismatchError(f"mask dims differ: {ref.dims} vs {pred.dims}")
-    for a, b in zip(ref.spacing, pred.spacing):
-        if abs(a - b) > GRID_RTOL * max(abs(a), abs(b)):
-            raise GridMismatchError(f"mask spacings differ: {ref.spacing} vs {pred.spacing}")
-
 
 def dice(ref: BinaryMask, pred: BinaryMask) -> tuple[float, tuple[str, ...]]:
     """Volumetric overlap 2|A∩B| / (|A|+|B|), with emptiness flags."""
-    _check_same_grid(ref, pred)
+    check_same_grid((ref.dims, ref.spacing), (pred.dims, pred.spacing), "mask")
     total = int(ref.bits.sum()) + int(pred.bits.sum())
     if total == 0:
         return 1.0, ("both_empty",)
@@ -168,7 +154,7 @@ def surface_distances(ref: BinaryMask, pred: BinaryMask) -> SurfaceDistances:
     the dual grids align; a mask with no voxels contributes no surfels and
     the opposing directed distances are +inf.
     """
-    _check_same_grid(ref, pred)
+    check_same_grid((ref.dims, ref.spacing), (pred.dims, pred.spacing), "mask")
     bbox = _union_bbox(ref.bits | pred.bits)
     if bbox is None:
         raise EmptySurfaceError("both masks are empty; no surface exists")
@@ -185,17 +171,8 @@ def surface_distances(ref: BinaryMask, pred: BinaryMask) -> SurfaceDistances:
     areas_ref = area_table[codes_ref][borders_ref]
     areas_pred = area_table[codes_pred][borders_pred]
 
-    if borders_ref.any():
-        distmap_ref = ndimage.distance_transform_edt(~borders_ref, sampling=ref.spacing)
-    else:
-        distmap_ref = np.full(borders_ref.shape, np.inf)
-    if borders_pred.any():
-        distmap_pred = ndimage.distance_transform_edt(~borders_pred, sampling=ref.spacing)
-    else:
-        distmap_pred = np.full(borders_pred.shape, np.inf)
-
-    dist_ref_to_pred = distmap_pred[borders_ref]
-    dist_pred_to_ref = distmap_ref[borders_pred]
+    dist_pred_to_ref = edt(BinaryMask(borders_ref, ref.spacing))[borders_pred]
+    dist_ref_to_pred = edt(BinaryMask(borders_pred, ref.spacing))[borders_ref]
 
     order_ref = np.argsort(dist_ref_to_pred, kind="stable")
     order_pred = np.argsort(dist_pred_to_ref, kind="stable")
@@ -272,9 +249,9 @@ def evaluate_case(
     """All five per-case metric fields for one reference/prediction pair."""
     if ref.kind != "labels" or pred.kind != "labels":
         raise ValidationError("evaluate_case expects two label volumes")
+    check_same_grid((ref.dims, ref.spacing), (pred.dims, pred.spacing), "label volume")
     ref_mask = BinaryMask.from_labels(ref, config.label_id)
     pred_mask = BinaryMask.from_labels(pred, config.label_id)
-    _check_same_grid(ref_mask, pred_mask)
 
     vol_ref = tumor_volume(ref_mask)
     vol_pred = tumor_volume(pred_mask)
@@ -284,7 +261,7 @@ def evaluate_case(
         sdice, masd_mm, hd95_mm = 1.0, 0.0, 0.0
     elif flags:  # exactly one side empty
         if config.empty_policy == "penalize":
-            diag = ref_mask.physical_diagonal_mm()
+            diag = ref.physical_diagonal_mm()
             sdice, masd_mm, hd95_mm = 0.0, diag, diag
             flags = flags + ("penalized",)
         else:

@@ -270,6 +270,8 @@ def _label_storage_dtype(data: np.ndarray) -> np.dtype:
         return np.dtype(np.uint8)
     if lo >= -32768 and hi <= 32767:
         return np.dtype(np.int16)
+    if lo < _INT32.min or hi > _INT32.max:
+        raise FormatError(f"label values {lo}..{hi} exceed the int32 range")
     return np.dtype(np.int32)
 
 

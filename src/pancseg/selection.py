@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, FormatError, ValidationError
-from .ensemble import EnsembleMember, EnsembleSpec, combine_volumes, load_member_volume
+from .ensemble import (
+    EnsembleMember,
+    EnsembleSpec,
+    combine_volumes,
+    load_member_volume,
+    read_member_file,
+)
 from .metrics import CohortReport, EvalConfig, aggregate_cohort, evaluate_case
 from .nifti import read_volume
 from .volume import read_manifest
@@ -82,33 +87,26 @@ def load_pool(path: str | Path) -> CandidatePool:
     resolve against the pool file's directory.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read pool file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"pool file {path} is not valid JSON: {exc}") from exc
+    doc, members = read_member_file(path, "pool file")
     base = path.parent
-    members = []
-    for i, entry in enumerate(doc.get("members", [])):
-        try:
-            members.append(
-                EnsembleMember(
-                    member_id=entry["member_id"],
-                    path=entry["path"],
-                    model_tag=entry.get("model_tag", ""),
-                    fold=int(entry.get("fold", 0)),
-                    checkpoint=entry.get("checkpoint", "best"),
-                    weight=float(entry.get("weight", 1.0)),
-                )
-            )
-        except KeyError as exc:
-            raise FormatError(f"pool file {path}: member {i} is missing {exc}") from exc
     if "cases" in doc and "manifest" in doc:
         raise FormatError(f"pool file {path}: give either 'cases' or 'manifest', not both")
     if "cases" in doc:
-        cases = [(entry["case_id"], entry["reference"]) for entry in doc["cases"]]
+        entries = doc["cases"]
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict)
+            and isinstance(e.get("case_id"), str)
+            and isinstance(e.get("reference"), str)
+            for e in entries
+        ):
+            raise FormatError(
+                f"pool file {path}: 'cases' must be a list of objects with string "
+                "'case_id' and 'reference'"
+            )
+        cases = [(entry["case_id"], entry["reference"]) for entry in entries]
     elif "manifest" in doc:
+        if not isinstance(doc["manifest"], str):
+            raise FormatError(f"pool file {path}: 'manifest' must be a path string")
         manifest_path = Path(doc["manifest"])
         if not manifest_path.is_absolute():
             manifest_path = base / manifest_path
@@ -116,7 +114,7 @@ def load_pool(path: str | Path) -> CandidatePool:
     else:
         raise FormatError(f"pool file {path}: missing 'cases' or 'manifest'")
     return CandidatePool(
-        members=tuple(members),
+        members=members,
         cases=tuple(cases),
         mode=doc.get("mode", "prob_avg"),
         base_dir=str(base),

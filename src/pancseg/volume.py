@@ -15,13 +15,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FormatError, LabelSetError, ValidationError
+from .errors import FormatError, GridMismatchError, LabelSetError, ValidationError
 
 VOLUME_KINDS = ("image", "labels", "probabilities")
 
 DEFAULT_LABEL_SET = (0, 1, 2)  # background, pancreas, tumor
 
 PROB_SUM_TOL = 1e-5
+
+# Relative spacing tolerance of every grid-compatibility check.
+GRID_RTOL = 1e-5
 
 # Widest min..max span scanned by per-value presence tests; one ``==`` pass
 # costs about 1/50 of a full-volume sort, so wider spans fall back to it.
@@ -42,6 +45,41 @@ def unique_labels(data: np.ndarray) -> np.ndarray:
         return np.unique(data)
     inner = [v for v in range(lo + 1, hi) if (data == v).any()]
     return np.array(sorted({lo, hi, *inner}), dtype=data.dtype)
+
+
+def label_argmax(values: np.ndarray, score, shape) -> np.ndarray:
+    """Per voxel, the ``values[j]`` with the highest ``score(values[j])``.
+
+    ``values`` is ascending and ties go to the lowest label, as with
+    ``np.argmax`` over the stacked scores.  Scores are computed one value at a
+    time and dropped once folded into a running maximum, so memory holds two
+    score arrays instead of one per label.
+    """
+    out = np.full(shape, values[0], dtype=values.dtype)
+    if len(values) == 1:
+        return out
+    best = score(values[0])
+    for value in values[1:]:
+        s = score(value)
+        out[s > best] = value
+        np.maximum(best, s, out=best)
+        del s
+    return out
+
+
+def same_grid(a, b) -> bool:
+    """True when two ``(dims, spacing)`` grids have equal dims and spacings
+    equal to within ``GRID_RTOL`` relative."""
+    (dims_a, spacing_a), (dims_b, spacing_b) = a, b
+    return tuple(dims_a) == tuple(dims_b) and not any(
+        abs(x - y) > GRID_RTOL * max(abs(x), abs(y)) for x, y in zip(spacing_a, spacing_b)
+    )
+
+
+def check_same_grid(a, b, what: str) -> None:
+    """Raise GridMismatchError unless the ``(dims, spacing)`` grids agree."""
+    if not same_grid(a, b):
+        raise GridMismatchError(f"{what} grids differ: {a[0]}@{a[1]} vs {b[0]}@{b[1]}")
 
 
 @dataclass(frozen=True)
@@ -123,13 +161,8 @@ class Volume:
         ext = [d * s for d, s in zip(self.dims, self.spacing)]
         return float(np.sqrt(sum(e * e for e in ext)))
 
-    def same_grid(self, other: "Volume", rel_tol: float = 1e-5) -> bool:
-        if self.dims != other.dims:
-            return False
-        for a, b in zip(self.spacing, other.spacing):
-            if abs(a - b) > rel_tol * max(abs(a), abs(b)):
-                return False
-        return True
+    def same_grid(self, other: "Volume") -> bool:
+        return same_grid((self.dims, self.spacing), (other.dims, other.spacing))
 
     def with_data(self, data: np.ndarray, kind: str | None = None) -> "Volume":
         """New volume on the same grid with replacement voxel data."""

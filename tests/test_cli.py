@@ -210,6 +210,49 @@ def test_ensemble_case_id_requires_output(tmp_path, capsys, rng):
     assert "--output" in err
 
 
+_GOOD_MEMBERS = [{"member_id": "a", "path": "a/{case}.nii.gz"}, {"member_id": "b", "path": "b"}]
+_CASES = [{"case_id": "c1", "reference": "refs/c1.nii.gz"}]
+
+MALFORMED_MEMBER_FILES = {
+    "member_not_an_object": {"members": [1], "cases": _CASES},
+    "fold_not_a_number": {
+        "members": [{"member_id": "a", "path": "p", "fold": "abc"}, _GOOD_MEMBERS[1]],
+        "cases": _CASES,
+    },
+    "top_level_list": [{"members": _GOOD_MEMBERS, "cases": _CASES}],
+    "case_without_reference": {"members": _GOOD_MEMBERS, "cases": [{"case_id": "c1"}]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, defect",
+    [
+        ("ensemble", "member_not_an_object"),
+        ("ensemble", "fold_not_a_number"),
+        ("ensemble", "top_level_list"),
+        ("select", "member_not_an_object"),
+        ("select", "fold_not_a_number"),
+        ("select", "top_level_list"),
+        ("select", "case_without_reference"),
+    ],
+)
+def test_malformed_member_file_exits_two_with_json_error(tmp_path, capsys, command, defect):
+    path = tmp_path / "members.json"
+    path.write_text(json.dumps(MALFORMED_MEMBER_FILES[defect]))
+    if command == "ensemble":
+        argv = ["ensemble", "--spec", str(path), "--case-id", "c1"]
+        argv += ["--output", str(tmp_path / "o.nii.gz")]
+    else:
+        argv = ["select", "--pool", str(path)]
+    code, out, err = _run(capsys, *argv, "--json-errors")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "FormatError"
+    assert doc["error"]["exit_code"] == 2
+
+
 # ---------------------------------------------------------------- evaluation
 
 

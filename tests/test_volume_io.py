@@ -439,6 +439,20 @@ def test_labels_beyond_int32_are_format_errors(tmp_path, dtype, wide):
     assert read_volume(path, kind="labels", label_set=None).data.max() == 2**31 - 1
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize("name", ["wide.nii", "wide.nii.gz"])
+def test_writing_labels_beyond_int32_is_a_format_error(tmp_path, dtype, name):
+    data = np.zeros((2, 3, 2), dtype=dtype)
+    data[1, 2, 0] = 2**32 + 2  # would be stored as tumor label 2
+    path = tmp_path / name
+    with pytest.raises(FormatError, match="int32 range"):
+        write_volume(Volume(data.copy(), (1.0, 1.0, 1.0), kind="labels"), path)
+    assert not path.exists()
+    data[1, 2, 0] = 2**31 - 1  # the widest value that still fits
+    write_volume(Volume(data, (1.0, 1.0, 1.0), kind="labels"), path)
+    assert read_volume(path, kind="labels", label_set=None).data.max() == 2**31 - 1
+
+
 def test_non_finite_float_labels_are_format_errors(tmp_path):
     for bad in (np.nan, np.inf):
         data = np.zeros((2, 2, 2), dtype=np.float32)
