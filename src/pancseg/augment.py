@@ -126,24 +126,43 @@ def load_preset(path) -> AugmentPreset:
         raise FormatError(f"cannot read preset file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"preset file {path} is not valid JSON: {exc}") from exc
-    if "preset" in doc:
-        return preset(doc["preset"], seed=int(doc.get("seed", 0)))
-    transforms = []
-    for entry in doc.get("transforms", []):
-        fields = dict(entry)
-        name = fields.pop("name", None)
-        if name is None:
-            raise FormatError(f"preset file {path}: transform entry without a name")
-        probability = float(fields.pop("probability", 1.0))
-        ranges = {k: (float(v[0]), float(v[1])) for k, v in fields.items()}
-        transforms.append(TransformSpec(name=name, probability=probability, ranges=ranges))
-    return AugmentPreset(
-        name=doc.get("name", "custom"),
-        image_order=int(doc.get("image_order", 3)),
-        label_order=int(doc.get("label_order", 1)),
-        transforms=tuple(transforms),
-        seed=int(doc.get("seed", 0)),
-    )
+    if not isinstance(doc, dict):
+        raise FormatError(f"preset file {path} must hold a JSON object")
+    try:
+        seed = int(doc.get("seed", 0))
+        if "preset" in doc:
+            return preset(doc["preset"], seed=seed)
+        image_order = int(doc.get("image_order", 3))
+        label_order = int(doc.get("label_order", 1))
+        entries = doc.get("transforms", [])
+        if not isinstance(entries, list):
+            raise FormatError(f"preset file {path}: 'transforms' must be a list")
+        transforms = []
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise FormatError(f"preset file {path}: transform {i} must be an object")
+            fields = dict(entry)
+            name = fields.pop("name", None)
+            if name is None:
+                raise FormatError(f"preset file {path}: transform entry without a name")
+            probability = float(fields.pop("probability", 1.0))
+            ranges = {}
+            for key, pair in fields.items():
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise FormatError(
+                        f"preset file {path}: {name}.{key} must be a [lo, hi] pair, got {pair!r}"
+                    )
+                ranges[key] = (float(pair[0]), float(pair[1]))
+            transforms.append(TransformSpec(name=name, probability=probability, ranges=ranges))
+        return AugmentPreset(
+            name=doc.get("name", "custom"),
+            image_order=image_order,
+            label_order=label_order,
+            transforms=tuple(transforms),
+            seed=seed,
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"preset file {path}: malformed value ({exc})") from exc
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:

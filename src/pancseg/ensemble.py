@@ -8,19 +8,47 @@ there is no model inference and no test-time augmentation here.
 Members are always reduced in member_id order regardless of how the spec
 lists them, which makes both modes bit-exactly invariant under permutation
 of the member list.
+
+Fusion splits the grid by consensus codes (``consensus_codes``): a label
+map's code is its label; a probability vector's code is its hot class when
+it is exactly one-hot (one entry ``== 1.0``, all others ``== 0.0``) and -1
+otherwise.  A voxel is *settled* when every member has the same code and it
+is >= 0; its fused label is that code.  Only the remaining *active* voxels
+are gathered (one member at a time for probabilities), go through the
+per-voxel arithmetic (float64 accumulation in member order, division by the
+weight sum, renormalization, probability validation and argmax; or the
+weighted vote), and are scattered back.  When more than half the voxels are
+active, the gather would cost more than it saves, and every voxel goes
+through that arithmetic in place instead.
+
+The split is exact for finite positive weights with a finite sum, which the
+weight checks enforce.  Active voxels run the same elementwise arithmetic as
+a full-volume pass.  A settled probability voxel averages to ``(x, 0, ...)``
+with ``x > 0``, which renormalizes to exactly one-hot (``x/x == 1``,
+``0/x == 0``), so it passes validation and its argmax is the hot class; a
+settled vote has one candidate.  Validating only the active rows therefore
+passes and fails exactly when the full stack does, with the same worst
+deviation.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, GridMismatchError, ValidationError
 from .nifti import read_volume
-from .volume import Volume, check_same_grid, label_argmax, unique_labels
+from .volume import (
+    Volume,
+    check_probabilities,
+    check_same_grid,
+    label_argmax,
+    unique_labels,
+)
 
 ENSEMBLE_MODES = ("prob_avg", "majority")
 CHECKPOINTS = ("best", "final")
@@ -50,8 +78,10 @@ class EnsembleMember:
             raise ConfigError(
                 f"member {self.member_id}: checkpoint must be one of {CHECKPOINTS}"
             )
-        if not self.weight > 0:
-            raise ConfigError(f"member {self.member_id}: weight must be > 0, got {self.weight}")
+        if not 0 < self.weight < math.inf:
+            raise ConfigError(
+                f"member {self.member_id}: weight must be finite and > 0, got {self.weight}"
+            )
 
     def resolve_path(self, case_id: Optional[str] = None, base_dir: Optional[Path] = None) -> Path:
         """Concrete prediction file for one case.
@@ -175,32 +205,53 @@ def _check_grids(volumes: Sequence[Volume]):
         check_same_grid((first.dims, first.spacing), (v.dims, v.spacing), "member")
 
 
-def average_probabilities(stacks: Sequence[Volume], weights: Optional[Sequence[float]] = None) -> Volume:
-    """Weighted per-voxel, per-class mean of probability stacks, renormalized."""
+def _member_weights(weights: Optional[Sequence[float]], n: int) -> list[float]:
+    weights = [1.0] * n if weights is None else [float(w) for w in weights]
+    if len(weights) != n:
+        raise ValidationError("weights length must match the member count")
+    if not (all(0 < w < math.inf for w in weights) and math.isfinite(sum(weights))):
+        raise ValidationError(
+            f"weights must be finite and positive with a finite sum, got {weights}"
+        )
+    return weights
+
+
+def _probability_members(stacks: Sequence[Volume], weights: Optional[Sequence[float]]):
+    """The checks every probability fusion makes, in order."""
     stacks = list(stacks)
     if not stacks:
         raise ValidationError("no probability stacks to average")
     if any(v.kind != "probabilities" for v in stacks):
         raise ValidationError("average_probabilities expects probability stacks")
-    if weights is None:
-        weights = [1.0] * len(stacks)
-    weights = [float(w) for w in weights]
-    if len(weights) != len(stacks):
-        raise ValidationError("weights length must match the member count")
-    if any(w <= 0 for w in weights):
-        raise ValidationError(f"weights must be positive, got {weights}")
+    weights = _member_weights(weights, len(stacks))
     _check_grids(stacks)
     classes = {v.n_classes for v in stacks}
     if len(classes) != 1:
         raise GridMismatchError(f"class counts differ across members: {sorted(classes)}")
+    return stacks, weights
 
-    acc = np.zeros(stacks[0].data.shape, dtype=np.float64)
-    for v, w in zip(stacks, weights):
-        acc += w * v.data.astype(np.float64, copy=False)
+
+def _average_rows(rows: Iterable[np.ndarray], weights: Sequence[float]) -> np.ndarray:
+    """Weighted float64 mean over the class axis, in member order, renormalized.
+
+    ``rows`` may be a generator, so only one member's rows need be held at
+    a time besides the accumulator.
+    """
+    acc = None
+    for r, w in zip(rows, weights):
+        if acc is None:
+            acc = np.zeros(r.shape, dtype=np.float64)
+        acc += w * r.astype(np.float64, copy=False)
     acc /= sum(weights)
     acc /= acc.sum(axis=-1, keepdims=True)
+    return acc
+
+
+def average_probabilities(stacks: Sequence[Volume], weights: Optional[Sequence[float]] = None) -> Volume:
+    """Weighted per-voxel, per-class mean of probability stacks, renormalized."""
+    stacks, weights = _probability_members(stacks, weights)
     return Volume(
-        data=acc,
+        data=_average_rows([v.data for v in stacks], weights),
         spacing=stacks[0].spacing,
         origin=stacks[0].origin,
         kind="probabilities",
@@ -215,6 +266,71 @@ def argmax_labels(p: Volume) -> Volume:
     return Volume(data=labels, spacing=p.spacing, origin=p.origin, kind="labels")
 
 
+def consensus_codes(volume: Volume) -> np.ndarray:
+    """One code per voxel: the label of a label map; for a probability stack
+    the hot class where the vector is exactly one-hot, else -1."""
+    if volume.kind == "labels":
+        return volume.data
+    if volume.kind != "probabilities":
+        raise ValidationError(f"consensus codes need labels or probabilities, got {volume.kind}")
+    n_classes = volume.n_classes
+    flat = volume.data.reshape(-1, n_classes)
+    dtype = np.int8 if n_classes <= 127 else np.int32
+    codes = np.full(len(flat), -1, dtype=dtype)
+    nonzero = np.zeros(len(flat), dtype=dtype)
+    # class columns one at a time: reductions along a short axis are slow
+    for c in range(n_classes):
+        column = flat[:, c]
+        nonzero += column != 0
+        codes[column == 1.0] = c
+    codes[nonzero != 1] = -1
+    return codes.reshape(volume.dims)
+
+
+def _fuse_active(codes: Sequence[np.ndarray], fuse_rows) -> np.ndarray:
+    """int32 labels in C order: settled voxels take the shared code; the
+    flat indices of the active ones go to ``fuse_rows``, which returns their
+    labels.  When most voxels are active, ``fuse_rows(None)`` fuses every
+    voxel instead, which is as exact: settled voxels fuse to their code.
+    """
+    first = codes[0]
+    settled = first >= 0
+    for c in codes[1:]:
+        settled &= c == first
+    # a fresh C-order copy, so the flat view below writes into ``out`` itself
+    out = np.array(first, dtype=np.int32, order="C")
+    active = np.flatnonzero(~settled)
+    if 2 * active.size > out.size:
+        out.reshape(-1)[:] = fuse_rows(None)
+    elif active.size:
+        out.reshape(-1)[active] = fuse_rows(active)
+    return out
+
+
+def _fuse_probabilities(
+    stacks: Sequence[Volume],
+    weights: Sequence[float],
+    codes: Optional[Sequence[np.ndarray]],
+) -> Volume:
+    """``argmax_labels(average_probabilities(stacks, weights))``, fusing only
+    the active voxels."""
+    stacks, weights = _probability_members(stacks, weights)
+    if codes is None:
+        codes = [consensus_codes(v) for v in stacks]
+
+    n_classes = stacks[0].n_classes
+    flat = [v.data.reshape(-1, n_classes) for v in stacks]
+
+    def fuse_rows(active):
+        rows = flat if active is None else (np.take(f, active, axis=0) for f in flat)
+        acc = _average_rows(rows, weights)
+        check_probabilities(acc)
+        return np.argmax(acc, axis=-1)
+
+    out = _fuse_active(codes, fuse_rows)
+    return Volume(data=out, spacing=stacks[0].spacing, origin=stacks[0].origin, kind="labels")
+
+
 def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[float]] = None) -> Volume:
     """Weighted per-voxel plurality over label volumes; ties to lowest label."""
     label_members = list(label_members)
@@ -222,23 +338,23 @@ def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[fl
         raise ValidationError("no label volumes to vote over")
     if any(v.kind != "labels" for v in label_members):
         raise ValidationError("majority_vote expects label volumes")
-    if weights is None:
-        weights = [1.0] * len(label_members)
-    weights = [float(w) for w in weights]
-    if len(weights) != len(label_members):
-        raise ValidationError("weights length must match the member count")
-    if any(w <= 0 for w in weights):
-        raise ValidationError(f"weights must be positive, got {weights}")
+    weights = _member_weights(weights, len(label_members))
     _check_grids(label_members)
+    flat = [v.data.reshape(-1) for v in label_members]
 
-    def votes(value):
-        acc = weights[0] * (label_members[0].data == value)
-        for v, w in zip(label_members[1:], weights[1:]):
-            acc += w * (v.data == value)
-        return acc
+    def vote_rows(active):
+        rows = flat if active is None else [np.take(f, active) for f in flat]
 
-    values = np.unique(np.concatenate([unique_labels(v.data) for v in label_members]))
-    out = label_argmax(values, votes, label_members[0].dims).astype(np.int32, copy=False)
+        def votes(value):
+            acc = weights[0] * (rows[0] == value)
+            for r, w in zip(rows[1:], weights[1:]):
+                acc += w * (r == value)
+            return acc
+
+        values = np.unique(np.concatenate([unique_labels(r) for r in rows]))
+        return label_argmax(values, votes, rows[0].shape)
+
+    out = _fuse_active([v.data for v in label_members], vote_rows)
     return Volume(
         data=out,
         spacing=label_members[0].spacing,
@@ -247,16 +363,26 @@ def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[fl
     )
 
 
-def combine_volumes(spec: EnsembleSpec, volumes: Mapping[str, Volume]) -> Volume:
-    """Combine already-loaded member volumes keyed by member_id."""
+def combine_volumes(
+    spec: EnsembleSpec,
+    volumes: Mapping[str, Volume],
+    codes: Optional[Mapping[str, np.ndarray]] = None,
+) -> Volume:
+    """Combine already-loaded member volumes keyed by member_id.
+
+    ``codes`` optionally maps every member_id to its ``consensus_codes``, so
+    a caller fusing many subsets of one prob_avg pool computes them once per
+    member.  Majority mode ignores them: a label map is its own code.
+    """
     ordered = spec.sorted_members()
     missing = [m.member_id for m in ordered if m.member_id not in volumes]
     if missing:
         raise ValidationError(f"no volume supplied for member(s) {missing}")
     vols = [volumes[m.member_id] for m in ordered]
     weights = [m.weight for m in ordered]
+    member_codes = None if codes is None else [codes[m.member_id] for m in ordered]
     if spec.mode == "prob_avg":
-        return argmax_labels(average_probabilities(vols, weights))
+        return _fuse_probabilities(vols, weights, member_codes)
     return majority_vote(vols, weights)
 
 

@@ -27,6 +27,7 @@ from .ensemble import (
     EnsembleMember,
     EnsembleSpec,
     combine_volumes,
+    consensus_codes,
     load_member_volume,
     read_member_file,
 )
@@ -215,6 +216,15 @@ def normalize_metrics(
 class SubsetEvaluator:
     """Loads member predictions once and evaluates subsets with caching.
 
+    Each (member, case) prediction is read lazily, the first time a subset
+    needs it, and its ``consensus_codes`` are computed right then, once.
+    Every subset fuses from those codes: voxels where all its members hold
+    the same non-negative code are settled and copied, and only the active
+    rest is gathered and fused.  The fused labels are bit-identical to a
+    full-volume fusion (see ``ensemble``), and all per-subset checks still
+    run per case in the same order, so a defective pool fails with the same
+    error at the same subset.
+
     Reports are cached content-addressed: the key combines the sorted member
     ids with digests of the underlying prediction files (computed once per
     member), so two members are interchangeable in the cache exactly when
@@ -227,6 +237,7 @@ class SubsetEvaluator:
         self.base_dir = Path(pool.base_dir) if pool.base_dir else None
         self._references: dict[str, object] = {}
         self._member_volumes: dict[tuple[str, str], object] = {}
+        self._member_codes: dict[tuple[str, str], np.ndarray] = {}
         self._member_digests: dict[str, str] = {}
         self._reports: dict[tuple, CohortReport] = {}
         self._members_by_id = {m.member_id: m for m in pool.members}
@@ -243,9 +254,9 @@ class SubsetEvaluator:
         key = (member_id, case_id)
         if key not in self._member_volumes:
             member = self._members_by_id[member_id]
-            self._member_volumes[key] = load_member_volume(
-                member, self.pool.mode, case_id, self.base_dir
-            )
+            volume = load_member_volume(member, self.pool.mode, case_id, self.base_dir)
+            self._member_volumes[key] = volume
+            self._member_codes[key] = consensus_codes(volume)
         return self._member_volumes[key]
 
     def member_digest(self, member_id: str) -> str:
@@ -273,7 +284,8 @@ class SubsetEvaluator:
         cases = []
         for case_id, ref_path in self.pool.cases:
             volumes = {mid: self._member_volume(mid, case_id) for mid in member_ids}
-            combined = combine_volumes(spec, volumes)
+            codes = {mid: self._member_codes[(mid, case_id)] for mid in member_ids}
+            combined = combine_volumes(spec, volumes, codes)
             ref = self._reference(case_id, ref_path)
             cases.append(evaluate_case(ref, combined, self.config, case_id=case_id))
         report = aggregate_cohort(cases, self.config)

@@ -82,6 +82,24 @@ def check_same_grid(a, b, what: str) -> None:
         raise GridMismatchError(f"{what} grids differ: {a[0]}@{a[1]} vs {b[0]}@{b[1]}")
 
 
+def check_probabilities(data: np.ndarray) -> None:
+    """Raise ValidationError unless every vector along the last axis is a
+    finite probability distribution (entries in [0, 1], sum 1)."""
+    if not np.issubdtype(data.dtype, np.floating):
+        raise ValidationError("probability stack must have float dtype")
+    if not np.isfinite(data).all():
+        raise ValidationError("probability stack contains non-finite voxels")
+    if data.min() < -1e-6 or data.max() > 1 + 1e-6:
+        raise ValidationError("probability values must lie in [0, 1]")
+    sums = data.sum(axis=-1)
+    err = np.abs(sums - 1.0).max()
+    if err > PROB_SUM_TOL:
+        raise ValidationError(
+            f"per-voxel class probabilities must sum to 1 within {PROB_SUM_TOL}, "
+            f"worst deviation {err:.3g}"
+        )
+
+
 @dataclass(frozen=True)
 class Volume:
     """A 3D scalar image, integer label map or per-class probability stack.
@@ -127,20 +145,8 @@ class Volume:
                 raise ValidationError(f"label volume must have integer dtype, got {data.dtype}")
             if data.size and data.min() < 0:
                 raise ValidationError("label volume contains negative values")
-        else:  # probabilities
-            if not np.issubdtype(data.dtype, np.floating):
-                raise ValidationError("probability stack must have float dtype")
-            if not np.isfinite(data).all():
-                raise ValidationError("probability stack contains non-finite voxels")
-            if data.min() < -1e-6 or data.max() > 1 + 1e-6:
-                raise ValidationError("probability values must lie in [0, 1]")
-            sums = data.sum(axis=-1)
-            err = np.abs(sums - 1.0).max()
-            if err > PROB_SUM_TOL:
-                raise ValidationError(
-                    f"per-voxel class probabilities must sum to 1 within {PROB_SUM_TOL}, "
-                    f"worst deviation {err:.3g}"
-                )
+        else:
+            check_probabilities(data)
 
     @property
     def dims(self) -> tuple[int, int, int]:

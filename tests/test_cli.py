@@ -139,6 +139,39 @@ def test_augment_with_preset_file(tmp_path, capsys, rng):
     assert np.array_equal(before, after)
 
 
+MALFORMED_PRESETS = {
+    "top_level_list": [{"name": "blur", "probability": 1.0}],
+    "non_numeric_range": {"transforms": [{"name": "gamma", "gamma": ["a", 2]}]},
+    "range_not_a_pair": {"transforms": [{"name": "gamma", "gamma": [0.7, 1.0, 1.5]}]},
+    "scalar_range": {"transforms": [{"name": "gamma", "gamma": 1.5}]},
+    "transform_not_an_object": {"transforms": ["gamma"]},
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED_PRESETS))
+def test_malformed_preset_file_exits_two_with_json_error(tmp_path, capsys, defect):
+    img = tmp_path / "img.nii.gz"
+    lab = tmp_path / "lab.nii.gz"
+    write_volume(image_volume(np.random.default_rng(0), (4, 4, 4), SPACING), img)
+    _write_labels(lab, _ball(dims=(4, 4, 4), radius=1.2))
+    preset_file = tmp_path / "preset.json"
+    preset_file.write_text(json.dumps(MALFORMED_PRESETS[defect]))
+    code, out, err = _run(
+        capsys,
+        "augment", "--image", str(img), "--labels", str(lab),
+        "--preset-file", str(preset_file),
+        "--out-image", str(tmp_path / "o_img.nii.gz"),
+        "--out-labels", str(tmp_path / "o_lab.nii.gz"),
+        "--json-errors",
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "FormatError"
+    assert doc["error"]["exit_code"] == 2
+
+
 # ---------------------------------------------------------------- ensemble
 
 
@@ -251,6 +284,25 @@ def test_malformed_member_file_exits_two_with_json_error(tmp_path, capsys, comma
     doc = json.loads(err)
     assert doc["error"]["type"] == "FormatError"
     assert doc["error"]["exit_code"] == 2
+
+
+@pytest.mark.parametrize("command", ["ensemble", "select"])
+@pytest.mark.parametrize("weight", ["Infinity", "1e999", "-Infinity", "NaN"])
+def test_non_finite_member_weight_exits_one_with_json_error(tmp_path, capsys, command, weight):
+    members = json.dumps(_GOOD_MEMBERS).replace('"b"}', f'"b", "weight": {weight}}}', 1)
+    path = tmp_path / "members.json"
+    path.write_text(f'{{"members": {members}, "cases": {json.dumps(_CASES)}}}')
+    if command == "ensemble":
+        argv = ["ensemble", "--spec", str(path), "--case-id", "c1"]
+        argv += ["--output", str(tmp_path / "o.nii.gz")]
+    else:
+        argv = ["select", "--pool", str(path)]
+    code, out, err = _run(capsys, *argv, "--json-errors")
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert "weight must be finite" in doc["error"]["message"]
 
 
 # ---------------------------------------------------------------- evaluation

@@ -12,6 +12,7 @@ from pancseg.ensemble import (
     average_probabilities,
     combine,
     combine_volumes,
+    consensus_codes,
     load_ensemble_spec,
     load_member_volume,
     majority_vote,
@@ -45,6 +46,9 @@ def test_member_validation():
         EnsembleMember("m", "p", checkpoint="last")
     with pytest.raises(ConfigError):
         EnsembleMember("m", "p", weight=0.0)
+    for weight in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ConfigError, match="finite"):
+            EnsembleMember("m", "p", weight=weight)
 
 
 def test_member_path_resolution(tmp_path):
@@ -294,3 +298,52 @@ def test_load_member_volume_kind_follows_mode(tmp_path, rng):
     assert vol.kind == "labels"
     with pytest.raises(FormatError, match="member m"):
         load_member_volume(member, "prob_avg")  # 3D file cannot be probabilities
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [float("inf"), 1.0],
+        [1.0, float("nan")],
+        [-float("inf"), 1.0],
+        [1e308, 1e308],  # finite weights whose sum overflows
+    ],
+)
+def test_non_finite_weights_are_rejected(rng, weights):
+    a = _labels(rng.integers(0, 3, size=(3, 3, 3)))
+    b = _labels(rng.integers(0, 3, size=(3, 3, 3)))
+    with pytest.raises(ValidationError, match="finite"):
+        majority_vote([a, b], weights)
+    p = probability_volume(rng, (3, 3, 3), (1, 1, 1))
+    with pytest.raises(ValidationError, match="finite"):
+        average_probabilities([p, p], weights)
+
+
+def test_consensus_codes():
+    stack = _prob(
+        [
+            [
+                [[0.0, 1.0, 0.0], [-0.0, 0.0, 1.0]],  # one-hot, a signed zero is zero
+                [[1.0 - 2**-24, 2**-24, 0.0], [0.0, 0.0, 1.0 + 1e-7]],  # near one-hot
+            ]
+        ]
+    )
+    assert consensus_codes(stack).tolist() == [[[1, 2], [-1, -1]]]
+    assert consensus_codes(stack).dtype == np.int8
+    labels = _labels([[[0, 2], [1, 0]]])
+    assert consensus_codes(labels) is labels.data
+    with pytest.raises(ValidationError):
+        consensus_codes(Volume(np.zeros((2, 2, 2)), (1, 1, 1), kind="image"))
+
+
+def test_settled_voxels_skip_fusion_but_not_validation():
+    # members agree on exact one-hot voxels everywhere except one voxel whose
+    # renormalized average drops below -1e-6; the error must still surface
+    onehot = np.zeros((2, 2, 2, 3))
+    onehot[..., 0] = 1.0
+    edge = onehot.copy()
+    edge[1, 0, 1] = [1.0 - 5e-6, 0.0, -1e-6]
+    spec = EnsembleSpec(members=(EnsembleMember("a", "p"), EnsembleMember("b", "p")))
+    with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+        combine_volumes(spec, {"a": _prob(edge), "b": _prob(edge)})
+    assert (combine_volumes(spec, {"a": _prob(onehot), "b": _prob(onehot)}).data == 0).all()

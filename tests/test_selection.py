@@ -8,6 +8,7 @@ import pytest
 from pancseg.ensemble import EnsembleMember
 from pancseg.errors import BudgetExceededError, ConfigError, FormatError, ValidationError
 from pancseg.metrics import CohortReport, EvalConfig
+from pancseg import selection
 from pancseg.nifti import write_volume
 from pancseg.selection import (
     CandidatePool,
@@ -367,3 +368,25 @@ def test_evaluator_caches_reports_and_digests(tmp_path):
     )
     with pytest.raises(FormatError, match="member x"):
         SubsetEvaluator(missing, EvalConfig()).member_digest("x")
+
+
+def test_consensus_codes_are_computed_once_per_member_and_case(tmp_path, rng, monkeypatch):
+    calls = []
+    real = selection.consensus_codes
+
+    def counting(volume):
+        calls.append(volume)
+        return real(volume)
+
+    monkeypatch.setattr(selection, "consensus_codes", counting)
+    refs = {"c1": _ball(), "c2": _ball(shift=(1, 0, 0))}
+    predictions = {
+        f"m{i}": {case: _flip(ref, rng, 20) for case, ref in refs.items()} for i in range(5)
+    }
+    pool = _write_pool(tmp_path, predictions, refs)
+    evaluator = SubsetEvaluator(pool, EvalConfig())
+    results = search_subsets(pool, 1, 5, evaluator=evaluator)
+    assert len(results) == 31
+    assert len(calls) == 10
+    beam_search_subsets(pool, 5, 2, evaluator=evaluator)
+    assert len(calls) == 10
