@@ -15,7 +15,6 @@ draw decides firing; remaining parameters are drawn in sorted name order
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from scipy import ndimage
 
 from .errors import ConfigError, FormatError, ValidationError
 from .geometry import IMAGE_ORDERS, LABEL_ORDERS, resample_separable, sample_points
-from .volume import Volume, check_same_grid, label_argmax, unique_labels
+from .volume import Volume, check_same_grid, label_argmax, read_json_object, unique_labels
 
 TRANSFORM_NAMES = ("spatial", "blur", "sharpen", "lowres", "gamma", "noise")
 
@@ -50,8 +49,10 @@ class TransformSpec:
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigError(f"probability must be in [0, 1], got {self.probability}")
         for key, (lo, hi) in self.ranges.items():
-            if lo > hi:
-                raise ConfigError(f"{self.name}.{key}: range ({lo}, {hi}) is not ordered")
+            if not (-math.inf < lo <= hi < math.inf):
+                raise ConfigError(
+                    f"{self.name}.{key}: range ({lo}, {hi}) must be finite and ordered"
+                )
 
 
 @dataclass(frozen=True)
@@ -120,14 +121,7 @@ def load_preset(path) -> AugmentPreset:
     "transforms": [{"name", "probability", "<param>": [lo, hi], ...}]}.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read preset file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"preset file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"preset file {path} must hold a JSON object")
+    doc = read_json_object(path, "preset file")
     try:
         seed = int(doc.get("seed", 0))
         if "preset" in doc:

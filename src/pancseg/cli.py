@@ -48,7 +48,7 @@ from .selection import (
     load_pool,
     search_subsets,
 )
-from .volume import read_manifest
+from .volume import Volume, read_json_object, read_manifest, resolve_relative
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -80,6 +80,10 @@ class RunConfig:
     norm: str = "minmax"
     metric_weights: tuple[float, ...] = DEFAULT_WEIGHTS
 
+    def __post_init__(self):
+        if not self.jobs >= 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+
     def eval_config(self) -> EvalConfig:
         return EvalConfig(
             label_id=self.label_id,
@@ -89,6 +93,9 @@ class RunConfig:
         )
 
 
+# The one table of shared options: every RunConfig field and the parser that its
+# config-file value, PANCSEG_* text (comma-separated for a sequence) and flag
+# value all go through.  Each flag stores to its field's name (argparse dest).
 _CONFIG_PARSERS = {
     "label_id": int,
     "tolerance_mm": float,
@@ -97,21 +104,14 @@ _CONFIG_PARSERS = {
     "seed": int,
     "jobs": int,
     "norm": str,
-    "metric_weights": lambda v: tuple(float(x) for x in v),
+    "metric_weights": lambda v: tuple(map(float, v.split(",") if isinstance(v, str) else v)),
 }
 
 
 def load_config_file(path: str | Path) -> dict:
     """Strict JSON config: every key must be a known RunConfig field."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+    doc = read_json_object(path, "config file")
     out = {}
     for key, value in doc.items():
         if key not in _CONFIG_PARSERS:
@@ -130,10 +130,7 @@ def _env_overrides() -> dict:
         if raw is None:
             continue
         try:
-            if key == "metric_weights":
-                out[key] = tuple(float(x) for x in raw.split(","))
-            else:
-                out[key] = parse(raw)
+            out[key] = parse(raw)
         except ValueError as exc:
             raise ConfigError(f"environment {ENV_PREFIX}{key.upper()}={raw!r}: {exc}") from exc
     return out
@@ -146,19 +143,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if config_path:
         values.update(load_config_file(config_path))
     values.update(_env_overrides())
-    flag_map = {
-        "label_id": getattr(args, "label", None),
-        "tolerance_mm": getattr(args, "tolerance", None),
-        "empty_policy": getattr(args, "empty_policy", None),
-        "volume_unit": getattr(args, "volume_unit", None),
-        "seed": getattr(args, "seed", None),
-        "jobs": getattr(args, "jobs", None),
-        "norm": getattr(args, "norm", None),
-        "metric_weights": getattr(args, "metric_weights", None),
-    }
-    for key, value in flag_map.items():
+    for key, parse in _CONFIG_PARSERS.items():
+        value = getattr(args, key, None)
         if value is not None:
-            values[key] = tuple(value) if key == "metric_weights" else value
+            values[key] = parse(value)
     return RunConfig(**values)
 
 
@@ -182,12 +170,28 @@ def provenance(config_echo: dict, inputs) -> dict:
     }
 
 
+def _output_path(path: str | Path) -> Path:
+    """An output file's path, with its parent directories created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    _output_path(path).write_text(text, encoding="utf-8")
+
+
+def _write_output_volume(volume: Volume, path: str | Path) -> str:
+    """Write one output volume; return its digest for the report."""
+    path = _output_path(path)
+    write_volume(volume, path)
+    return sha256_file(path)
+
+
 def _emit(text: str, out_path: Optional[str] = None):
     sys.stdout.write(text)
     if out_path:
-        path = Path(out_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        _write_text(out_path, text)
 
 
 def _default_case_id(path: str | Path) -> str:
@@ -214,9 +218,7 @@ def cmd_resample(args, cfg: RunConfig) -> int:
         out = resample_image(volume, plan)
     else:
         out = resample_labels(volume, plan)
-    out_path = Path(args.output)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_volume(out, out_path)
+    outputs = {str(Path(args.output)): _write_output_volume(out, args.output)}
     echo = {
         "command": "resample",
         "kind": args.kind,
@@ -226,10 +228,7 @@ def cmd_resample(args, cfg: RunConfig) -> int:
         "label_order": plan.label_order,
         "clamp_cubic": plan.clamp_cubic,
     }
-    doc = {
-        "outputs": {str(out_path): sha256_file(out_path)},
-        "provenance": provenance(echo, [args.input]),
-    }
+    doc = {"outputs": outputs, "provenance": provenance(echo, [args.input])}
     _emit(dumps_json(doc), args.out)
     return EXIT_OK
 
@@ -244,10 +243,10 @@ def cmd_augment(args, cfg: RunConfig) -> int:
     if cfg.seed is not None:
         pre = replace(pre, seed=cfg.seed)
     img_out, lab_out = apply_pipeline(img, lab, pre)
-    for path, vol in ((args.out_image, img_out), (args.out_labels, lab_out)):
-        p = Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        write_volume(vol, p)
+    outputs = {
+        str(path): _write_output_volume(vol, path)
+        for path, vol in ((args.out_image, img_out), (args.out_labels, lab_out))
+    }
     echo = {
         "command": "augment",
         "preset": pre.name,
@@ -256,13 +255,7 @@ def cmd_augment(args, cfg: RunConfig) -> int:
         "seed": pre.seed,
     }
     inputs = [args.image, args.labels] + ([args.preset_file] if args.preset_file else [])
-    doc = {
-        "outputs": {
-            str(args.out_image): sha256_file(args.out_image),
-            str(args.out_labels): sha256_file(args.out_labels),
-        },
-        "provenance": provenance(echo, inputs),
-    }
+    doc = {"outputs": outputs, "provenance": provenance(echo, inputs)}
     _emit(dumps_json(doc), args.out)
     return EXIT_OK
 
@@ -286,17 +279,13 @@ def cmd_ensemble(args, cfg: RunConfig) -> int:
             raise ConfigError("give --case-id, --cases or --manifest")
         if not args.output_dir:
             raise ConfigError("cohort ensembling needs --output-dir DIR")
-        out_dir = Path(args.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out_paths = [out_dir / f"{c}.nii.gz" for c in case_ids]
+        out_paths = [Path(args.output_dir) / f"{c}.nii.gz" for c in case_ids]
 
     outputs = {}
     member_files = set()
     for case_id, out_path in zip(case_ids, out_paths):
         combined = combine(spec, case_id=case_id, base_dir=base_dir)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        write_volume(combined, out_path)
-        outputs[str(out_path)] = sha256_file(out_path)
+        outputs[str(out_path)] = _write_output_volume(combined, out_path)
         for m in spec.members:
             member_files.add(str(m.resolve_path(case_id, base_dir)))
 
@@ -355,6 +344,8 @@ def cmd_eval_cohort(args, cfg: RunConfig) -> int:
 
 
 def cmd_select(args, cfg: RunConfig) -> int:
+    if not args.top >= 0:
+        raise ConfigError(f"--top must be >= 0, got {args.top}")
     pool = load_pool(args.pool)
     config = cfg.eval_config()
     size_min = args.size_min
@@ -408,12 +399,10 @@ def cmd_select(args, cfg: RunConfig) -> int:
         **config_to_dict(config),
     }
     inputs = {str(args.pool)}
-    base_dir = Path(pool.base_dir) if pool.base_dir else None
     for case_id, ref_path in pool.cases:
-        p = Path(ref_path)
-        inputs.add(str(p if p.is_absolute() or base_dir is None else base_dir / p))
+        inputs.add(str(resolve_relative(ref_path, evaluator.base_dir)))
         for m in pool.members:
-            inputs.add(str(m.resolve_path(case_id, base_dir)))
+            inputs.add(str(m.resolve_path(case_id, evaluator.base_dir)))
     doc = {
         "config": echo,
         "n_evaluated": len(results),
@@ -427,11 +416,10 @@ def cmd_select(args, cfg: RunConfig) -> int:
         members = tuple(
             m for m in pool.sorted_members() if m.member_id in set(winner.member_ids)
         )
-        save_ensemble_spec(EnsembleSpec(members=members, mode=pool.mode), args.spec_out)
+        spec = EnsembleSpec(members=members, mode=pool.mode)
+        save_ensemble_spec(spec, _output_path(args.spec_out))
     if args.report_out:
-        path = Path(args.report_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(dumps_json(report_to_dict(winner.report)), encoding="utf-8")
+        _write_text(args.report_out, dumps_json(report_to_dict(winner.report)))
     return EXIT_OK
 
 
@@ -464,8 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="also write the stdout document to this file")
 
     eval_opts = _Parser(add_help=False)
-    eval_opts.add_argument("--label", type=int, help="tumor label id (default 2)")
-    eval_opts.add_argument("--tolerance", type=float, help="surface dice tolerance in mm (default 5.0)")
+    eval_opts.add_argument("--label", dest="label_id", type=int, help="tumor label id (default 2)")
+    eval_opts.add_argument(
+        "--tolerance", dest="tolerance_mm", type=float, help="surface dice tolerance in mm (default 5.0)"
+    )
     eval_opts.add_argument(
         "--empty-policy", choices=("penalize", "exclude"), help="empty-mask policy"
     )

@@ -47,6 +47,8 @@ from .volume import (
     check_probabilities,
     check_same_grid,
     label_argmax,
+    read_json_object,
+    resolve_relative,
     unique_labels,
 )
 
@@ -96,9 +98,7 @@ class EnsembleMember:
                     f"member {self.member_id}: path template needs a case id"
                 )
             text = text.replace(CASE_PLACEHOLDER, case_id)
-        path = Path(text)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
+        path = resolve_relative(text, base_dir)
         if path.is_dir():
             if case_id is None:
                 raise ConfigError(f"member {self.member_id}: directory path needs a case id")
@@ -133,14 +133,7 @@ def read_member_file(path: Path, what: str) -> tuple[dict, tuple[EnsembleMember,
     input, from unreadable bytes to a mistyped member field, is a FormatError
     naming ``what`` and the file.
     """
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{what} {path} must hold a JSON object")
+    doc = read_json_object(path, what)
     entries = doc.get("members", [])
     if not isinstance(entries, list):
         raise FormatError(f"{what} {path}: 'members' must be a list")

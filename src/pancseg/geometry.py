@@ -35,8 +35,8 @@ LABEL_ORDERS = (0, 1)
 
 def target_grid(source_dims, source_spacing, target_spacing) -> tuple[int, int, int]:
     """Output dims for a spacing change, round-half-away-from-zero, min 1."""
-    if any(s <= 0 for s in source_spacing) or any(t <= 0 for t in target_spacing):
-        raise ConfigError("spacings must be positive")
+    if not all(0 < s < math.inf for s in (*source_spacing, *target_spacing)):
+        raise ConfigError("spacings must be positive and finite")
     if any(d < 1 for d in source_dims):
         raise ConfigError("dims must be >= 1")
     out = []
@@ -170,7 +170,6 @@ def _on_target_grid(volume: Volume, plan: ResamplePlan, out: np.ndarray) -> Volu
         spacing=plan.target_spacing,
         origin=origin,
         kind=volume.kind,
-        meta=dict(volume.meta),
     )
 
 

@@ -41,8 +41,8 @@ class EvalConfig:
     volume_unit: str = "mm3"
 
     def __post_init__(self):
-        if self.tolerance_mm < 0:
-            raise ConfigError(f"tolerance_mm must be >= 0, got {self.tolerance_mm}")
+        if not (0 <= self.tolerance_mm < np.inf):
+            raise ConfigError(f"tolerance_mm must be finite and >= 0, got {self.tolerance_mm}")
         if self.empty_policy not in EMPTY_POLICIES:
             raise ConfigError(f"empty_policy must be one of {EMPTY_POLICIES}")
         if self.volume_unit not in VOLUME_UNITS:

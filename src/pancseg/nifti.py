@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, HeaderLimitError, ValidationError
+from .errors import FormatError, HeaderLimitError
 from .volume import DEFAULT_LABEL_SET, Volume, validate_label_set
 
 HEADER_SIZE = 348
@@ -50,14 +51,18 @@ def _dtype_code(dtype: np.dtype) -> int:
     return _CODE_BY_DTYPE[key]
 
 
-def _open_maybe_gzip(path: Path, mode: str):
-    if mode == "rb":
-        with open(path, "rb") as fh:
-            head = fh.read(2)
-        if head == b"\x1f\x8b":
-            return gzip.open(path, "rb")
-        return open(path, "rb")
-    raise ValueError(mode)
+def _read_maybe_gzip(path: Path) -> bytes:
+    """The file's bytes, inflated when they start with the gzip magic."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    if raw[:2] != b"\x1f\x8b":
+        return raw
+    try:
+        return gzip.decompress(raw)
+    except (EOFError, OSError, zlib.error) as exc:  # truncated, bad CRC, corrupt deflate
+        raise FormatError(f"{path}: corrupt gzip stream: {exc}") from exc
 
 
 def _quaternion_rotation(b: float, c: float, d: float) -> np.ndarray:
@@ -169,12 +174,7 @@ def read_volume(
     stacks keep their trailing class axis.
     """
     path = Path(path)
-    try:
-        with _open_maybe_gzip(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-
+    raw = _read_maybe_gzip(path)
     h = _read_header(raw)
     ndim = h["dim"][0]
     if ndim not in (3, 4):
@@ -257,7 +257,7 @@ def read_volume(
         data *= np.float32(slope)
         data += np.float32(inter)
 
-    vol = Volume(data=data, spacing=spacing, origin=origin, kind=kind, meta={"source": str(path)})
+    vol = Volume(data=data, spacing=spacing, origin=origin, kind=kind)
     if kind == "labels" and label_set is not None:
         validate_label_set(vol, label_set)
     return vol

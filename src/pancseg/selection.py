@@ -33,7 +33,7 @@ from .ensemble import (
 )
 from .metrics import CohortReport, EvalConfig, aggregate_cohort, evaluate_case
 from .nifti import read_volume
-from .volume import read_manifest
+from .volume import read_manifest, resolve_relative
 
 NORMALIZATIONS = ("minmax", "rank")
 
@@ -108,10 +108,8 @@ def load_pool(path: str | Path) -> CandidatePool:
     elif "manifest" in doc:
         if not isinstance(doc["manifest"], str):
             raise FormatError(f"pool file {path}: 'manifest' must be a path string")
-        manifest_path = Path(doc["manifest"])
-        if not manifest_path.is_absolute():
-            manifest_path = base / manifest_path
-        cases = [(row.case_id, row.reference) for row in read_manifest(manifest_path)]
+        manifest = read_manifest(resolve_relative(doc["manifest"], base))
+        cases = [(row.case_id, row.reference) for row in manifest]
     else:
         raise FormatError(f"pool file {path}: missing 'cases' or 'manifest'")
     return CandidatePool(
@@ -140,8 +138,8 @@ def _check_weights(weights) -> tuple[float, ...]:
     weights = tuple(float(w) for w in weights)
     if len(weights) != len(METRIC_FIELDS):
         raise ConfigError(f"need {len(METRIC_FIELDS)} metric weights, got {len(weights)}")
-    if any(w < 0 for w in weights):
-        raise ConfigError(f"metric weights must be nonnegative, got {weights}")
+    if not all(0 <= w < math.inf for w in weights):
+        raise ConfigError(f"metric weights must be finite and nonnegative, got {weights}")
     if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
         raise ConfigError(f"metric weights must sum to 1, got sum {sum(weights)}")
     return weights
@@ -244,9 +242,7 @@ class SubsetEvaluator:
 
     def _reference(self, case_id: str, ref_path: str):
         if case_id not in self._references:
-            path = Path(ref_path)
-            if self.base_dir is not None and not path.is_absolute():
-                path = self.base_dir / path
+            path = resolve_relative(ref_path, self.base_dir)
             self._references[case_id] = read_volume(path, kind="labels")
         return self._references[case_id]
 

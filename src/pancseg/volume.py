@@ -9,9 +9,10 @@ centre of voxel ``(0, 0, 0)``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -113,7 +114,6 @@ class Volume:
     spacing: tuple[float, float, float]
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
     kind: str = "image"
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -177,7 +177,6 @@ class Volume:
             spacing=self.spacing,
             origin=self.origin,
             kind=self.kind if kind is None else kind,
-            meta=dict(self.meta),
         )
 
     def label_values(self) -> tuple[int, ...]:
@@ -219,6 +218,28 @@ class Manifest:
 
 
 MANIFEST_COLUMNS = ("case_id", "reference", "prediction")
+
+
+def resolve_relative(path: str | Path, base_dir: Optional[str | Path]) -> Path:
+    """A path named inside a file: relative paths resolve against
+    ``base_dir``, the directory of that file (None leaves them as given)."""
+    path = Path(path)
+    return path if base_dir is None or path.is_absolute() else Path(base_dir) / path
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Decode a file that must hold one JSON object.  Every failure, from
+    unreadable bytes to a non-object top level, is a FormatError naming it."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+        raise FormatError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} {path} must hold a JSON object")
+    return doc
 
 
 def read_manifest(path: str | Path) -> Manifest:

@@ -50,6 +50,15 @@ def probability_volume(rng, dims, spacing, n_classes=3):
     return Volume(probs.astype(np.float32), spacing, kind="probabilities")
 
 
+def damaged_gzip(raw: bytes, defect: str) -> bytes:
+    """A gzip stream cut in half ("truncated"), or with 40 bytes of its
+    deflate data flipped ("corrupted")."""
+    mid = len(raw) // 2
+    if defect == "truncated":
+        return raw[:mid]
+    return raw[:mid] + bytes(b ^ 0xFF for b in raw[mid : mid + 40]) + raw[mid + 40 :]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

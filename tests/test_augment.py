@@ -46,8 +46,9 @@ def test_transform_spec_validation():
         TransformSpec("warp", 0.5, {})
     with pytest.raises(ConfigError):
         TransformSpec("blur", 1.5, {"sigma_mm": (0.5, 1.0)})
-    with pytest.raises(ConfigError):
-        TransformSpec("blur", 0.5, {"sigma_mm": (1.5, 0.5)})
+    for bad in ((1.5, 0.5), (float("nan"), 1.2), (0.5, float("inf"))):
+        with pytest.raises(ConfigError):
+            TransformSpec("blur", 0.5, {"sigma_mm": bad})
 
 
 def test_load_preset_files(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import hashlib
 import json
@@ -8,12 +9,12 @@ import struct
 import numpy as np
 import pytest
 
-from pancseg.cli import main
+from pancseg.cli import _CONFIG_PARSERS, RunConfig, build_parser, main, resolve_config
 from pancseg.ensemble import EnsembleMember, EnsembleSpec, combine_volumes, load_ensemble_spec, save_ensemble_spec
 from pancseg.nifti import read_volume, write_volume
 from pancseg.volume import Volume
 
-from conftest import image_volume, probability_volume
+from conftest import damaged_gzip, image_volume, probability_volume
 
 SPACING = (1.0, 1.0, 1.5)
 
@@ -535,7 +536,7 @@ def test_json_errors_flag_emits_machine_readable_stderr(tmp_path, capsys):
 
 
 def _malformed_labels(path, defect):
-    """A small uncompressed label file carrying one header or value defect."""
+    """A small label file carrying one header, value or gzip-stream defect."""
     arr = _ball()
     _write_labels(path, arr)
     raw = bytearray(path.read_bytes())
@@ -543,6 +544,8 @@ def _malformed_labels(path, defect):
         struct.pack_into("<f", raw, 108, float("nan"))
     elif defect == "nan_srow_x":
         struct.pack_into("<f", raw, 280, float("nan"))
+    elif defect.endswith("_gzip"):  # gzip magic under a .nii name still reads as gzip
+        raw = damaged_gzip(gzip.compress(bytes(raw), mtime=0), defect[: -len("_gzip")])
     else:  # int64 label 2**32 + 2 would wrap to tumor label 2 in int32
         struct.pack_into("<2h", raw, 70, 1024, 64)
         wide = arr.astype("<i8")
@@ -551,7 +554,10 @@ def _malformed_labels(path, defect):
     path.write_bytes(bytes(raw))
 
 
-@pytest.mark.parametrize("defect", ["nan_vox_offset", "nan_srow_x", "int64_label_wrap"])
+@pytest.mark.parametrize(
+    "defect",
+    ["nan_vox_offset", "nan_srow_x", "int64_label_wrap", "truncated_gzip", "corrupted_gzip"],
+)
 def test_malformed_label_file_exits_two_with_json_error(tmp_path, capsys, defect):
     ref = tmp_path / "ref.nii.gz"
     pred = tmp_path / "pred.nii"
@@ -614,3 +620,187 @@ def test_bad_environment_value_is_a_config_error(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, "eval-case", "--ref", str(ref), "--pred", str(ref))
     assert code == 1
     assert "PANCSEG_TOLERANCE_MM" in err
+
+
+def _json_input_argv(tmp_path, reader, path):
+    """argv of a command that reads ``path`` as the given JSON input."""
+    ref = tmp_path / "ref.nii.gz"
+    _write_labels(ref, _ball(dims=(4, 4, 4), radius=1.2))
+    if reader == "config file":
+        return ["eval-case", "--ref", str(ref), "--pred", str(ref), "--config", str(path)]
+    if reader == "preset file":
+        img = tmp_path / "img.nii.gz"
+        write_volume(image_volume(np.random.default_rng(0), (4, 4, 4), SPACING), img)
+        return [
+            "augment", "--image", str(img), "--labels", str(ref), "--preset-file", str(path),
+            "--out-image", str(tmp_path / "o_img.nii.gz"),
+            "--out-labels", str(tmp_path / "o_lab.nii.gz"),
+        ]
+    if reader == "ensemble spec":
+        return [
+            "ensemble", "--spec", str(path), "--case-id", "c1",
+            "--output", str(tmp_path / "o.nii.gz"),
+        ]
+    return ["select", "--pool", str(path)]
+
+
+@pytest.mark.parametrize("reader", ["config file", "preset file", "ensemble spec", "pool file"])
+@pytest.mark.parametrize(
+    "content",
+    [b"[1, 2]", b"\xff\xfe{}", b"{", b"[" * 100_000],
+    ids=["not_an_object", "bad_utf8", "bad_json", "deep_nesting"],
+)
+def test_every_json_input_fails_as_a_format_error(tmp_path, capsys, reader, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = _run(capsys, *_json_input_argv(tmp_path, reader, path), "--json-errors")
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "FormatError"
+    assert reader in doc["error"]["message"]
+
+
+def _non_finite_argv(tmp_path, monkeypatch, case):
+    ref = tmp_path / "ref.nii.gz"
+    _write_labels(ref, _ball())
+    eval_case = ["eval-case", "--ref", str(ref), "--pred", str(ref)]
+    if case == "tolerance_nan":
+        return eval_case + ["--tolerance", "nan"]
+    if case == "tolerance_inf":
+        return eval_case + ["--tolerance", "inf"]
+    if case == "env_tolerance_nan":
+        monkeypatch.setenv("PANCSEG_TOLERANCE_MM", "nan")
+        return eval_case
+    if case == "metric_weights_nan":
+        pool = _pool_fixture(tmp_path)
+        return ["select", "--pool", str(pool), "--metric-weights", "nan", "0.2", "0.2", "0.2", "0.2"]
+    if case == "spacing_nan":
+        return [
+            "resample", "--input", str(ref), "--kind", "labels",
+            "--output", str(tmp_path / "o.nii.gz"), "--spacing", "nan", "1", "1",
+        ]
+    img = tmp_path / "img.nii.gz"
+    write_volume(image_volume(np.random.default_rng(0), (10, 10, 10), SPACING), img)
+    preset_file = tmp_path / "preset.json"
+    preset_file.write_text('{"transforms": [{"name": "gamma", "gamma": [NaN, 1.2]}]}')
+    return [
+        "augment", "--image", str(img), "--labels", str(ref), "--preset-file", str(preset_file),
+        "--out-image", str(tmp_path / "o_img.nii.gz"),
+        "--out-labels", str(tmp_path / "o_lab.nii.gz"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "tolerance_nan",
+        "tolerance_inf",
+        "env_tolerance_nan",
+        "metric_weights_nan",
+        "spacing_nan",
+        "preset_range_nan",
+    ],
+)
+def test_non_finite_value_exits_one_with_json_error(tmp_path, capsys, monkeypatch, case):
+    argv = _non_finite_argv(tmp_path, monkeypatch, case)
+    code, out, err = _run(capsys, *argv, "--json-errors")
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert doc["error"]["exit_code"] == 1
+
+
+@pytest.mark.parametrize("source", ["flag_0", "flag_minus_3", "env", "config_file"])
+def test_jobs_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, source):
+    argv = ["eval-cohort", "--manifest", str(_cohort_fixture(tmp_path)), "--json-errors"]
+    if source == "flag_0":
+        argv += ["--jobs", "0"]
+    elif source == "flag_minus_3":
+        argv += ["--jobs", "-3"]
+    elif source == "env":
+        monkeypatch.setenv("PANCSEG_JOBS", "0")
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"jobs": 0}))
+        argv += ["--config", str(config)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert "jobs" in doc["error"]["message"]
+
+
+def test_select_top_must_not_be_negative(tmp_path, capsys):
+    pool_path = _pool_fixture(tmp_path)
+    code, out, err = _run(capsys, "select", "--pool", str(pool_path), "--top", "-1", "--json-errors")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ConfigError"
+    code, out, _ = _run(capsys, "select", "--pool", str(pool_path), "--top", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ranking"] == []
+    assert doc["n_evaluated"] == 7
+
+
+# Per RunConfig field: a command that takes its flag, the flag, and three
+# values in turn for file, environment and flag; neighbours differ so each
+# layer visibly overrides the one below.
+OPTION_TABLE = {
+    "label_id": (["eval-case", "--ref", "r", "--pred", "p"], "--label", (1, 3, 4)),
+    "tolerance_mm": (["eval-case", "--ref", "r", "--pred", "p"], "--tolerance", (3.5, 0.25, 7.0)),
+    "empty_policy": (
+        ["eval-case", "--ref", "r", "--pred", "p"], "--empty-policy",
+        ("exclude", "penalize", "exclude"),
+    ),
+    "volume_unit": (["eval-case", "--ref", "r", "--pred", "p"], "--volume-unit", ("ml", "mm3", "ml")),
+    "seed": (
+        ["augment", "--image", "i", "--labels", "l", "--out-image", "a", "--out-labels", "b"],
+        "--seed", (7, 11, 13),
+    ),
+    "jobs": (["eval-cohort", "--manifest", "m"], "--jobs", (2, 3, 4)),
+    "norm": (["select", "--pool", "p"], "--norm", ("rank", "minmax", "rank")),
+    "metric_weights": (
+        ["select", "--pool", "p"], "--metric-weights",
+        ((0.1, 0.2, 0.3, 0.2, 0.2), (0.5, 0.5, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.25, 0.75)),
+    ),
+}
+
+
+def _resolve(tmp_path, monkeypatch, key, file=None, env=None, flag=None):
+    """The RunConfig value of ``key`` with it set in any of the three layers."""
+    command, option, _ = OPTION_TABLE[key]
+    for name in _CONFIG_PARSERS:
+        monkeypatch.delenv("PANCSEG_" + name.upper(), raising=False)
+    argv = list(command)
+    if file is not None:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: file}))
+        argv += ["--config", str(config)]
+    if env is not None:
+        text = ",".join(map(str, env)) if isinstance(env, tuple) else str(env)
+        monkeypatch.setenv("PANCSEG_" + key.upper(), text)
+    if flag is not None:
+        argv += [option, *map(str, flag if isinstance(flag, tuple) else (flag,))]
+    return getattr(resolve_config(build_parser().parse_args(argv)), key)
+
+
+@pytest.mark.parametrize("key", list(_CONFIG_PARSERS))
+def test_option_table_resolves_each_key_from_file_env_and_flag(tmp_path, monkeypatch, key):
+    assert list(_CONFIG_PARSERS) == [f.name for f in dataclasses.fields(RunConfig)]
+    values = OPTION_TABLE[key][2]
+    for value in values:
+        assert (
+            _resolve(tmp_path, monkeypatch, key, file=value)
+            == _resolve(tmp_path, monkeypatch, key, env=value)
+            == _resolve(tmp_path, monkeypatch, key, flag=value)
+            == value
+        )
+    first, second, third = values
+    assert _resolve(tmp_path, monkeypatch, key) == getattr(RunConfig(), key) != first
+    assert _resolve(tmp_path, monkeypatch, key, file=first, env=second) == second
+    assert _resolve(tmp_path, monkeypatch, key, file=first, env=second, flag=third) == third
+    assert _resolve(tmp_path, monkeypatch, key, file=first, flag=third) == third

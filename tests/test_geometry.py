@@ -22,8 +22,9 @@ def test_target_grid_rounds_half_up():
     assert target_grid((100, 100, 100), (2, 2, 2), (1, 1, 1)) == (200, 200, 200)
     assert target_grid((1, 1, 1), (1, 1, 1), (100, 100, 100)) == (1, 1, 1)
     assert target_grid((34, 21, 56), (0.82, 0.82, 2.5), (1.0, 1.0, 1.0)) == (28, 17, 140)
-    with pytest.raises(ConfigError):
-        target_grid((4, 4, 4), (1, 1, 1), (0, 1, 1))
+    for bad in ((0, 1, 1), (float("nan"), 1, 1), (1, float("inf"), 1)):
+        with pytest.raises(ConfigError):
+            target_grid((4, 4, 4), (1, 1, 1), bad)
     with pytest.raises(ConfigError):
         target_grid((0, 4, 4), (1, 1, 1), (1, 1, 1))
 

@@ -44,8 +44,9 @@ from oracles import (
 
 def test_eval_config_validation():
     EvalConfig()
-    with pytest.raises(ConfigError):
-        EvalConfig(tolerance_mm=-1.0)
+    for tolerance in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            EvalConfig(tolerance_mm=tolerance)
     with pytest.raises(ConfigError):
         EvalConfig(empty_policy="ignore")
     with pytest.raises(ConfigError):

@@ -155,6 +155,8 @@ def test_normalization_validation():
         normalize_metrics([r], weights=(0.6, 0.6, -0.2, 0.0, 0.0))
     with pytest.raises(ConfigError):
         normalize_metrics([r], weights=(0.3, 0.3, 0.3, 0.3, 0.3))
+    with pytest.raises(ConfigError):
+        normalize_metrics([r], weights=(float("nan"), 0.2, 0.2, 0.2, 0.2))
     gutted = _report(None, 0.5, 1.0, 2.0, 10.0)
     with pytest.raises(ValidationError):
         normalize_metrics([gutted])

@@ -23,7 +23,7 @@ from pancseg.volume import (
     write_manifest,
 )
 
-from conftest import probability_volume
+from conftest import damaged_gzip, probability_volume
 
 
 def test_volume_rejects_bad_inputs(rng):
@@ -686,3 +686,13 @@ def test_gzip_sniffing_ignores_extension(tmp_path, rng):
     disguised.write_bytes(gz.read_bytes())
     back = read_volume(disguised, kind="labels")
     assert np.array_equal(back.data, data)
+
+
+@pytest.mark.parametrize("defect", ["truncated", "corrupted"])
+def test_damaged_gzip_is_a_format_error(tmp_path, rng, defect):
+    data = rng.integers(0, 3, size=(24, 24, 24)).astype(np.int32)
+    path = tmp_path / "lab.nii.gz"
+    write_volume(Volume(data, (1, 1, 1), kind="labels"), path)
+    path.write_bytes(damaged_gzip(path.read_bytes(), defect))
+    with pytest.raises(FormatError, match="corrupt gzip stream"):
+        read_volume(path, kind="labels")
