@@ -23,8 +23,16 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, FormatError, ValidationError
-from .geometry import IMAGE_ORDERS, LABEL_ORDERS, resample_separable, sample_points
-from .volume import Volume, check_same_grid, label_argmax, read_json_object, unique_labels
+from .geometry import (
+    IMAGE_ORDERS,
+    LABEL_ORDERS,
+    float_result,
+    resample_separable,
+    sample_labels,
+    sample_points,
+    target_grid,
+)
+from .volume import Volume, check_same_grid, parse_float, parse_int, read_json_object
 
 TRANSFORM_NAMES = ("spatial", "blur", "sharpen", "lowres", "gamma", "noise")
 
@@ -123,11 +131,11 @@ def load_preset(path) -> AugmentPreset:
     path = Path(path)
     doc = read_json_object(path, "preset file")
     try:
-        seed = int(doc.get("seed", 0))
+        seed = parse_int(doc.get("seed", 0))
         if "preset" in doc:
             return preset(doc["preset"], seed=seed)
-        image_order = int(doc.get("image_order", 3))
-        label_order = int(doc.get("label_order", 1))
+        image_order = parse_int(doc.get("image_order", 3))
+        label_order = parse_int(doc.get("label_order", 1))
         entries = doc.get("transforms", [])
         if not isinstance(entries, list):
             raise FormatError(f"preset file {path}: 'transforms' must be a list")
@@ -139,14 +147,14 @@ def load_preset(path) -> AugmentPreset:
             name = fields.pop("name", None)
             if name is None:
                 raise FormatError(f"preset file {path}: transform entry without a name")
-            probability = float(fields.pop("probability", 1.0))
+            probability = parse_float(fields.pop("probability", 1.0))
             ranges = {}
             for key, pair in fields.items():
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise FormatError(
                         f"preset file {path}: {name}.{key} must be a [lo, hi] pair, got {pair!r}"
                     )
-                ranges[key] = (float(pair[0]), float(pair[1]))
+                ranges[key] = (parse_float(pair[0]), parse_float(pair[1]))
             transforms.append(TransformSpec(name=name, probability=probability, ranges=ranges))
         return AugmentPreset(
             name=doc.get("name", "custom"),
@@ -210,19 +218,10 @@ def spatial_transform(img: Volume, lab: Volume, rotation, scale, preset: Augment
     coords = _spatial_coords(img.dims, img.spacing, rotation, scale)
 
     img_out = sample_points(img.data, coords, preset.image_order)
-    if preset.image_order > 0 and img.data.dtype != np.float64:
-        img_out = img_out.astype(np.float32)
-
-    if preset.label_order == 0:
-        lab_out = sample_points(lab.data, coords, 0)
-    else:
-        lab_out = label_argmax(
-            unique_labels(lab.data),
-            lambda v: sample_points((lab.data == v).astype(np.float64), coords, 1),
-            lab.dims,
-        )
-
-    return img.with_data(img_out), lab.with_data(lab_out)
+    lab_out = sample_labels(
+        lab.data, preset.label_order, lambda d, o: sample_points(d, coords, o), lab.dims
+    )
+    return img.with_data(float_result(img_out, img.data.dtype)), lab.with_data(lab_out)
 
 
 def _blur_data(data: np.ndarray, sigma_mm: float, spacing) -> np.ndarray:
@@ -272,9 +271,7 @@ def intensity_transform(img: Volume, kind: str, params: dict, seed: int = 0) -> 
         out = data + sigma * g.standard_normal(data.shape)
     else:
         raise ConfigError(f"unknown intensity transform {kind!r}")
-    if img.data.dtype != np.float64:
-        out = out.astype(np.float32)
-    return img.with_data(out)
+    return img.with_data(float_result(out, img.data.dtype))
 
 
 def simulate_low_res(img: Volume, factor: float) -> Volume:
@@ -283,16 +280,14 @@ def simulate_low_res(img: Volume, factor: float) -> Volume:
         raise ValidationError(f"simulate_low_res expects an image volume, got {img.kind}")
     if factor < 1:
         raise ValidationError(f"low-res factor must be >= 1, got {factor}")
-    small_dims = [max(1, math.floor(d / factor + 0.5)) for d in img.dims]
+    small_dims = target_grid(img.dims, (1.0,) * 3, (factor,) * 3)
     # shape-ratio alignment: going from n to m voxels, center j maps to
     # (j + 0.5) * n/m - 0.5
     down = [d / s for d, s in zip(img.dims, small_dims)]
     up = [s / d for d, s in zip(img.dims, small_dims)]
     small = resample_separable(img.data, small_dims, down, 0)
     out = resample_separable(small, img.dims, up, 3)
-    if img.data.dtype != np.float64:
-        out = out.astype(np.float32)
-    return img.with_data(out)
+    return img.with_data(float_result(out, img.data.dtype))
 
 
 def apply_pipeline(img: Volume, lab: Volume, preset: AugmentPreset):

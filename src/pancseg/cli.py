@@ -48,7 +48,14 @@ from .selection import (
     load_pool,
     search_subsets,
 )
-from .volume import Volume, read_json_object, read_manifest, resolve_relative
+from .volume import (
+    Volume,
+    parse_float,
+    parse_int,
+    read_json_object,
+    read_manifest,
+    resolve_relative,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -97,14 +104,14 @@ class RunConfig:
 # config-file value, PANCSEG_* text (comma-separated for a sequence) and flag
 # value all go through.  Each flag stores to its field's name (argparse dest).
 _CONFIG_PARSERS = {
-    "label_id": int,
-    "tolerance_mm": float,
+    "label_id": parse_int,
+    "tolerance_mm": parse_float,
     "empty_policy": str,
     "volume_unit": str,
-    "seed": int,
-    "jobs": int,
+    "seed": parse_int,
+    "jobs": parse_int,
     "norm": str,
-    "metric_weights": lambda v: tuple(map(float, v.split(",") if isinstance(v, str) else v)),
+    "metric_weights": lambda v: tuple(map(parse_float, v.split(",") if isinstance(v, str) else v)),
 }
 
 
@@ -118,7 +125,7 @@ def load_config_file(path: str | Path) -> dict:
             raise ConfigError(f"unknown config key {key!r} in {path}")
         try:
             out[key] = _CONFIG_PARSERS[key](value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config key {key!r} in {path}: {exc}") from exc
     return out
 

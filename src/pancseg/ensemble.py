@@ -47,6 +47,8 @@ from .volume import (
     check_probabilities,
     check_same_grid,
     label_argmax,
+    parse_float,
+    parse_int,
     read_json_object,
     resolve_relative,
     unique_labels,
@@ -144,12 +146,14 @@ def read_member_file(path: Path, what: str) -> tuple[dict, tuple[EnsembleMember,
             raise FormatError(f"{where} must be an object, got {entry!r}")
         try:
             member_id, member_path = entry["member_id"], entry["path"]
-            fold = int(entry.get("fold", 0))
-            weight = float(entry.get("weight", 1.0))
+            fold = parse_int(entry.get("fold", 0))
+            weight = parse_float(entry.get("weight", 1.0))
         except KeyError as exc:
             raise FormatError(f"{where} is missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{where}: fold and weight must be numbers ({exc})") from exc
+            raise FormatError(
+                f"{where}: fold must be an integer and weight a number ({exc})"
+            ) from exc
         if not isinstance(member_id, str) or not isinstance(member_path, str):
             raise FormatError(f"{where}: member_id and path must be strings")
         members.append(

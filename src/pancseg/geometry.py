@@ -14,7 +14,11 @@ Conventions, fixed so that independent implementations can agree exactly:
 - Label maps resample either nearest (order 0) or by trilinear interpolation
   of one-hot indicators with argmax decoding, ties to the lowest label id
   (order 1).  Either way the output label set is a subset of the input's.
+- Order 0 gathers and keeps the dtype; orders 1 and 3 compute in float64 and
+  hand back float64 for float64 input, float32 for any other dtype.
 
+Grids and point maps share one home per rule: ``interp_taps`` (taps and
+weights), ``sample_labels`` (label rule) and ``float_result`` (result dtype).
 One separable resampler, ``resample_separable``, serves both plan resampling
 (centre ratio ``target_spacing / source_spacing`` per axis) and the low-res
 simulation in ``augment`` (ratio ``source_dims / target_dims``).
@@ -32,17 +36,34 @@ from .volume import Volume, check_same_grid, label_argmax, same_grid, unique_lab
 IMAGE_ORDERS = (0, 1, 3)
 LABEL_ORDERS = (0, 1)
 
+# Largest grid target_grid derives: 2**30 voxels, 8 GiB as the float64 that
+# interpolation computes in.  A 512x512x1000 CT resampled to 0.5 mm fits; a
+# mistyped spacing fails as a ConfigError before anything is allocated
+# instead of as a MemoryError or a numpy size error.
+MAX_TARGET_VOXELS = 2**30
+
 
 def target_grid(source_dims, source_spacing, target_spacing) -> tuple[int, int, int]:
-    """Output dims for a spacing change, round-half-away-from-zero, min 1."""
+    """Output dims for a spacing change, round-half-away-from-zero, min 1.
+
+    Raises ConfigError when they hold more than ``MAX_TARGET_VOXELS``.
+    """
     if not all(0 < s < math.inf for s in (*source_spacing, *target_spacing)):
         raise ConfigError("spacings must be positive and finite")
     if any(d < 1 for d in source_dims):
         raise ConfigError("dims must be >= 1")
-    out = []
-    for d, s, t in zip(source_dims, source_spacing, target_spacing):
-        out.append(max(1, math.floor(d * s / t + 0.5)))
-    return tuple(out)
+    # the cap leaves every in-budget axis unchanged and keeps an overflowing
+    # ratio (inf) out of math.floor; a capped axis alone exceeds the budget
+    dims = tuple(
+        max(1, math.floor(min(d * s / t, MAX_TARGET_VOXELS + 1) + 0.5))
+        for d, s, t in zip(source_dims, source_spacing, target_spacing)
+    )
+    if math.prod(dims) > MAX_TARGET_VOXELS:
+        raise ConfigError(
+            f"spacing {tuple(target_spacing)} turns {tuple(source_dims)} voxels at "
+            f"{tuple(source_spacing)} into more than {MAX_TARGET_VOXELS} voxels"
+        )
+    return dims
 
 
 @dataclass(frozen=True)
@@ -160,6 +181,24 @@ def _apply_plan(data: np.ndarray, plan: ResamplePlan, order: int) -> np.ndarray:
     return resample_separable(data, plan.target_dims, ratios, order)
 
 
+def float_result(out: np.ndarray, source_dtype) -> np.ndarray:
+    """Samples in the dtype handed back: gathered ones already carry the source
+    dtype, and float64 interpolation stays float64 only for float64 input."""
+    return out if out.dtype == source_dtype else out.astype(np.float32)
+
+
+def sample_labels(data: np.ndarray, order: int, sample, shape) -> np.ndarray:
+    """The label rule of every sampler: order 0 gathers the labels; order 1
+    samples each one-hot indicator trilinearly and decodes by argmax, ties to
+    the lowest label.  ``sample(array, order)`` maps one array onto the
+    output points, of shape ``shape``."""
+    if order == 0:
+        return sample(data, 0)
+    return label_argmax(
+        unique_labels(data), lambda v: sample((data == v).astype(np.float64), 1), shape
+    )
+
+
 def _on_target_grid(volume: Volume, plan: ResamplePlan, out: np.ndarray) -> Volume:
     origin = tuple(
         o - 0.5 * s + 0.5 * t
@@ -186,12 +225,9 @@ def resample_image(volume: Volume, plan: ResamplePlan) -> Volume:
         (volume.dims, volume.spacing), (plan.source_dims, plan.source_spacing), "volume and plan"
     )
     out = _apply_plan(volume.data, plan, plan.image_order)
-    if plan.image_order > 0:
-        if plan.image_order == 3 and plan.clamp_cubic:
-            out = np.clip(out, float(volume.data.min()), float(volume.data.max()))
-        if volume.data.dtype != np.float64:
-            out = out.astype(np.float32)
-    return _on_target_grid(volume, plan, out)
+    if plan.image_order == 3 and plan.clamp_cubic:
+        out = np.clip(out, float(volume.data.min()), float(volume.data.max()))
+    return _on_target_grid(volume, plan, float_result(out, volume.data.dtype))
 
 
 def resample_labels(volume: Volume, plan: ResamplePlan) -> Volume:
@@ -201,15 +237,9 @@ def resample_labels(volume: Volume, plan: ResamplePlan) -> Volume:
     check_same_grid(
         (volume.dims, volume.spacing), (plan.source_dims, plan.source_spacing), "volume and plan"
     )
-    if plan.label_order == 0:
-        out = _apply_plan(volume.data, plan, 0)
-    else:
-        # one-hot channels interpolated trilinearly, decoded by argmax
-        out = label_argmax(
-            unique_labels(volume.data),
-            lambda v: _apply_plan((volume.data == v).astype(np.float64), plan, 1),
-            plan.target_dims,
-        )
+    out = sample_labels(
+        volume.data, plan.label_order, lambda d, o: _apply_plan(d, plan, o), plan.target_dims
+    )
     return _on_target_grid(volume, plan, out)
 
 
@@ -220,29 +250,22 @@ def sample_points(data: np.ndarray, coords: np.ndarray, order: int) -> np.ndarra
     same kernels and edge clamping as grid resampling, so a separable grid
     resample and a point sample at the grid centers agree to rounding error.
     Order 0 preserves dtype; higher orders return float64.
+
+    Each tap is one ``np.take`` from the flattened array at the linear index
+    ``(i * ny + j) * nz + k``; order 0 is the single unweighted tap.
     """
     coords = np.asarray(coords, dtype=np.float64)
+    _, ny, nz = data.shape
+    (t0, w0), (t1, w1), (t2, w2) = (interp_taps(c, n, order) for c, n in zip(coords, data.shape))
     if order == 0:
-        idx = [
-            np.clip(np.floor(coords[ax] + 0.5).astype(np.int64), 0, data.shape[ax] - 1)
-            for ax in range(3)
-        ]
-        return data[idx[0], idx[1], idx[2]]
-    taps = []
-    weights = []
-    for ax in range(3):
-        t, w = interp_taps(coords[ax], data.shape[ax], order)
-        taps.append(t)
-        weights.append(w)
-    src = data.astype(np.float64, copy=False)
+        return np.take(data.reshape(-1), (t0[0] * ny + t1[0]) * nz + t2[0])
+    src = data.astype(np.float64, copy=False).reshape(-1)
+    # accumulate from +0.0 in (a, b, k) order, so a zero region stays +0.0
     out = np.zeros(coords.shape[1:], dtype=np.float64)
-    n_taps = taps[0].shape[0]
-    for a in range(n_taps):
-        wa = weights[0][a]
-        ia = taps[0][a]
-        for b in range(n_taps):
-            wab = wa * weights[1][b]
-            ib = taps[1][b]
-            for k in range(n_taps):
-                out += (wab * weights[2][k]) * src[ia, ib, taps[2][k]]
+    for a in range(len(t0)):
+        for b in range(len(t1)):
+            wab = w0[a] * w1[b]
+            row = (t0[a] * ny + t1[b]) * nz
+            for k in range(len(t2)):
+                out += (wab * w2[k]) * np.take(src, row + t2[k])
     return out

@@ -227,6 +227,21 @@ def resolve_relative(path: str | Path, base_dir: Optional[str | Path]) -> Path:
     return path if base_dir is None or path.is_absolute() else Path(base_dir) / path
 
 
+def parse_int(value) -> int:
+    """An integer from a JSON number or decimal text.  Booleans and numbers
+    with a fraction raise ValueError instead of passing as 1 or truncating."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def parse_float(value) -> float:
+    """A float from a JSON number or decimal text; booleans raise ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def read_json_object(path: str | Path, what: str) -> dict:
     """Decode a file that must hold one JSON object.  Every failure, from
     unreadable bytes to a non-object top level, is a FormatError naming it."""
@@ -245,29 +260,33 @@ def read_json_object(path: str | Path, what: str) -> dict:
 def read_manifest(path: str | Path) -> Manifest:
     """Parse a cohort manifest CSV with header ``case_id,reference,prediction``.
 
-    Rows are kept in file order.  Duplicate case ids, missing columns and
-    empty manifests are rejected.  CRLF and LF line endings parse identically.
+    Rows are kept in file order.  Duplicate case ids, missing columns, empty
+    manifests and bytes that are not UTF-8 CSV are FormatErrors.  CRLF and LF
+    line endings parse identically.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise FormatError(f"manifest {path} is empty")
-        missing = [c for c in MANIFEST_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise FormatError(f"manifest {path} is missing column(s) {missing}")
-        rows = []
-        seen: set[str] = set()
-        for record in reader:
-            case_id = (record["case_id"] or "").strip()
-            reference = (record["reference"] or "").strip()
-            prediction = (record["prediction"] or "").strip()
-            if not case_id or not reference or not prediction:
-                raise FormatError(f"manifest {path}: empty field in row {len(rows) + 2}")
-            if case_id in seen:
-                raise FormatError(f"manifest {path}: duplicate case_id {case_id!r}")
-            seen.add(case_id)
-            rows.append(ManifestRow(case_id, reference, prediction))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise FormatError(f"manifest {path} is empty")
+            missing = [c for c in MANIFEST_COLUMNS if c not in reader.fieldnames]
+            if missing:
+                raise FormatError(f"manifest {path} is missing column(s) {missing}")
+            rows = []
+            seen: set[str] = set()
+            for record in reader:
+                case_id = (record["case_id"] or "").strip()
+                reference = (record["reference"] or "").strip()
+                prediction = (record["prediction"] or "").strip()
+                if not case_id or not reference or not prediction:
+                    raise FormatError(f"manifest {path}: empty field in row {len(rows) + 2}")
+                if case_id in seen:
+                    raise FormatError(f"manifest {path}: duplicate case_id {case_id!r}")
+                seen.add(case_id)
+                rows.append(ManifestRow(case_id, reference, prediction))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"manifest {path} is not UTF-8 CSV: {exc}") from exc
     if not rows:
         raise FormatError(f"manifest {path} has no rows")
     return Manifest(rows=tuple(rows))

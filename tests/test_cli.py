@@ -73,6 +73,24 @@ def test_resample_identity_order0_is_bit_exact(tmp_path, capsys, rng):
     assert np.array_equal(read_volume(dst, kind="image").data, vol.data)
 
 
+@pytest.mark.parametrize("spacing", [("1e-300", "1", "1"), ("1e-4", "1e-4", "1e-4")])
+def test_resample_over_the_voxel_budget_is_a_config_error(tmp_path, capsys, spacing):
+    src = tmp_path / "lab.nii.gz"
+    _write_labels(src, _ball(dims=(4, 4, 4), radius=1.2))
+    out_file = tmp_path / "out.nii.gz"
+    code, out, err = _run(
+        capsys,
+        "resample", "--input", str(src), "--output", str(out_file), "--kind", "labels",
+        "--spacing", *spacing, "--json-errors",
+    )
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert "voxels" in doc["error"]["message"]
+    assert not out_file.exists()
+
+
 def test_resample_labels_kind(tmp_path, capsys):
     src = tmp_path / "lab.nii.gz"
     _write_labels(src, _ball(), spacing=(2.0, 2.0, 2.0))
@@ -146,6 +164,12 @@ MALFORMED_PRESETS = {
     "range_not_a_pair": {"transforms": [{"name": "gamma", "gamma": [0.7, 1.0, 1.5]}]},
     "scalar_range": {"transforms": [{"name": "gamma", "gamma": 1.5}]},
     "transform_not_an_object": {"transforms": ["gamma"]},
+    # numbers must not truncate or pass as booleans
+    "seed_not_integral": {"preset": "da5", "seed": 1.7},
+    "image_order_not_integral": {"image_order": 3.2, "transforms": []},
+    "label_order_boolean": {"label_order": True, "transforms": []},
+    "probability_boolean": {"transforms": [{"name": "gamma", "probability": True}]},
+    "range_boolean": {"transforms": [{"name": "gamma", "gamma": [True, 1.5]}]},
 }
 
 
@@ -255,6 +279,9 @@ MALFORMED_MEMBER_FILES = {
     },
     "top_level_list": [{"members": _GOOD_MEMBERS, "cases": _CASES}],
     "case_without_reference": {"members": _GOOD_MEMBERS, "cases": [{"case_id": "c1"}]},
+    "fold_not_integral": {"members": [dict(_GOOD_MEMBERS[0], fold=2.9)], "cases": _CASES},
+    "fold_boolean": {"members": [dict(_GOOD_MEMBERS[0], fold=True)], "cases": _CASES},
+    "weight_boolean": {"members": [dict(_GOOD_MEMBERS[0], weight=True)], "cases": _CASES},
 }
 
 
@@ -268,6 +295,12 @@ MALFORMED_MEMBER_FILES = {
         ("select", "fold_not_a_number"),
         ("select", "top_level_list"),
         ("select", "case_without_reference"),
+        ("ensemble", "fold_not_integral"),
+        ("ensemble", "fold_boolean"),
+        ("ensemble", "weight_boolean"),
+        ("select", "fold_not_integral"),
+        ("select", "fold_boolean"),
+        ("select", "weight_boolean"),
     ],
 )
 def test_malformed_member_file_exits_two_with_json_error(tmp_path, capsys, command, defect):
@@ -285,6 +318,7 @@ def test_malformed_member_file_exits_two_with_json_error(tmp_path, capsys, comma
     doc = json.loads(err)
     assert doc["error"]["type"] == "FormatError"
     assert doc["error"]["exit_code"] == 2
+    assert str(path) in doc["error"]["message"]  # the member file, not a member volume
 
 
 @pytest.mark.parametrize("command", ["ensemble", "select"])
@@ -398,6 +432,36 @@ def test_eval_cohort_csv_and_jobs(tmp_path, capsys):
 def test_eval_cohort_missing_manifest_is_an_io_error(tmp_path, capsys):
     code, _, err = _run(capsys, "eval-cohort", "--manifest", str(tmp_path / "nope.csv"))
     assert code == 2
+
+
+def _manifest_argv(tmp_path, caller, manifest):
+    """argv of a command that reads ``manifest`` through the manifest reader."""
+    if caller == "eval-cohort":
+        return ["eval-cohort", "--manifest", str(manifest)]
+    members = tmp_path / "members.json"
+    if caller == "ensemble":
+        members.write_text(json.dumps({"members": _GOOD_MEMBERS}))
+        argv = ["ensemble", "--spec", str(members), "--manifest", str(manifest)]
+        return argv + ["--output-dir", str(tmp_path / "fused")]
+    members.write_text(json.dumps({"members": _GOOD_MEMBERS, "manifest": str(manifest)}))
+    return ["select", "--pool", str(members)]
+
+
+@pytest.mark.parametrize("caller", ["eval-cohort", "ensemble", "pool"])
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfecase_id,reference,prediction\n", b"case_id,reference,prediction\n" + b"x" * 200_000],
+    ids=["not_utf8", "field_over_csv_limit"],
+)
+def test_unreadable_manifest_exits_two_with_json_error(tmp_path, capsys, caller, content):
+    manifest = tmp_path / "cohort.csv"
+    manifest.write_bytes(content)
+    code, out, err = _run(capsys, *_manifest_argv(tmp_path, caller, manifest), "--json-errors")
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "FormatError"
+    assert str(manifest) in doc["error"]["message"]
 
 
 # ---------------------------------------------------------------- select
@@ -620,6 +684,38 @@ def test_bad_environment_value_is_a_config_error(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, "eval-case", "--ref", str(ref), "--pred", str(ref))
     assert code == 1
     assert "PANCSEG_TOLERANCE_MM" in err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"label_id": 2.9},
+        {"jobs": True},
+        {"seed": 1.5},
+        {"tolerance_mm": True},
+        {"tolerance_mm": 10**400},
+        {"metric_weights": [True, 0.2, 0.2, 0.2, 0.2]},
+    ],
+    ids=[
+        "label_id_2.9", "jobs_true", "seed_1.5", "tolerance_true", "tolerance_1e400_int",
+        "weight_true",
+    ],
+)
+def test_config_file_number_must_be_exact(tmp_path, capsys, entry):
+    ref = tmp_path / "ref.nii.gz"
+    _write_labels(ref, _ball(dims=(4, 4, 4), radius=1.2))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(entry))
+    code, out, err = _run(
+        capsys,
+        "eval-case", "--ref", str(ref), "--pred", str(ref), "--config", str(config),
+        "--json-errors",
+    )
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert next(iter(entry)) in doc["error"]["message"]
 
 
 def _json_input_argv(tmp_path, reader, path):

@@ -5,6 +5,7 @@ import pytest
 
 from pancseg.errors import ConfigError, GridMismatchError, ValidationError
 from pancseg.geometry import (
+    MAX_TARGET_VOXELS,
     ResamplePlan,
     interp_taps,
     resample_image,
@@ -27,6 +28,28 @@ def test_target_grid_rounds_half_up():
             target_grid((4, 4, 4), (1, 1, 1), bad)
     with pytest.raises(ConfigError):
         target_grid((0, 4, 4), (1, 1, 1), (1, 1, 1))
+
+
+def test_target_grid_enforces_the_voxel_budget():
+    clinical = ((512, 512, 100), (0.78, 0.78, 2.5))
+    # a 512x512x1000 CT resampled to 0.5 mm fits
+    assert target_grid((512, 512, 1000), (0.7, 0.7, 0.5), (0.5, 0.5, 0.5)) == (717, 717, 1000)
+    # (7987, 7987, 5000) and an astronomically long first axis are refused before
+    # anything is allocated, as is a spacing ratio that overflows to inf
+    for dims, spacing, target in (
+        (*clinical, (0.05, 0.05, 0.05)),
+        (*clinical, (1e-300, 1.0, 1.0)),
+        ((4, 4, 4), (1e300, 1.0, 1.0), (1e-300, 1.0, 1.0)),
+    ):
+        with pytest.raises(ConfigError, match="voxels"):
+            target_grid(dims, spacing, target)
+        with pytest.raises(ConfigError):
+            ResamplePlan(dims, spacing, target)
+    side = round(MAX_TARGET_VOXELS ** (1 / 3))
+    assert side**3 == MAX_TARGET_VOXELS
+    assert target_grid((side,) * 3, (1, 1, 1), (1, 1, 1)) == (side,) * 3
+    with pytest.raises(ConfigError):
+        target_grid((side, side, side + 1), (1, 1, 1), (1, 1, 1))
 
 
 def test_plan_derives_dims_and_validates_orders():

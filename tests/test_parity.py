@@ -4,10 +4,13 @@ consensus split of ensemble fusion.
 The ``ref_*`` functions are verbatim copies of the implementations that the
 shared ``geometry.resample_separable`` and ``volume.label_argmax`` replaced:
 per-path separable tap loops and one-hot score stacks decoded by
-``np.argmax``; and of the full-volume fusion (``average_probabilities`` then
-``argmax_labels``, and ``majority_vote``) that the settled/active split
-replaced.  They stay here as the reference the shared code must match bit
-for bit, including on forced ties and unequal weights, and error for error.
+``np.argmax``; of the point sampler ``ref_sample_points``, with its inline
+nearest indices and three-array fancy-index gathers, that the single
+linear-index gather replaced; and of the full-volume fusion
+(``average_probabilities`` then ``argmax_labels``, and ``majority_vote``)
+that the settled/active split replaced.  They stay here as the reference the
+shared code must match bit for bit, including on forced ties and unequal
+weights, and error for error.
 """
 from __future__ import annotations
 
@@ -111,13 +114,48 @@ def ref_resample_labels_order1(volume: Volume, plan: ResamplePlan) -> np.ndarray
     return out
 
 
+def ref_sample_points(data: np.ndarray, coords: np.ndarray, order: int) -> np.ndarray:
+    coords = np.asarray(coords, dtype=np.float64)
+    if order == 0:
+        idx = [
+            np.clip(np.floor(coords[ax] + 0.5).astype(np.int64), 0, data.shape[ax] - 1)
+            for ax in range(3)
+        ]
+        return data[idx[0], idx[1], idx[2]]
+    taps = []
+    weights = []
+    for ax in range(3):
+        t, w = interp_taps(coords[ax], data.shape[ax], order)
+        taps.append(t)
+        weights.append(w)
+    src = data.astype(np.float64, copy=False)
+    out = np.zeros(coords.shape[1:], dtype=np.float64)
+    n_taps = taps[0].shape[0]
+    for a in range(n_taps):
+        wa = weights[0][a]
+        ia = taps[0][a]
+        for b in range(n_taps):
+            wab = wa * weights[1][b]
+            ib = taps[1][b]
+            for k in range(n_taps):
+                out += (wab * weights[2][k]) * src[ia, ib, taps[2][k]]
+    return out
+
+
+def ref_spatial_image(img: Volume, coords: np.ndarray, order: int) -> np.ndarray:
+    out = ref_sample_points(img.data, coords, order)
+    if order > 0 and img.data.dtype != np.float64:
+        out = out.astype(np.float32)
+    return out
+
+
 def ref_spatial_labels(lab: Volume, coords: np.ndarray) -> np.ndarray:
     values = unique_labels(lab.data)
     if len(values) == 1:
         lab_out = np.full(lab.dims, values[0], dtype=lab.data.dtype)
     else:
         scores = np.stack(
-            [sample_points((lab.data == v).astype(np.float64), coords, 1) for v in values]
+            [ref_sample_points((lab.data == v).astype(np.float64), coords, 1) for v in values]
         )
         lab_out = values[np.argmax(scores, axis=0)].astype(lab.data.dtype)
     return lab_out
@@ -325,10 +363,47 @@ def test_spatial_transform_labels_match_reference(rng, preset_name):
             _, lab_out = spatial_transform(img, lab, rotation, scale, pre)
             coords = _spatial_coords(dims, img.spacing, rotation, scale)
             if label_order == 0:
-                expected = sample_points(lab.data, coords, 0)
+                expected = ref_sample_points(lab.data, coords, 0)
             else:
                 expected = ref_spatial_labels(lab, coords)
             _same(lab_out.data, expected)
+
+
+def _point_maps(rng, dims, spacing):
+    """Coordinate maps that sample_points sees: the identity, a quarter turn
+    and a random rotation with scaling (as the spatial transform builds them),
+    and raw coordinates reaching well past every edge."""
+    raw = np.stack([rng.uniform(-3.0, d + 2.0, size=(6, 5, 4)) for d in dims])
+    raw[:, 0, 0, :] = np.array([-0.5, 0.5, 1.5])[:, None]  # exact rounding midpoints
+    return {
+        "identity": _spatial_coords(dims, spacing, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        "quarter_turn": _spatial_coords(dims, spacing, (0.0, 0.0, math.pi / 2), (1.0, 1.0, 1.0)),
+        "rotate_scale": _spatial_coords(
+            dims, spacing, rng.uniform(-0.5, 0.5, size=3), rng.uniform(0.7, 1.4, size=3)
+        ),
+        "out_of_bounds": raw,
+    }
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_sample_points_matches_reference(rng, order):
+    dims, spacing = (9, 7, 5), (1.0, 1.2, 2.0)
+    maps = _point_maps(rng, dims, spacing)
+    for dtype in (np.uint8, np.int16, np.int32, np.float32, np.float64):
+        data = rng.uniform(0, 100, size=dims).astype(dtype)
+        # zero regions of both signs: sums over them read +0.0, never -0.0
+        data[:3] = 0
+        data[:, :2] = -0.0
+        for coords in maps.values():
+            _same(sample_points(data, coords, order), ref_sample_points(data, coords, order))
+        img = Volume(data, spacing, kind="image")
+        lab = Volume(np.zeros(dims, dtype=np.int32), spacing, kind="labels")
+        pre = AugmentPreset(name="custom", image_order=order, label_order=0)
+        turns = (((0.0, 0.0, math.pi / 2), (1.0, 1.0, 1.0)), ((0.2, -0.3, 0.4), (1.3, 0.8, 1.1)))
+        for rotation, scale in turns:
+            img_out, _ = spatial_transform(img, lab, rotation, scale, pre)
+            coords = _spatial_coords(dims, spacing, rotation, scale)
+            _same(img_out.data, ref_spatial_image(img, coords, order))
 
 
 @pytest.mark.parametrize("factor", [1.0, 1.3, 1.5, 2.0, 3.7])
