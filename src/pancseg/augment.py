@@ -34,7 +34,18 @@ from .geometry import (
 )
 from .volume import Volume, check_same_grid, parse_float, parse_int, read_json_object
 
-TRANSFORM_NAMES = ("spatial", "blur", "sharpen", "lowres", "gamma", "noise")
+# Each transform's range keys: (required, optional).  Sharpen's sigma_mm
+# defaults to 1.0 mm when absent.
+TRANSFORM_PARAMS = {
+    "spatial": (("rotation_rad", "scale"), ()),
+    "blur": (("sigma_mm",), ()),
+    "sharpen": (("strength",), ("sigma_mm",)),
+    "lowres": (("factor",), ()),
+    "gamma": (("gamma",), ()),
+    "noise": (("sigma",), ()),
+}
+
+TRANSFORM_NAMES = tuple(TRANSFORM_PARAMS)
 
 PRESET_ORDERS = {"da5": (3, 1), "da5ord0": (0, 0), "da5segord0": (3, 0)}
 
@@ -56,6 +67,14 @@ class TransformSpec:
             raise ConfigError(f"unknown transform {self.name!r}; known: {TRANSFORM_NAMES}")
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigError(f"probability must be in [0, 1], got {self.probability}")
+        required, optional = TRANSFORM_PARAMS[self.name]
+        missing = sorted(set(required) - set(self.ranges))
+        unknown = sorted(set(self.ranges) - set(required) - set(optional))
+        if missing or unknown:
+            raise ConfigError(
+                f"{self.name}: missing range(s) {missing}, unknown range(s) {unknown}; "
+                f"takes {list(required + optional)}"
+            )
         for key, (lo, hi) in self.ranges.items():
             if not (-math.inf < lo <= hi < math.inf):
                 raise ConfigError(

@@ -43,8 +43,10 @@ from .selection import (
     DEFAULT_BUDGET,
     DEFAULT_WEIGHTS,
     METRIC_NAMES,
+    NORMALIZATIONS,
     SubsetEvaluator,
     beam_search_subsets,
+    check_weights,
     load_pool,
     search_subsets,
 )
@@ -90,6 +92,9 @@ class RunConfig:
     def __post_init__(self):
         if not self.jobs >= 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if self.norm not in NORMALIZATIONS:
+            raise ConfigError(f"normalization must be one of {NORMALIZATIONS}, got {self.norm!r}")
+        check_weights(self.metric_weights)
 
     def eval_config(self) -> EvalConfig:
         return EvalConfig(
@@ -353,6 +358,8 @@ def cmd_eval_cohort(args, cfg: RunConfig) -> int:
 def cmd_select(args, cfg: RunConfig) -> int:
     if not args.top >= 0:
         raise ConfigError(f"--top must be >= 0, got {args.top}")
+    if args.beam is not None and args.size_min != 1:
+        raise ConfigError(f"--beam grows subsets from size 1; got --size-min {args.size_min}")
     pool = load_pool(args.pool)
     config = cfg.eval_config()
     size_min = args.size_min

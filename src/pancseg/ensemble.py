@@ -154,13 +154,14 @@ def read_member_file(path: Path, what: str) -> tuple[dict, tuple[EnsembleMember,
             raise FormatError(
                 f"{where}: fold must be an integer and weight a number ({exc})"
             ) from exc
-        if not isinstance(member_id, str) or not isinstance(member_path, str):
-            raise FormatError(f"{where}: member_id and path must be strings")
+        model_tag = entry.get("model_tag", "")
+        if not all(isinstance(v, str) for v in (member_id, member_path, model_tag)):
+            raise FormatError(f"{where}: member_id, path and model_tag must be strings")
         members.append(
             EnsembleMember(
                 member_id=member_id,
                 path=member_path,
-                model_tag=entry.get("model_tag", ""),
+                model_tag=model_tag,
                 fold=fold,
                 checkpoint=entry.get("checkpoint", "best"),
                 weight=weight,
@@ -284,11 +285,12 @@ def consensus_codes(volume: Volume) -> np.ndarray:
     return codes.reshape(volume.dims)
 
 
-def _fuse_active(codes: Sequence[np.ndarray], fuse_rows) -> np.ndarray:
-    """int32 labels in C order: settled voxels take the shared code; the
-    flat indices of the active ones go to ``fuse_rows``, which returns their
-    labels.  When most voxels are active, ``fuse_rows(None)`` fuses every
-    voxel instead, which is as exact: settled voxels fuse to their code.
+def _fuse_active(members: Sequence[Volume], codes: Sequence[np.ndarray], fuse_rows) -> Volume:
+    """The fused label map on the members' grid, int32 in C order: settled
+    voxels take the shared code; the flat indices of the active ones go to
+    ``fuse_rows``, which returns their labels.  When most voxels are active,
+    ``fuse_rows(None)`` fuses every voxel instead, which is as exact: settled
+    voxels fuse to their code.
     """
     first = codes[0]
     settled = first >= 0
@@ -301,7 +303,7 @@ def _fuse_active(codes: Sequence[np.ndarray], fuse_rows) -> np.ndarray:
         out.reshape(-1)[:] = fuse_rows(None)
     elif active.size:
         out.reshape(-1)[active] = fuse_rows(active)
-    return out
+    return Volume(data=out, spacing=members[0].spacing, origin=members[0].origin, kind="labels")
 
 
 def _fuse_probabilities(
@@ -324,8 +326,7 @@ def _fuse_probabilities(
         check_probabilities(acc)
         return np.argmax(acc, axis=-1)
 
-    out = _fuse_active(codes, fuse_rows)
-    return Volume(data=out, spacing=stacks[0].spacing, origin=stacks[0].origin, kind="labels")
+    return _fuse_active(stacks, codes, fuse_rows)
 
 
 def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[float]] = None) -> Volume:
@@ -351,13 +352,7 @@ def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[fl
         values = np.unique(np.concatenate([unique_labels(r) for r in rows]))
         return label_argmax(values, votes, rows[0].shape)
 
-    out = _fuse_active([v.data for v in label_members], vote_rows)
-    return Volume(
-        data=out,
-        spacing=label_members[0].spacing,
-        origin=label_members[0].origin,
-        kind="labels",
-    )
+    return _fuse_active(label_members, [v.data for v in label_members], vote_rows)
 
 
 def combine_volumes(

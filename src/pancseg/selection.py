@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, FormatError, ValidationError
 from .ensemble import (
-    EnsembleMember,
     EnsembleSpec,
     combine_volumes,
     consensus_codes,
@@ -33,7 +32,7 @@ from .ensemble import (
 )
 from .metrics import CohortReport, EvalConfig, aggregate_cohort, evaluate_case
 from .nifti import read_volume
-from .volume import read_manifest, resolve_relative
+from .volume import Volume, read_manifest, resolve_relative
 
 NORMALIZATIONS = ("minmax", "rank")
 
@@ -55,28 +54,21 @@ DEFAULT_BUDGET = 100_000
 WEIGHT_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CandidatePool:
-    """Members plus the validation cases they are judged on."""
+@dataclass(frozen=True, kw_only=True)
+class CandidatePool(EnsembleSpec):
+    """An ensemble spec of at least two members plus the validation cases
+    its subsets are judged on; ``EnsembleSpec`` checks the members and mode."""
 
-    members: tuple[EnsembleMember, ...]
     cases: tuple[tuple[str, str], ...]  # (case_id, reference path)
-    mode: str = "prob_avg"
     base_dir: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        object.__setattr__(self, "cases", tuple((c, r) for c, r in self.cases))
         if len(self.members) < 2:
             raise ConfigError("a candidate pool needs at least 2 members")
-        ids = [m.member_id for m in self.members]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("member ids must be unique within a pool")
+        super().__post_init__()
+        object.__setattr__(self, "cases", tuple((c, r) for c, r in self.cases))
         if not self.cases:
             raise ConfigError("a candidate pool needs at least one validation case")
-
-    def sorted_members(self) -> tuple[EnsembleMember, ...]:
-        return tuple(sorted(self.members, key=lambda m: m.member_id))
 
 
 def load_pool(path: str | Path) -> CandidatePool:
@@ -134,7 +126,7 @@ class SubsetResult:
     score: CompositeScore
 
 
-def _check_weights(weights) -> tuple[float, ...]:
+def check_weights(weights) -> tuple[float, ...]:
     weights = tuple(float(w) for w in weights)
     if len(weights) != len(METRIC_FIELDS):
         raise ConfigError(f"need {len(METRIC_FIELDS)} metric weights, got {len(weights)}")
@@ -193,7 +185,7 @@ def normalize_metrics(
         raise ValidationError("no reports to normalize")
     if norm not in NORMALIZATIONS:
         raise ConfigError(f"normalization must be one of {NORMALIZATIONS}, got {norm!r}")
-    weights = _check_weights(weights)
+    weights = check_weights(weights)
     raw = _raw_matrix(reports)
     columns = [
         _normalize_column(raw[:, j], higher, norm)
@@ -215,29 +207,26 @@ class SubsetEvaluator:
     """Loads member predictions once and evaluates subsets with caching.
 
     Each (member, case) prediction is read lazily, the first time a subset
-    needs it, and its ``consensus_codes`` are computed right then, once.
-    Every subset fuses from those codes: voxels where all its members hold
-    the same non-negative code are settled and copied, and only the active
-    rest is gathered and fused.  The fused labels are bit-identical to a
-    full-volume fusion (see ``ensemble``), and all per-subset checks still
-    run per case in the same order, so a defective pool fails with the same
-    error at the same subset.
+    needs it, and stored with its ``consensus_codes``, computed right then,
+    once.  Every subset fuses from those codes: voxels where all its members
+    hold the same non-negative code are settled and copied, and only the
+    active rest is gathered and fused.  The fused labels are bit-identical
+    to a full-volume fusion (see ``ensemble``), and all per-subset checks
+    still run per case in the same order, so a defective pool fails with the
+    same error at the same subset.
 
-    Reports are cached content-addressed: the key combines the sorted member
-    ids with digests of the underlying prediction files (computed once per
-    member), so two members are interchangeable in the cache exactly when
-    their prediction bytes are identical.
+    Reports are memoized by the sorted member ids, which a pool keeps
+    unique.
     """
 
     def __init__(self, pool: CandidatePool, config: EvalConfig):
         self.pool = pool
         self.config = config
         self.base_dir = Path(pool.base_dir) if pool.base_dir else None
-        self._references: dict[str, object] = {}
-        self._member_volumes: dict[tuple[str, str], object] = {}
-        self._member_codes: dict[tuple[str, str], np.ndarray] = {}
+        self._references: dict[str, Volume] = {}
+        self._members: dict[tuple[str, str], tuple[Volume, np.ndarray]] = {}
         self._member_digests: dict[str, str] = {}
-        self._reports: dict[tuple, CohortReport] = {}
+        self._reports: dict[tuple[str, ...], CohortReport] = {}
         self._members_by_id = {m.member_id: m for m in pool.members}
 
     def _reference(self, case_id: str, ref_path: str):
@@ -246,16 +235,17 @@ class SubsetEvaluator:
             self._references[case_id] = read_volume(path, kind="labels")
         return self._references[case_id]
 
-    def _member_volume(self, member_id: str, case_id: str):
+    def _member(self, member_id: str, case_id: str) -> tuple[Volume, np.ndarray]:
+        """One member's prediction for one case and its consensus codes."""
         key = (member_id, case_id)
-        if key not in self._member_volumes:
+        if key not in self._members:
             member = self._members_by_id[member_id]
             volume = load_member_volume(member, self.pool.mode, case_id, self.base_dir)
-            self._member_volumes[key] = volume
-            self._member_codes[key] = consensus_codes(volume)
-        return self._member_volumes[key]
+            self._members[key] = (volume, consensus_codes(volume))
+        return self._members[key]
 
     def member_digest(self, member_id: str) -> str:
+        """sha256 over one member's prediction files, in pool case order."""
         if member_id not in self._member_digests:
             member = self._members_by_id[member_id]
             h = hashlib.sha256()
@@ -270,22 +260,22 @@ class SubsetEvaluator:
 
     def evaluate(self, member_ids: Sequence[str]) -> CohortReport:
         member_ids = tuple(sorted(member_ids))
-        key = tuple((mid, self.member_digest(mid)) for mid in member_ids)
-        if key in self._reports:
-            return self._reports[key]
+        if member_ids in self._reports:
+            return self._reports[member_ids]
         spec = EnsembleSpec(
             members=tuple(self._members_by_id[mid] for mid in member_ids),
             mode=self.pool.mode,
         )
         cases = []
         for case_id, ref_path in self.pool.cases:
-            volumes = {mid: self._member_volume(mid, case_id) for mid in member_ids}
-            codes = {mid: self._member_codes[(mid, case_id)] for mid in member_ids}
+            volumes, codes = {}, {}
+            for mid in member_ids:
+                volumes[mid], codes[mid] = self._member(mid, case_id)
             combined = combine_volumes(spec, volumes, codes)
             ref = self._reference(case_id, ref_path)
             cases.append(evaluate_case(ref, combined, self.config, case_id=case_id))
         report = aggregate_cohort(cases, self.config)
-        self._reports[key] = report
+        self._reports[member_ids] = report
         return report
 
 
@@ -353,10 +343,11 @@ def beam_search_subsets(
 ) -> list[SubsetResult]:
     """Greedy beam growth over subset sizes 1..size_max.
 
-    Each level extends the kept subsets by one member, pruning to the best
-    beam_width by composite score over everything evaluated so far.  The
-    final ranking covers all evaluated subsets; with beam_width at least the
-    number of subsets per level the result equals exhaustive search.
+    Each level extends the kept subsets by one member, starting from the
+    empty subset, and keeps the best beam_width extensions by composite
+    score over everything evaluated so far.  The final ranking covers all
+    evaluated subsets; with beam_width at least the number of subsets per
+    level the result equals exhaustive search.
     """
     n = len(pool.members)
     if beam_width < 1:
@@ -369,31 +360,20 @@ def beam_search_subsets(
 
     evaluated: dict[tuple[str, ...], CohortReport] = {}
 
-    def ranked(candidates):
-        subsets = sorted(candidates)
+    def ranked():
+        subsets = sorted(evaluated)
         return _rank_results(subsets, [evaluated[s] for s in subsets], weights, norm)
 
-    frontier = []
-    for mid in ids:
-        subset = (mid,)
-        evaluated[subset] = evaluator.evaluate(subset)
-        frontier.append(subset)
-    frontier = [r.member_ids for r in ranked(evaluated)[: beam_width] if len(r.member_ids) == 1]
-    # the slice above is over all evaluated subsets, which at this point are
-    # exactly the singletons
-    for _ in range(2, size_max + 1):
-        extensions = set()
-        for subset in frontier:
-            for mid in ids:
-                if mid not in subset:
-                    extensions.add(tuple(sorted(subset + (mid,))))
-        if not extensions:
-            break
+    frontier = [()]
+    for _ in range(size_max):
+        extensions = {
+            tuple(sorted(subset + (mid,)))
+            for subset in frontier
+            for mid in ids
+            if mid not in subset
+        }
         for subset in sorted(extensions):
             if subset not in evaluated:
                 evaluated[subset] = evaluator.evaluate(subset)
-        level_rank = ranked(evaluated)
-        frontier = [
-            r.member_ids for r in level_rank if r.member_ids in extensions
-        ][:beam_width]
-    return ranked(evaluated)
+        frontier = [r.member_ids for r in ranked() if r.member_ids in extensions][:beam_width]
+    return ranked()

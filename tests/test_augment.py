@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from pancseg.augment import (
+    TRANSFORM_NAMES,
+    TRANSFORM_PARAMS,
     AugmentPreset,
     TransformSpec,
     apply_pipeline,
@@ -49,6 +51,17 @@ def test_transform_spec_validation():
     for bad in ((1.5, 0.5), (float("nan"), 1.2), (0.5, float("inf"))):
         with pytest.raises(ConfigError):
             TransformSpec("blur", 0.5, {"sigma_mm": bad})
+    # each transform takes exactly its own range names
+    assert TRANSFORM_NAMES == tuple(TRANSFORM_PARAMS)
+    with pytest.raises(ConfigError, match="missing range"):
+        TransformSpec("spatial", 1.0, {"scale": (0.9, 1.1)})
+    with pytest.raises(ConfigError, match="'gama'"):
+        TransformSpec("gamma", 1.0, {"gama": (0.7, 1.5)})
+    # sharpen's sigma_mm is optional and defaults to 1 mm
+    TransformSpec("sharpen", 1.0, {"strength": (0.5, 2.0)})
+    for t in preset("da5").transforms:
+        required, optional = TRANSFORM_PARAMS[t.name]
+        assert set(required) <= set(t.ranges) <= set(required + optional)
 
 
 def test_load_preset_files(tmp_path):

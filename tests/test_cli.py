@@ -197,6 +197,28 @@ def test_malformed_preset_file_exits_two_with_json_error(tmp_path, capsys, defec
     assert doc["error"]["exit_code"] == 2
 
 
+# each transform's range keys are checked against its parameter names
+BAD_RANGE_NAMES = {
+    "misspelt_gamma": {"name": "gamma", "probability": 1.0, "gama": [0.7, 1.5]},
+    "spatial_without_ranges": {"name": "spatial", "probability": 1.0},
+    "sharpen_without_strength": {"name": "sharpen", "probability": 1.0, "sigma_mm": [1, 2]},
+    "blur_extra_key": {"name": "blur", "sigma_mm": [0.5, 1.0], "strength": [1, 2]},
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_RANGE_NAMES))
+def test_preset_range_names_exit_one_with_json_error(tmp_path, capsys, defect):
+    preset_file = tmp_path / "preset.json"
+    preset_file.write_text(json.dumps({"transforms": [BAD_RANGE_NAMES[defect]]}))
+    argv = _json_input_argv(tmp_path, "preset file", preset_file)
+    code, out, err = _run(capsys, *argv, "--json-errors")
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert BAD_RANGE_NAMES[defect]["name"] in doc["error"]["message"]
+
+
 # ---------------------------------------------------------------- ensemble
 
 
@@ -282,6 +304,7 @@ MALFORMED_MEMBER_FILES = {
     "fold_not_integral": {"members": [dict(_GOOD_MEMBERS[0], fold=2.9)], "cases": _CASES},
     "fold_boolean": {"members": [dict(_GOOD_MEMBERS[0], fold=True)], "cases": _CASES},
     "weight_boolean": {"members": [dict(_GOOD_MEMBERS[0], weight=True)], "cases": _CASES},
+    "model_tag_not_a_string": {"members": [dict(_GOOD_MEMBERS[0], model_tag=5)], "cases": _CASES},
 }
 
 
@@ -301,6 +324,8 @@ MALFORMED_MEMBER_FILES = {
         ("select", "fold_not_integral"),
         ("select", "fold_boolean"),
         ("select", "weight_boolean"),
+        ("ensemble", "model_tag_not_a_string"),
+        ("select", "model_tag_not_a_string"),
     ],
 )
 def test_malformed_member_file_exits_two_with_json_error(tmp_path, capsys, command, defect):
@@ -536,6 +561,34 @@ def test_select_budget_exhaustion_is_a_validation_error(tmp_path, capsys):
     code, _, err = _run(capsys, "select", "--pool", str(pool_path), "--budget", "2")
     assert code == 1
     assert "budget" in err
+
+
+def test_select_missing_member_file_exits_two_naming_member_and_path(tmp_path, capsys):
+    pool_path = _pool_fixture(tmp_path)
+    missing = tmp_path / "off1" / "c1.nii.gz"
+    missing.unlink()
+    code, out, err = _run(capsys, "select", "--pool", str(pool_path), "--json-errors")
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["error"]["message"]
+    assert "member off1" in message and str(missing) in message
+
+
+@pytest.mark.parametrize("size_min, exit_code", [("1", 0), ("2", 1), ("3", 1)])
+def test_select_beam_takes_size_min_one_only(tmp_path, capsys, size_min, exit_code):
+    pool_path = _pool_fixture(tmp_path)
+    code, out, err = _run(
+        capsys, "select", "--pool", str(pool_path), "--beam", "2", "--size-min", size_min,
+        "--json-errors",
+    )
+    assert code == exit_code
+    if exit_code:
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"]["type"] == "ConfigError"
+        assert "--size-min" in doc["error"]["message"]
+    else:
+        assert json.loads(out)["config"]["size_min"] == 1
 
 
 def test_select_rank_normalization_flag(tmp_path, capsys):
@@ -806,6 +859,34 @@ def test_non_finite_value_exits_one_with_json_error(tmp_path, capsys, monkeypatc
     doc = json.loads(err)
     assert doc["error"]["type"] == "ConfigError"
     assert doc["error"]["exit_code"] == 1
+
+
+SCORING_DEFECTS = {
+    "weights_sum": ({}, ["--metric-weights", "0.5", "0.5", "0.5", "0.5", "0.5"], "sum"),
+    "env_norm": ({"PANCSEG_NORM": "bogus"}, [], "bogus"),
+    "env_weights_count": ({"PANCSEG_METRIC_WEIGHTS": "0.5,0.5"}, [], "need 5"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SCORING_DEFECTS))
+def test_scoring_options_are_checked_before_any_read(tmp_path, capsys, monkeypatch, defect):
+    env, flags, needle = SCORING_DEFECTS[defect]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    # a missing pool file would exit 2 if the scoring options were checked after reading it
+    code, out, err = _run(
+        capsys, "select", "--pool", str(tmp_path / "absent.json"), *flags, "--json-errors"
+    )
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert needle in doc["error"]["message"]
+    if env:  # an environment value reaches every subcommand
+        ref = tmp_path / "ref.nii.gz"
+        _write_labels(ref, _ball(dims=(4, 4, 4), radius=1.2))
+        code, out, _ = _run(capsys, "eval-case", "--ref", str(ref), "--pred", str(ref))
+        assert code == 1 and out == ""
 
 
 @pytest.mark.parametrize("source", ["flag_0", "flag_minus_3", "env", "config_file"])

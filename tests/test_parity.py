@@ -6,9 +6,10 @@ shared ``geometry.resample_separable`` and ``volume.label_argmax`` replaced:
 per-path separable tap loops and one-hot score stacks decoded by
 ``np.argmax``; of the point sampler ``ref_sample_points``, with its inline
 nearest indices and three-array fancy-index gathers, that the single
-linear-index gather replaced; and of the full-volume fusion
+linear-index gather replaced; of the full-volume fusion
 (``average_probabilities`` then ``argmax_labels``, and ``majority_vote``)
-that the settled/active split replaced.  They stay here as the reference the
+that the settled/active split replaced; and of the per-code loop of
+``surfel_area_table`` that its array form replaced.  They stay here as the reference the
 shared code must match bit for bit, including on forced ties and unequal
 weights, and error for error.
 """
@@ -50,6 +51,7 @@ from pancseg.geometry import (
 from pancseg.metrics import BinaryMask, EvalConfig, dice, evaluate_case, surface_distances
 from pancseg.nifti import write_volume
 from pancseg.selection import CandidatePool, SubsetEvaluator, beam_search_subsets, search_subsets
+from pancseg.surfels import _NEIGHBOUR_CODE_TO_NORMALS, surfel_area_table
 from pancseg.volume import Volume, check_same_grid, label_argmax, unique_labels
 
 from conftest import image_volume, probability_volume
@@ -286,6 +288,18 @@ def ref_combine_volumes(spec, volumes) -> Volume:
     if spec.mode == "prob_avg":
         return ref_argmax_labels(ref_average_probabilities(vols, weights))
     return ref_majority_vote(vols, weights)
+
+
+def ref_surfel_area_table(spacing) -> np.ndarray:
+    s0, s1, s2 = (float(s) for s in spacing)
+    table = np.zeros(256, dtype=np.float64)
+    for code in range(256):
+        normals = np.asarray(_NEIGHBOUR_CODE_TO_NORMALS[code], dtype=np.float64)
+        scaled = normals * np.array([s1 * s2, s0 * s2, s0 * s1])
+        table[code] = np.sqrt((scaled * scaled).sum(axis=1)).sum()
+    table[0] = 0.0
+    table[255] = 0.0
+    return table
 
 
 def _same(a: np.ndarray, b: np.ndarray):
@@ -700,6 +714,18 @@ def test_defective_pool_fails_at_the_same_subset_as_full_fusion(
     want = _search_outcome(pool, SEARCHES[search])
     assert want is not None
     assert got == want
+
+
+# ------------------------------------------------------- surfel areas
+
+
+def test_surfel_area_table_matches_reference():
+    rng = np.random.default_rng(5)
+    spacings = [(1.0, 1.0, 1.0), (0.78125, 0.78125, 2.5), (1e-3, 7.0, 0.3)]
+    spacings += [tuple(rng.uniform(0.05, 8.0, 3)) for _ in range(200)]
+    spacings += [tuple(np.float32(rng.uniform(0.05, 8.0, 3))) for _ in range(200)]
+    for spacing in spacings:
+        _same(surfel_area_table(spacing), ref_surfel_area_table(spacing))
 
 
 # ------------------------------------------------------- grid tolerance

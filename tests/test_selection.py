@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pancseg.ensemble import EnsembleMember
+from pancseg.ensemble import EnsembleMember, EnsembleSpec
 from pancseg.errors import BudgetExceededError, ConfigError, FormatError, ValidationError
 from pancseg.metrics import CohortReport, EvalConfig
 from pancseg import selection
@@ -174,6 +174,7 @@ def test_pool_validation():
         CandidatePool(members=(a, EnsembleMember("a", "px")), cases=(("c", "r"),))
     with pytest.raises(ConfigError):
         CandidatePool(members=(a, b), cases=())
+    assert isinstance(CandidatePool(members=(b, a), cases=(("c", "r"),)), EnsembleSpec)
 
 
 def test_load_pool_with_case_list(tmp_path):
@@ -247,6 +248,20 @@ def test_load_pool_errors(tmp_path):
     )
     with pytest.raises(FormatError):
         load_pool(neither)
+
+    # the mode is checked when the pool loads, before any member file is read
+    bad_mode = tmp_path / "bad_mode.json"
+    bad_mode.write_text(
+        json.dumps(
+            {
+                "mode": "bogus",
+                "members": [{"member_id": "a", "path": "p"}, {"member_id": "b", "path": "q"}],
+                "cases": [{"case_id": "c", "reference": "r"}],
+            }
+        )
+    )
+    with pytest.raises(ConfigError, match="bogus"):
+        load_pool(bad_mode)
 
 
 # ---------------------------------------------------------------- subset search
@@ -345,6 +360,43 @@ def test_beam_validation(tmp_path):
         beam_search_subsets(pool, size_max=2, beam_width=0)
     with pytest.raises(ConfigError):
         beam_search_subsets(pool, size_max=3, beam_width=2)
+
+
+class _Recording(SubsetEvaluator):
+    def __init__(self, pool, config):
+        super().__init__(pool, config)
+        self.order = []
+
+    def evaluate(self, member_ids):
+        self.order.append("+".join(member_ids))
+        return super().evaluate(member_ids)
+
+
+# evaluate order of beam_search_subsets(pool, 4, width) on the pool below,
+# pinned so that a restructured search evaluates the same subsets in the
+# same order
+BEAM_ORDERS = {
+    1: "m0 m1 m2 m3 m4 m0+m1 m0+m2 m0+m3 m0+m4 m0+m1+m2 m0+m2+m3 m0+m2+m4 "
+    "m0+m1+m2+m4 m0+m2+m3+m4",
+    3: "m0 m1 m2 m3 m4 m0+m1 m0+m2 m0+m3 m0+m4 m1+m2 m1+m4 m2+m3 m2+m4 m3+m4 "
+    "m0+m1+m2 m0+m1+m4 m0+m2+m3 m0+m2+m4 m0+m3+m4 m1+m2+m4 m2+m3+m4 "
+    "m0+m1+m2+m3 m0+m1+m2+m4 m0+m1+m3+m4 m0+m2+m3+m4",
+}
+
+
+@pytest.mark.parametrize("width", sorted(BEAM_ORDERS))
+def test_beam_evaluation_order_is_pinned(tmp_path, width):
+    rng = np.random.default_rng(11)
+    refs = {"c1": _ball(), "c2": _ball(radius=2.6)}
+    predictions = {
+        f"m{i}": {case: _flip(ref, rng, 6 + 5 * (3 * i % 5)) for case, ref in refs.items()}
+        for i in range(5)
+    }
+    pool = _write_pool(tmp_path, predictions, refs)
+    evaluator = _Recording(pool, EvalConfig())
+    results = beam_search_subsets(pool, 4, width, evaluator=evaluator)
+    assert evaluator.order == BEAM_ORDERS[width].split()
+    assert sorted("+".join(r.member_ids) for r in results) == sorted(evaluator.order)
 
 
 def test_evaluator_caches_reports_and_digests(tmp_path):
