@@ -25,9 +25,9 @@ from typing import Optional
 from . import __version__
 from .augment import apply_pipeline, load_preset, preset
 from .ensemble import EnsembleSpec, combine, load_ensemble_spec, save_ensemble_spec
-from .errors import BudgetExceededError, ConfigError, FormatError, PancsegError, ValidationError
-from .geometry import ResamplePlan, resample_image, resample_labels
-from .metrics import EvalConfig, aggregate_cohort, evaluate_case
+from .errors import ConfigError, FormatError, PancsegError
+from .geometry import IMAGE_ORDERS, LABEL_ORDERS, ResamplePlan, resample_image, resample_labels
+from .metrics import EMPTY_POLICIES, VOLUME_UNITS, EvalConfig, aggregate_cohort, evaluate_case
 from .nifti import read_volume, write_volume
 from .report import (
     case_report_to_dict,
@@ -38,7 +38,7 @@ from .report import (
     report_to_dict,
     round_sig,
 )
-from .schedules import ScheduleSpec, schedule_curve
+from .schedules import FAMILIES, ScheduleSpec, schedule_curve
 from .selection import (
     DEFAULT_BUDGET,
     DEFAULT_WEIGHTS,
@@ -80,16 +80,17 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    label_id: int = 2
-    tolerance_mm: float = 5.0
-    empty_policy: str = "penalize"
-    volume_unit: str = "mm3"
+    label_id: int = EvalConfig.label_id
+    tolerance_mm: float = EvalConfig.tolerance_mm
+    empty_policy: str = EvalConfig.empty_policy
+    volume_unit: str = EvalConfig.volume_unit
     seed: Optional[int] = None
     jobs: int = 1
     norm: str = "minmax"
     metric_weights: tuple[float, ...] = DEFAULT_WEIGHTS
 
     def __post_init__(self):
+        self.eval_config()
         if not self.jobs >= 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.norm not in NORMALIZATIONS:
@@ -471,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance", dest="tolerance_mm", type=float, help="surface dice tolerance in mm (default 5.0)"
     )
     eval_opts.add_argument(
-        "--empty-policy", choices=("penalize", "exclude"), help="empty-mask policy"
+        "--empty-policy", choices=EMPTY_POLICIES, help="empty-mask policy"
     )
-    eval_opts.add_argument("--volume-unit", choices=("mm3", "ml"), help="unit for volume RMSE")
+    eval_opts.add_argument("--volume-unit", choices=VOLUME_UNITS, help="unit for volume RMSE")
 
     parser = _Parser(prog="pancseg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pancseg {__version__}")
@@ -484,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--kind", choices=("image", "labels"), default="image")
     p.add_argument("--spacing", type=float, nargs=3, required=True, metavar=("SX", "SY", "SZ"))
-    p.add_argument("--image-order", type=int, choices=(0, 1, 3), default=3)
-    p.add_argument("--label-order", type=int, choices=(0, 1), default=1)
+    p.add_argument("--image-order", type=int, choices=IMAGE_ORDERS, default=3)
+    p.add_argument("--label-order", type=int, choices=LABEL_ORDERS, default=1)
     p.add_argument("--clamp-cubic", action="store_true")
     p.set_defaults(handler=cmd_resample)
 
@@ -532,11 +533,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True, help="candidate pool JSON")
     p.add_argument("--size-min", type=int, default=1)
     p.add_argument("--size-max", type=int)
-    p.add_argument("--norm", choices=("minmax", "rank"), help="metric normalization")
+    p.add_argument("--norm", choices=NORMALIZATIONS, help="metric normalization")
     p.add_argument(
         "--metric-weights",
         type=float,
-        nargs=5,
+        nargs=len(METRIC_NAMES),
         metavar=("W_DICE", "W_SDICE", "W_MASD", "W_HD95", "W_RMSE"),
     )
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
@@ -547,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_select)
 
     p = sub.add_parser("lr-curve", parents=[common], help="emit an (epoch, lr) CSV")
-    p.add_argument("--family", choices=("poly", "poly_warmup", "cosine_warmup"), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--lr0", type=float, required=True)
     p.add_argument("--max-epochs", type=int, required=True)
     p.add_argument("--exponent", type=float, default=0.9)
@@ -586,7 +587,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         _emit_error(exc, EXIT_IO, json_errors)
         return EXIT_IO
-    except (ValidationError, BudgetExceededError, PancsegError) as exc:
+    except PancsegError as exc:
         _emit_error(exc, EXIT_VALIDATION, json_errors)
         return EXIT_VALIDATION
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -108,6 +109,13 @@ class EnsembleMember:
         return path
 
 
+def check_unique(ids: Iterable[str], what: str) -> None:
+    """Reject ids that occur more than once, naming each repeated one."""
+    dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+    if dupes:
+        raise ConfigError(f"duplicate {what}(s): {dupes}")
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     members: tuple[EnsembleMember, ...]
@@ -119,10 +127,7 @@ class EnsembleSpec:
             raise ConfigError("an ensemble needs at least one member")
         if self.mode not in ENSEMBLE_MODES:
             raise ConfigError(f"mode must be one of {ENSEMBLE_MODES}, got {self.mode!r}")
-        ids = [m.member_id for m in self.members]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ConfigError(f"duplicate member_id(s): {dupes}")
+        check_unique((m.member_id for m in self.members), "member_id")
 
     def sorted_members(self) -> tuple[EnsembleMember, ...]:
         return tuple(sorted(self.members, key=lambda m: m.member_id))

@@ -32,6 +32,23 @@ VOLUME_UNITS = ("mm3", "ml")
 
 HD_FRACTION = 0.95
 
+# The per-case metrics in report order, each with its higher-is-better flag.
+# CaseMetrics holds each under its name and CohortReport its cohort mean under
+# mean_field(name); report keys, CSV columns and subset scores derive from here.
+CASE_METRICS = (
+    ("dice", True),
+    ("surface_dice_5mm", True),
+    ("masd_mm", False),
+    ("hd95_mm", False),
+)
+CASE_VOLUMES = ("volume_ref_mm3", "volume_pred_mm3")  # exact, in mm^3, after the metrics
+VOLUME_RMSE = "volume_rmse"  # cohort-level, over all cases; lower is better
+
+
+def mean_field(name: str) -> str:
+    """The CohortReport field holding the cohort mean of a per-case metric."""
+    return "mean_" + name
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -336,10 +353,7 @@ def aggregate_cohort(cases, config: EvalConfig = EvalConfig()) -> CohortReport:
     return CohortReport(
         config=config,
         cases=cases,
-        mean_dice=mean_of("dice"),
-        mean_surface_dice_5mm=mean_of("surface_dice_5mm"),
-        mean_masd_mm=mean_of("masd_mm"),
-        mean_hd95_mm=mean_of("hd95_mm"),
+        **{mean_field(name): mean_of(name) for name, _ in CASE_METRICS},
         volume_rmse=rmse,
         n_cases=len(cases),
         n_flagged=sum(1 for c in cases if c.flags),

@@ -9,7 +9,15 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .metrics import CaseMetrics, CohortReport, EvalConfig
+from .metrics import (
+    CASE_METRICS,
+    CASE_VOLUMES,
+    VOLUME_RMSE,
+    CaseMetrics,
+    CohortReport,
+    EvalConfig,
+    mean_field,
+)
 
 SIGNIFICANT_DIGITS = 9
 
@@ -37,31 +45,26 @@ def config_to_dict(config: EvalConfig) -> dict:
     }
 
 
+# The numeric CaseMetrics fields of a case row, in report order.
+CASE_FIELDS = tuple(name for name, _ in CASE_METRICS) + CASE_VOLUMES
+
+
 def case_to_dict(case: CaseMetrics) -> dict:
     return {
         "case_id": case.case_id,
-        "dice": round_sig(case.dice),
-        "surface_dice_5mm": round_sig(case.surface_dice_5mm),
-        "masd_mm": round_sig(case.masd_mm),
-        "hd95_mm": round_sig(case.hd95_mm),
-        "volume_ref_mm3": round_sig(case.volume_ref_mm3),
-        "volume_pred_mm3": round_sig(case.volume_pred_mm3),
+        **{name: round_sig(getattr(case, name)) for name in CASE_FIELDS},
         "flags": sorted(case.flags),
     }
-
-
-def _rmse_key(config: EvalConfig) -> str:
-    return "volume_rmse_ml" if config.volume_unit == "ml" else "volume_rmse_mm3"
 
 
 def aggregate_to_dict(report: CohortReport) -> dict:
     return {
         "n_cases": report.n_cases,
-        "mean_dice": round_sig(report.mean_dice),
-        "mean_surface_dice_5mm": round_sig(report.mean_surface_dice_5mm),
-        "mean_masd_mm": round_sig(report.mean_masd_mm),
-        "mean_hd95_mm": round_sig(report.mean_hd95_mm),
-        _rmse_key(report.config): round_sig(report.volume_rmse),
+        **{
+            mean_field(name): round_sig(getattr(report, mean_field(name)))
+            for name, _ in CASE_METRICS
+        },
+        f"{VOLUME_RMSE}_{report.config.volume_unit}": round_sig(report.volume_rmse),
         "n_flagged": report.n_flagged,
         "flag_counts": {k: v for k, v in report.flag_counts},
     }
@@ -91,17 +94,7 @@ def dumps_json(doc) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-CSV_COLUMNS = (
-    "case_id",
-    "dice",
-    "surface_dice_5mm",
-    "masd_mm",
-    "hd95_mm",
-    "volume_ref_mm3",
-    "volume_pred_mm3",
-    "volume_rmse",
-    "flags",
-)
+CSV_COLUMNS = ("case_id", *CASE_FIELDS, VOLUME_RMSE, "flags")
 
 AGGREGATE_ROW_ID = "__aggregate__"
 
@@ -110,39 +103,15 @@ def report_to_csv(report: CohortReport) -> str:
     """One row per case plus an aggregate footer row.
 
     Per-case rows leave the cohort-level volume_rmse column empty; the footer
-    fills the metric columns with cohort means and flags with the flagged
-    case count.
+    fills the metric columns with cohort means, leaves the volume columns
+    empty and fills flags with the flagged case count.
     """
     lines = [",".join(CSV_COLUMNS)]
     for c in report.cases:
-        lines.append(
-            ",".join(
-                [
-                    c.case_id,
-                    format_sig(c.dice),
-                    format_sig(c.surface_dice_5mm),
-                    format_sig(c.masd_mm),
-                    format_sig(c.hd95_mm),
-                    format_sig(c.volume_ref_mm3),
-                    format_sig(c.volume_pred_mm3),
-                    "",
-                    ";".join(sorted(c.flags)),
-                ]
-            )
-        )
-    lines.append(
-        ",".join(
-            [
-                AGGREGATE_ROW_ID,
-                format_sig(report.mean_dice),
-                format_sig(report.mean_surface_dice_5mm),
-                format_sig(report.mean_masd_mm),
-                format_sig(report.mean_hd95_mm),
-                "",
-                "",
-                format_sig(report.volume_rmse),
-                f"flagged={report.n_flagged}",
-            ]
-        )
-    )
+        values = [format_sig(getattr(c, name)) for name in CASE_FIELDS]
+        lines.append(",".join([c.case_id, *values, "", ";".join(sorted(c.flags))]))
+    means = [format_sig(getattr(report, mean_field(name))) for name, _ in CASE_METRICS]
+    volumes = [""] * len(CASE_VOLUMES)
+    footer = [AGGREGATE_ROW_ID, *means, *volumes, format_sig(report.volume_rmse)]
+    lines.append(",".join([*footer, f"flagged={report.n_flagged}"]))
     return "\n".join(lines) + "\n"

@@ -25,25 +25,28 @@ import numpy as np
 from .errors import BudgetExceededError, ConfigError, FormatError, ValidationError
 from .ensemble import (
     EnsembleSpec,
+    check_unique,
     combine_volumes,
     consensus_codes,
     load_member_volume,
     read_member_file,
 )
-from .metrics import CohortReport, EvalConfig, aggregate_cohort, evaluate_case
+from .metrics import (
+    CASE_METRICS,
+    VOLUME_RMSE,
+    CohortReport,
+    EvalConfig,
+    aggregate_cohort,
+    evaluate_case,
+    mean_field,
+)
 from .nifti import read_volume
 from .volume import Volume, read_manifest, resolve_relative
 
 NORMALIZATIONS = ("minmax", "rank")
 
-# (CohortReport attribute, higher_is_better)
-METRIC_FIELDS = (
-    ("mean_dice", True),
-    ("mean_surface_dice_5mm", True),
-    ("mean_masd_mm", False),
-    ("mean_hd95_mm", False),
-    ("volume_rmse", False),
-)
+# (CohortReport attribute, higher_is_better): each per-case metric's mean, then volume RMSE
+METRIC_FIELDS = tuple((mean_field(n), h) for n, h in CASE_METRICS) + ((VOLUME_RMSE, False),)
 
 METRIC_NAMES = tuple(name for name, _ in METRIC_FIELDS)
 
@@ -69,6 +72,7 @@ class CandidatePool(EnsembleSpec):
         object.__setattr__(self, "cases", tuple((c, r) for c, r in self.cases))
         if not self.cases:
             raise ConfigError("a candidate pool needs at least one validation case")
+        check_unique((c for c, _ in self.cases), "case_id")
 
 
 def load_pool(path: str | Path) -> CandidatePool:
@@ -298,6 +302,26 @@ def count_subsets(n_members: int, size_min: int, size_max: int) -> int:
     return sum(math.comb(n_members, k) for k in range(size_min, size_max + 1))
 
 
+def _grow_subsets(evaluator, size_min, size_max, beam_width, weights, norm) -> list[SubsetResult]:
+    """Rank the subsets grown one member per level from every subset of
+    size_min - 1 members.  Each level evaluates the extensions of the kept
+    subsets in sorted order and keeps the best beam_width of them (all when
+    None) by composite score over everything evaluated so far."""
+    ids = sorted(m.member_id for m in evaluator.pool.members)
+    evaluated: dict[tuple[str, ...], CohortReport] = {}
+
+    def ranked():
+        return _rank_results(list(evaluated), list(evaluated.values()), weights, norm)
+
+    frontier = list(itertools.combinations(ids, size_min - 1))
+    for _ in range(size_min, size_max + 1):
+        extensions = {tuple(sorted(s + (mid,))) for s in frontier for mid in ids if mid not in s}
+        for subset in sorted(extensions):
+            evaluated[subset] = evaluator.evaluate(subset)
+        frontier = [r.member_ids for r in ranked() if r.member_ids in extensions][:beam_width]
+    return ranked()
+
+
 def search_subsets(
     pool: CandidatePool,
     size_min: int,
@@ -322,14 +346,7 @@ def search_subsets(
         )
     if evaluator is None:
         evaluator = SubsetEvaluator(pool, config)
-    ids = sorted(m.member_id for m in pool.members)
-    subsets = []
-    reports = []
-    for k in range(size_min, size_max + 1):
-        for combo in itertools.combinations(ids, k):
-            subsets.append(combo)
-            reports.append(evaluator.evaluate(combo))
-    return _rank_results(subsets, reports, weights, norm)
+    return _grow_subsets(evaluator, size_min, size_max, None, weights, norm)
 
 
 def beam_search_subsets(
@@ -356,24 +373,4 @@ def beam_search_subsets(
         raise ConfigError(f"size_max must be in 1..{n}, got {size_max}")
     if evaluator is None:
         evaluator = SubsetEvaluator(pool, config)
-    ids = sorted(m.member_id for m in pool.members)
-
-    evaluated: dict[tuple[str, ...], CohortReport] = {}
-
-    def ranked():
-        subsets = sorted(evaluated)
-        return _rank_results(subsets, [evaluated[s] for s in subsets], weights, norm)
-
-    frontier = [()]
-    for _ in range(size_max):
-        extensions = {
-            tuple(sorted(subset + (mid,)))
-            for subset in frontier
-            for mid in ids
-            if mid not in subset
-        }
-        for subset in sorted(extensions):
-            if subset not in evaluated:
-                evaluated[subset] = evaluator.evaluate(subset)
-        frontier = [r.member_ids for r in ranked() if r.member_ids in extensions][:beam_width]
-    return ranked()
+    return _grow_subsets(evaluator, 1, size_max, beam_width, weights, norm)

@@ -574,6 +574,30 @@ def test_select_missing_member_file_exits_two_naming_member_and_path(tmp_path, c
     assert "member off1" in message and str(missing) in message
 
 
+def test_select_repeated_case_id_exits_one(tmp_path, capsys):
+    # both members predict refa exactly, so a run that reused c1's first entry
+    # for its second would score a perfect dice against refb
+    refa, refb = _ball(), _ball(shift=(3, 0, 0))
+    _write_labels(tmp_path / "refs" / "refa.nii.gz", refa)
+    _write_labels(tmp_path / "refs" / "refb.nii.gz", refb)
+    members = []
+    for member_id in ("a", "b"):
+        _write_labels(tmp_path / member_id / "c1.nii.gz", refa)
+        members.append({"member_id": member_id, "path": f"{member_id}/{{case}}.nii.gz"})
+    cases = [
+        {"case_id": "c1", "reference": "refs/refa.nii.gz"},
+        {"case_id": "c1", "reference": "refs/refb.nii.gz"},
+    ]
+    pool_path = tmp_path / "pool.json"
+    pool_path.write_text(json.dumps({"mode": "majority", "members": members, "cases": cases}))
+    code, out, err = _run(capsys, "select", "--pool", str(pool_path), "--json-errors")
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert doc["error"]["message"] == "duplicate case_id(s): ['c1']"
+
+
 @pytest.mark.parametrize("size_min, exit_code", [("1", 0), ("2", 1), ("3", 1)])
 def test_select_beam_takes_size_min_one_only(tmp_path, capsys, size_min, exit_code):
     pool_path = _pool_fixture(tmp_path)
@@ -865,6 +889,10 @@ SCORING_DEFECTS = {
     "weights_sum": ({}, ["--metric-weights", "0.5", "0.5", "0.5", "0.5", "0.5"], "sum"),
     "env_norm": ({"PANCSEG_NORM": "bogus"}, [], "bogus"),
     "env_weights_count": ({"PANCSEG_METRIC_WEIGHTS": "0.5,0.5"}, [], "need 5"),
+    "env_empty_policy": ({"PANCSEG_EMPTY_POLICY": "bogus"}, [], "empty_policy"),
+    "env_tolerance_negative": ({"PANCSEG_TOLERANCE_MM": "-1"}, [], "tolerance_mm"),
+    "env_volume_unit": ({"PANCSEG_VOLUME_UNIT": "l"}, [], "volume_unit"),
+    "tolerance_negative": ({}, ["--tolerance", "-1"], "tolerance_mm"),
 }
 
 
@@ -886,6 +914,11 @@ def test_scoring_options_are_checked_before_any_read(tmp_path, capsys, monkeypat
         ref = tmp_path / "ref.nii.gz"
         _write_labels(ref, _ball(dims=(4, 4, 4), radius=1.2))
         code, out, _ = _run(capsys, "eval-case", "--ref", str(ref), "--pred", str(ref))
+        assert code == 1 and out == ""
+        # including one that scores nothing
+        code, out, _ = _run(
+            capsys, "lr-curve", "--family", "poly", "--lr0", "0.01", "--max-epochs", "2"
+        )
         assert code == 1 and out == ""
 
 

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from pancseg.metrics import CaseMetrics, EvalConfig, aggregate_cohort
+from pancseg.metrics import (
+    CASE_METRICS,
+    CASE_VOLUMES,
+    VOLUME_RMSE,
+    CaseMetrics,
+    CohortReport,
+    EvalConfig,
+    aggregate_cohort,
+    mean_field,
+)
 from pancseg.report import (
     AGGREGATE_ROW_ID,
     CSV_COLUMNS,
@@ -135,3 +145,154 @@ def test_csv_layout():
     assert footer[7] != ""
     assert footer[8] == "flagged=1"
     assert text.endswith("\n")
+
+
+def test_metric_table_names_the_dataclass_fields_in_order():
+    names = [name for name, _ in CASE_METRICS]
+    assert [f.name for f in fields(CaseMetrics)] == ["case_id", *names, *CASE_VOLUMES, "flags"]
+    report_fields = [f.name for f in fields(CohortReport)]
+    assert report_fields[2:7] == [*map(mean_field, names), VOLUME_RMSE]
+
+
+GOLDEN_CSV_MM3 = """\
+case_id,dice,surface_dice_5mm,masd_mm,hd95_mm,volume_ref_mm3,volume_pred_mm3,volume_rmse,flags
+case_b,0.5,0.625,2,4,1000,1250,,
+case_a,0,0,17.3205081,17.3205081,500,0,,penalized;pred_empty
+__aggregate__,0.25,0.3125,9.66025405,10.6602541,,,395.284708,flagged=1
+"""
+
+GOLDEN_JSON_MM3 = """\
+{
+  "config": {
+    "label_id": 2,
+    "tolerance_mm": 5.0,
+    "empty_policy": "penalize",
+    "volume_unit": "mm3"
+  },
+  "cases": [
+    {
+      "case_id": "case_b",
+      "dice": 0.5,
+      "surface_dice_5mm": 0.625,
+      "masd_mm": 2.0,
+      "hd95_mm": 4.0,
+      "volume_ref_mm3": 1000.0,
+      "volume_pred_mm3": 1250.0,
+      "flags": []
+    },
+    {
+      "case_id": "case_a",
+      "dice": 0.0,
+      "surface_dice_5mm": 0.0,
+      "masd_mm": 17.3205081,
+      "hd95_mm": 17.3205081,
+      "volume_ref_mm3": 500.0,
+      "volume_pred_mm3": 0.0,
+      "flags": [
+        "penalized",
+        "pred_empty"
+      ]
+    }
+  ],
+  "aggregate": {
+    "n_cases": 2,
+    "mean_dice": 0.25,
+    "mean_surface_dice_5mm": 0.3125,
+    "mean_masd_mm": 9.66025405,
+    "mean_hd95_mm": 10.6602541,
+    "volume_rmse_mm3": 395.284708,
+    "n_flagged": 1,
+    "flag_counts": {
+      "penalized": 1,
+      "pred_empty": 1
+    }
+  }
+}
+"""
+
+# in ml only the unit echo, the RMSE key and the RMSE value change
+GOLDEN_CSV_ML = GOLDEN_CSV_MM3.replace(",395.284708,", ",0.395284708,")
+GOLDEN_JSON_ML = GOLDEN_JSON_MM3.replace(
+    '"volume_unit": "mm3"', '"volume_unit": "ml"'
+).replace('"volume_rmse_mm3": 395.284708', '"volume_rmse_ml": 0.395284708')
+
+GOLDEN_CSV_ALL_FLAGGED = """\
+case_id,dice,surface_dice_5mm,masd_mm,hd95_mm,volume_ref_mm3,volume_pred_mm3,volume_rmse,flags
+x,0,,,,10,0,,pred_empty
+y,0,,,,0,7.5,,ref_empty
+__aggregate__,,,,,,,8.83883476,flagged=2
+"""
+
+GOLDEN_JSON_ALL_FLAGGED = """\
+{
+  "config": {
+    "label_id": 2,
+    "tolerance_mm": 5.0,
+    "empty_policy": "exclude",
+    "volume_unit": "mm3"
+  },
+  "cases": [
+    {
+      "case_id": "x",
+      "dice": 0.0,
+      "surface_dice_5mm": null,
+      "masd_mm": null,
+      "hd95_mm": null,
+      "volume_ref_mm3": 10.0,
+      "volume_pred_mm3": 0.0,
+      "flags": [
+        "pred_empty"
+      ]
+    },
+    {
+      "case_id": "y",
+      "dice": 0.0,
+      "surface_dice_5mm": null,
+      "masd_mm": null,
+      "hd95_mm": null,
+      "volume_ref_mm3": 0.0,
+      "volume_pred_mm3": 7.5,
+      "flags": [
+        "ref_empty"
+      ]
+    }
+  ],
+  "aggregate": {
+    "n_cases": 2,
+    "mean_dice": null,
+    "mean_surface_dice_5mm": null,
+    "mean_masd_mm": null,
+    "mean_hd95_mm": null,
+    "volume_rmse_mm3": 8.83883476,
+    "n_flagged": 2,
+    "flag_counts": {
+      "pred_empty": 1,
+      "ref_empty": 1
+    }
+  }
+}
+"""
+
+
+def _all_flagged_report():
+    cases = [
+        CaseMetrics("x", 0.0, None, None, None, 10.0, 0.0, ("pred_empty",)),
+        CaseMetrics("y", 0.0, None, None, None, 0.0, 7.5, ("ref_empty",)),
+    ]
+    return aggregate_cohort(cases, EvalConfig(empty_policy="exclude"))
+
+
+@pytest.mark.parametrize(
+    "report, golden_csv, golden_json",
+    [
+        pytest.param(_report(), GOLDEN_CSV_MM3, GOLDEN_JSON_MM3, id="mm3"),
+        pytest.param(_report(EvalConfig(volume_unit="ml")), GOLDEN_CSV_ML, GOLDEN_JSON_ML, id="ml"),
+        pytest.param(
+            _all_flagged_report(), GOLDEN_CSV_ALL_FLAGGED, GOLDEN_JSON_ALL_FLAGGED,
+            id="all_flagged_exclude",
+        ),
+    ],
+)
+def test_report_text_is_pinned(report, golden_csv, golden_json):
+    assert report_to_csv(report) == golden_csv
+    assert dumps_json(report_to_dict(report)) == golden_json

@@ -174,6 +174,8 @@ def test_pool_validation():
         CandidatePool(members=(a, EnsembleMember("a", "px")), cases=(("c", "r"),))
     with pytest.raises(ConfigError):
         CandidatePool(members=(a, b), cases=())
+    with pytest.raises(ConfigError, match=r"duplicate case_id\(s\): \['c'\]"):
+        CandidatePool(members=(a, b), cases=(("c", "r1"), ("d", "r"), ("c", "r2")))
     assert isinstance(CandidatePool(members=(b, a), cases=(("c", "r"),)), EnsembleSpec)
 
 
