@@ -922,6 +922,49 @@ def test_scoring_options_are_checked_before_any_read(tmp_path, capsys, monkeypat
         assert code == 1 and out == ""
 
 
+@pytest.mark.parametrize(
+    "source, label_id",
+    [
+        ("flag", "-1"),
+        ("flag", "99999999999999999999"),
+        ("flag", "2147483648"),
+        ("env", "-1"),
+        ("config_file", "99999999999999999999"),
+    ],
+)
+def test_label_id_no_label_map_can_hold_is_a_config_error(
+    tmp_path, capsys, monkeypatch, source, label_id
+):
+    # such an id matches no voxel, so every case would score as a perfect both_empty pair
+    ref = tmp_path / "ref.nii.gz"
+    _write_labels(ref, _ball(dims=(6, 6, 6), radius=1.5))
+    argv = ["eval-case", "--ref", str(ref), "--pred", str(ref), "--json-errors"]
+    if source == "flag":
+        argv += ["--label", label_id]
+    elif source == "env":
+        monkeypatch.setenv("PANCSEG_LABEL_ID", label_id)
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text('{"label_id": %s}' % label_id)
+        argv += ["--config", str(config)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert "label_id" in doc["error"]["message"]
+
+
+def test_largest_int32_label_id_is_accepted(tmp_path, capsys):
+    ref = tmp_path / "ref.nii.gz"
+    _write_labels(ref, _ball(dims=(6, 6, 6), radius=1.5))
+    code, out, _ = _run(
+        capsys, "eval-case", "--ref", str(ref), "--pred", str(ref), "--label", "2147483647"
+    )
+    assert code == 0
+    assert json.loads(out)["case"]["flags"] == ["both_empty"]
+
+
 @pytest.mark.parametrize("source", ["flag_0", "flag_minus_3", "env", "config_file"])
 def test_jobs_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, source):
     argv = ["eval-cohort", "--manifest", str(_cohort_fixture(tmp_path)), "--json-errors"]

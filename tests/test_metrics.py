@@ -51,6 +51,11 @@ def test_eval_config_validation():
         EvalConfig(empty_policy="ignore")
     with pytest.raises(ConfigError):
         EvalConfig(volume_unit="liters")
+    EvalConfig(label_id=0)
+    EvalConfig(label_id=2**31 - 1)
+    for label_id in (-1, 2**31, 99999999999999999999):
+        with pytest.raises(ConfigError, match="label_id"):
+            EvalConfig(label_id=label_id)
 
 
 def test_binary_mask_basics(rng):

@@ -8,8 +8,11 @@ per-path separable tap loops and one-hot score stacks decoded by
 nearest indices and three-array fancy-index gathers, that the single
 linear-index gather replaced; of the full-volume fusion
 (``average_probabilities`` then ``argmax_labels``, and ``majority_vote``)
-that the settled/active split replaced; and of the per-code loop of
-``surfel_area_table`` that its array form replaced.  They stay here as the reference the
+that the settled/active split replaced; of the per-code loop of
+``surfel_area_table`` that its array form replaced; of the full-map distance
+transform ``ref_edt`` that ``metrics.edt``'s query-voxel distances replaced; and
+of the ``correlate`` form ``ref_neighbour_codes`` that the shifted-slice sum of
+``neighbour_codes`` replaced.  They stay here as the reference the
 shared code must match bit for bit, including on forced ties and unequal
 weights, and error for error.
 """
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from pancseg.augment import (
     PRESET_ORDERS,
@@ -48,10 +52,23 @@ from pancseg.geometry import (
     resample_labels,
     sample_points,
 )
-from pancseg.metrics import BinaryMask, EvalConfig, dice, evaluate_case, surface_distances
+from pancseg.metrics import (
+    BinaryMask,
+    EvalConfig,
+    SurfaceDistances,
+    dice,
+    edt,
+    evaluate_case,
+    surface_distances,
+)
 from pancseg.nifti import write_volume
 from pancseg.selection import CandidatePool, SubsetEvaluator, beam_search_subsets, search_subsets
-from pancseg.surfels import _NEIGHBOUR_CODE_TO_NORMALS, surfel_area_table
+from pancseg.surfels import (
+    _NEIGHBOUR_CODE_TO_NORMALS,
+    CODE_KERNEL,
+    neighbour_codes,
+    surfel_area_table,
+)
 from pancseg.volume import Volume, check_same_grid, label_argmax, unique_labels
 
 from conftest import image_volume, probability_volume
@@ -300,6 +317,16 @@ def ref_surfel_area_table(spacing) -> np.ndarray:
     table[0] = 0.0
     table[255] = 0.0
     return table
+
+
+def ref_edt(mask: BinaryMask) -> np.ndarray:
+    if mask.is_empty():
+        return np.full(mask.dims, np.inf)
+    return ndimage.distance_transform_edt(~mask.bits, sampling=mask.spacing)
+
+
+def ref_neighbour_codes(bits: np.ndarray) -> np.ndarray:
+    return ndimage.correlate(bits.astype(np.uint8), CODE_KERNEL, mode="constant", cval=0)
 
 
 def _same(a: np.ndarray, b: np.ndarray):
@@ -726,6 +753,75 @@ def test_surfel_area_table_matches_reference():
     spacings += [tuple(np.float32(rng.uniform(0.05, 8.0, 3))) for _ in range(200)]
     for spacing in spacings:
         _same(surfel_area_table(spacing), ref_surfel_area_table(spacing))
+
+
+# ------------------------------------------------------- surface distances
+
+_SIDE = st.floats(0.1, 6.0)
+# isotropic spacings force equidistant ties; float32 spacings are what NIfTI headers give
+MASK_SPACINGS = st.one_of(
+    st.just((1.0, 1.0, 1.0)),
+    _SIDE.map(lambda s: (s, s, s)),
+    st.tuples(_SIDE, _SIDE, _SIDE),
+    st.tuples(_SIDE, _SIDE, _SIDE).map(lambda sp: tuple(float(np.float32(v)) for v in sp)),
+)
+MASK_DIMS = st.tuples(st.integers(1, 9), st.integers(1, 8), st.integers(1, 7))
+FILLS = st.sampled_from([0.0, 0.03, 0.3, 0.8, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=MASK_DIMS,
+    fill=FILLS,
+    query=st.sampled_from([0.0, 0.2, 1.0]),
+    spacing=MASK_SPACINGS,
+)
+def test_edt_matches_the_full_map_reference(seed, dims, fill, query, spacing):
+    rng = np.random.default_rng(seed)
+    mask = BinaryMask(rng.random(dims) < fill, spacing)
+    want = ref_edt(mask)
+    _same(edt(mask), want)
+    where = rng.random(dims) < query
+    _same(edt(mask, where), want[where])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=MASK_DIMS,
+    fill=FILLS,
+    dtype=st.sampled_from([np.bool_, np.uint8]),
+)
+def test_neighbour_codes_match_correlate(seed, dims, fill, dtype):
+    bits = (np.random.default_rng(seed).random(dims) < fill).astype(dtype)
+    _same(neighbour_codes(bits), ref_neighbour_codes(bits))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=MASK_DIMS,
+    fills=st.tuples(FILLS, FILLS),
+    low=st.tuples(*[st.integers(0, 4)] * 3),
+    high=st.tuples(*[st.integers(0, 4)] * 3),
+    spacing=MASK_SPACINGS,
+)
+def test_surface_distances_do_not_depend_on_the_embedding(seed, dims, fills, low, high, spacing):
+    rng = np.random.default_rng(seed)
+    ref, pred = (rng.random(dims) < fill for fill in fills)
+    ref[tuple(rng.integers(0, dims))] = True  # some surface exists
+    grid = tuple(d + a + b for d, a, b in zip(dims, low, high))
+    window = tuple(slice(a, a + d) for a, d in zip(low, dims))
+    embedded = []
+    for bits in (ref, pred):
+        big = np.zeros(grid, dtype=bool)
+        big[window] = bits
+        embedded.append(BinaryMask(big, spacing))
+    want = surface_distances(BinaryMask(ref, spacing), BinaryMask(pred, spacing))
+    got = surface_distances(*embedded)
+    for name in SurfaceDistances.__dataclass_fields__:
+        _same(getattr(got, name), getattr(want, name))
 
 
 # ------------------------------------------------------- grid tolerance
