@@ -6,8 +6,13 @@ fourth axis is the class channel, and the common scalar datatypes.  On read
 the volume is reorientated to RAS+ by axis permutation and flips derived from
 the dominant direction of each affine column (sform preferred, then qform,
 then a plain pixdim diagonal).  Reads make one layout copy: the reoriented
-view of the file buffer is byte-swapped, cast and laid out in C order in a
-single pass.  Writing always emits an RAS+ diagonal sform.
+view of the file buffer is byte-swapped, cast and laid out in C order, in
+slabs along an axis that is neither the view's fastest nor its last, each
+staged in source order through a small temporary (see ``_layout_copy``).
+A label map's label set is checked once, after ``Volume`` has rejected
+negative labels: on the file's own integer data when the file stores
+integers, so the widened int32 copy is not scanned; a float-coded map is
+checked on the int32 copy.  Writing always emits an RAS+ diagonal sform.
 """
 from __future__ import annotations
 
@@ -42,6 +47,10 @@ _CODE_BY_DTYPE = {np.dtype(d).str[1:]: c for c, d in _DTYPE_BY_CODE.items()}
 
 _UNIT_SCALE = {0: 1.0, 1: 1000.0, 2: 1.0, 3: 0.001}  # unknown, m, mm, um
 _INT32 = np.iinfo(np.int32)
+
+# Source bytes staged per slab by ``_layout_copy``: small enough that the
+# strided walk of the layout step stays in cache.
+SLAB_BYTES = 1 << 20
 
 
 def _dtype_code(dtype: np.dtype) -> int:
@@ -124,6 +133,30 @@ def _ras_reorientation(affine: np.ndarray):
         taken_vox.add(v)
     flips = [rot[w, perm[w]] < 0 for w in range(3)]
     return tuple(perm), tuple(flips)
+
+
+def _layout_copy(view: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``np.array(view, dtype=dtype, order="C")``, byte for byte.
+
+    The plain copy walks the output in C order.  For a reoriented file view
+    that walk reads the source at large strides (z planes 2^18 bytes apart
+    in a 512x512 uint8 map) that map to the same cache sets, and each cache
+    line is fetched again long after it was first used.  So the copy goes in
+    slabs along the first axis that is neither the view's fastest (smallest
+    |stride|) nor its last: each slab is copied in source order into a
+    temporary of about SLAB_BYTES, then cast and laid out from there, so the
+    strided walk stays in cache.
+    """
+    strides = [abs(s) for s in view.strides]
+    fast = strides.index(min(strides))
+    axis = next(a for a in range(view.ndim - 1) if a != fast)
+    width = max(1, SLAB_BYTES * view.shape[axis] // view.nbytes)
+    out = np.empty(view.shape, dtype=dtype)
+    index = [slice(None)] * view.ndim
+    for start in range(0, view.shape[axis], width):
+        index[axis] = slice(start, start + width)
+        out[tuple(index)] = np.array(view[tuple(index)], order="K")
+    return out
 
 
 def _read_header(raw: bytes) -> dict:
@@ -251,15 +284,18 @@ def read_volume(
         target = np.dtype(np.float32)
     else:
         target = dtype.newbyteorder("=")
-    # the one copy: byte swap, cast and RAS+ C-order layout in a single pass
-    data = np.array(data, dtype=target, order="C")
+    # an integer label file is scanned in its own dtype; float labels (the
+    # full-size rounded array, dropped after the copy) as the int32 copy
+    narrow = data if kind == "labels" and data.dtype.kind != "f" else None
+    # the one copy: byte swap, cast and RAS+ C-order layout
+    data = _layout_copy(data, target)
     if scaled:
         data *= np.float32(slope)
         data += np.float32(inter)
 
     vol = Volume(data=data, spacing=spacing, origin=origin, kind=kind)
     if kind == "labels" and label_set is not None:
-        validate_label_set(vol, label_set)
+        validate_label_set(data if narrow is None else narrow, label_set)
     return vol
 
 

@@ -24,6 +24,10 @@ DEFAULT_LABEL_SET = (0, 1, 2)  # background, pancreas, tumor
 
 PROB_SUM_TOL = 1e-5
 
+# Widest class axis whose ``sum(axis=-1)`` numpy computes as in-order adds
+# from +0.0 (pinned by a parity test); from 8 classes on it sums pairwise.
+COLUMN_SUM_MAX_CLASSES = 7
+
 # Relative spacing tolerance of every grid-compatibility check.
 GRID_RTOL = 1e-5
 
@@ -83,6 +87,19 @@ def check_same_grid(a, b, what: str) -> None:
         raise GridMismatchError(f"{what} grids differ: {a[0]}@{a[1]} vs {b[0]}@{b[1]}")
 
 
+def class_sums(data: np.ndarray) -> np.ndarray:
+    """``data.sum(axis=-1)``, bit for bit.  Up to COLUMN_SUM_MAX_CLASSES
+    float32/float64 classes the columns are added in order, which gives the
+    same bits and skips the slow reduction along a short axis."""
+    n = data.shape[-1]
+    if n > COLUMN_SUM_MAX_CLASSES or data.dtype not in (np.float32, np.float64):
+        return data.sum(axis=-1)
+    sums = np.zeros(data.shape[:-1], dtype=data.dtype)  # +0.0 first, as numpy's sum
+    for k in range(n):
+        sums += data[..., k]
+    return sums
+
+
 def check_probabilities(data: np.ndarray) -> None:
     """Raise ValidationError unless every vector along the last axis is a
     finite probability distribution (entries in [0, 1], sum 1)."""
@@ -92,7 +109,7 @@ def check_probabilities(data: np.ndarray) -> None:
         raise ValidationError("probability stack contains non-finite voxels")
     if data.min() < -1e-6 or data.max() > 1 + 1e-6:
         raise ValidationError("probability values must lie in [0, 1]")
-    sums = data.sum(axis=-1)
+    sums = class_sums(data)
     err = np.abs(sums - 1.0).max()
     if err > PROB_SUM_TOL:
         raise ValidationError(
@@ -185,10 +202,12 @@ class Volume:
         return tuple(int(v) for v in unique_labels(self.data))
 
 
-def validate_label_set(volume: Volume, label_set: Iterable[int]) -> None:
-    """Raise LabelSetError if the volume uses a label outside ``label_set``."""
+def validate_label_set(labels: np.ndarray, label_set: Iterable[int]) -> None:
+    """Raise LabelSetError if the integral ``labels`` use a label outside
+    ``label_set``.  Any numeric dtype works, so a read can check the file's
+    own narrow data instead of the widened copy."""
     allowed = set(int(v) for v in label_set)
-    present = set(volume.label_values())
+    present = set(int(v) for v in unique_labels(labels))
     unknown = sorted(present - allowed)
     if unknown:
         raise LabelSetError(

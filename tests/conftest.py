@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
+from pancseg.nifti import _DTYPE_BY_CODE
 from pancseg.volume import Volume
 
 
@@ -57,6 +60,64 @@ def damaged_gzip(raw: bytes, defect: str) -> bytes:
     if defect == "truncated":
         return raw[:mid]
     return raw[:mid] + bytes(b ^ 0xFF for b in raw[mid : mid + 40]) + raw[mid + 40 :]
+
+
+def raw_nifti(
+    data,
+    *,
+    endian="<",
+    pixdim=(1.0, 1.0, 1.0),
+    srows=None,
+    qform=None,
+    xyzt_units=2,
+    vox_offset=352,
+    scaling=(1.0, 0.0),
+):
+    """Hand-assembled single-file NIfTI for header-variant tests."""
+    data = np.asarray(data)
+    code = {np.dtype(d): c for c, d in _DTYPE_BY_CODE.items()}[data.dtype]
+    hdr = bytearray(HEADER := 348)
+    struct.pack_into(endian + "i", hdr, 0, HEADER)
+    dim = [data.ndim] + list(data.shape) + [1] * (7 - data.ndim)
+    struct.pack_into(endian + "8h", hdr, 40, *dim)
+    struct.pack_into(endian + "2h", hdr, 70, code, data.dtype.itemsize * 8)
+    pd = [1.0] + list(pixdim) + [1.0] * 4
+    if qform is not None and qform.get("qfac", 1.0) < 0:
+        pd[0] = -1.0
+    struct.pack_into(endian + "8f", hdr, 76, *pd)
+    struct.pack_into(endian + "f", hdr, 108, float(vox_offset))
+    struct.pack_into(endian + "2f", hdr, 112, *scaling)
+    struct.pack_into(endian + "B", hdr, 123, xyzt_units)
+    sform_code = 1 if srows is not None else 0
+    qform_code = 1 if qform is not None else 0
+    struct.pack_into(endian + "2h", hdr, 252, qform_code, sform_code)
+    if qform is not None:
+        struct.pack_into(
+            endian + "6f",
+            hdr,
+            256,
+            qform.get("b", 0.0),
+            qform.get("c", 0.0),
+            qform.get("d", 0.0),
+            *qform.get("offset", (0.0, 0.0, 0.0)),
+        )
+    if srows is not None:
+        struct.pack_into(endian + "4f", hdr, 280, *srows[0])
+        struct.pack_into(endian + "4f", hdr, 296, *srows[1])
+        struct.pack_into(endian + "4f", hdr, 312, *srows[2])
+    hdr[344:348] = b"n+1\x00"
+    swapped = data.astype(data.dtype.newbyteorder(endian), copy=False)
+    pad = b"\x00" * (vox_offset - HEADER)
+    return bytes(hdr) + pad + swapped.tobytes(order="F")
+
+
+def orientation_srows(perm, flips, spacing=(1.5, 0.75, 2.0)):
+    """sform rows whose RAS+ reorientation is ``(perm, flips)``: world axis w
+    comes from voxel axis perm[w], reversed where flips[w]."""
+    rot = np.zeros((3, 3))
+    for w in range(3):
+        rot[w, perm[w]] = -spacing[w] if flips[w] else spacing[w]
+    return [tuple(rot[w]) + (float(w),) for w in range(3)]
 
 
 @pytest.fixture

@@ -12,7 +12,10 @@ that the settled/active split replaced; of the per-code loop of
 ``surfel_area_table`` that its array form replaced; of the full-map distance
 transform ``ref_edt`` that ``metrics.edt``'s query-voxel distances replaced; and
 of the ``correlate`` form ``ref_neighbour_codes`` that the shifted-slice sum of
-``neighbour_codes`` replaced.  They stay here as the reference the
+``neighbour_codes`` replaced; of the plain one-pass copy ``ref_layout_copy``
+that the slab-staged ``nifti._layout_copy`` replaced; and of the
+``sum(axis=-1)`` form ``ref_check_probabilities`` that the column adds of
+``volume.class_sums`` replaced.  They stay here as the reference the
 shared code must match bit for bit, including on forced ties and unequal
 weights, and error for error.
 """
@@ -23,7 +26,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -61,7 +64,8 @@ from pancseg.metrics import (
     evaluate_case,
     surface_distances,
 )
-from pancseg.nifti import write_volume
+from pancseg import nifti
+from pancseg.nifti import _DTYPE_BY_CODE, read_volume, write_volume
 from pancseg.selection import CandidatePool, SubsetEvaluator, beam_search_subsets, search_subsets
 from pancseg.surfels import (
     _NEIGHBOUR_CODE_TO_NORMALS,
@@ -69,9 +73,17 @@ from pancseg.surfels import (
     neighbour_codes,
     surfel_area_table,
 )
-from pancseg.volume import Volume, check_same_grid, label_argmax, unique_labels
+from pancseg.volume import (
+    PROB_SUM_TOL,
+    Volume,
+    check_probabilities,
+    check_same_grid,
+    class_sums,
+    label_argmax,
+    unique_labels,
+)
 
-from conftest import image_volume, probability_volume
+from conftest import image_volume, orientation_srows, probability_volume, raw_nifti
 
 # ------------------------------------------------------- reference copies
 
@@ -329,6 +341,26 @@ def ref_neighbour_codes(bits: np.ndarray) -> np.ndarray:
     return ndimage.correlate(bits.astype(np.uint8), CODE_KERNEL, mode="constant", cval=0)
 
 
+def ref_layout_copy(view: np.ndarray, dtype) -> np.ndarray:
+    return np.array(view, dtype=dtype, order="C")
+
+
+def ref_check_probabilities(data: np.ndarray) -> None:
+    if not np.issubdtype(data.dtype, np.floating):
+        raise ValidationError("probability stack must have float dtype")
+    if not np.isfinite(data).all():
+        raise ValidationError("probability stack contains non-finite voxels")
+    if data.min() < -1e-6 or data.max() > 1 + 1e-6:
+        raise ValidationError("probability values must lie in [0, 1]")
+    sums = data.sum(axis=-1)
+    err = np.abs(sums - 1.0).max()
+    if err > PROB_SUM_TOL:
+        raise ValidationError(
+            f"per-voxel class probabilities must sum to 1 within {PROB_SUM_TOL}, "
+            f"worst deviation {err:.3g}"
+        )
+
+
 def _same(a: np.ndarray, b: np.ndarray):
     assert a.dtype == b.dtype
     assert a.shape == b.shape
@@ -531,14 +563,19 @@ def _probability_members(rng, dims, n_members, n_classes, dtype, agree, kinds):
 LAYOUTS = ("C", "F", "spatial-transposed")
 
 
+def _relaid(data, layout):
+    """The same array in another memory layout."""
+    if layout == "F":
+        return np.asfortranarray(data)
+    if layout == "spatial-transposed":
+        axes = (2, 1, 0) + tuple(range(3, data.ndim))
+        return np.ascontiguousarray(data.transpose(axes)).transpose(axes)
+    return data
+
+
 def _relayout(volume, layout):
     """The same volume with its array in another memory layout."""
-    data = volume.data
-    if layout == "F":
-        data = np.asfortranarray(data)
-    elif layout == "spatial-transposed":
-        axes = (2, 1, 0) + tuple(range(3, data.ndim))
-        data = np.ascontiguousarray(data.transpose(axes)).transpose(axes)
+    data = _relaid(volume.data, layout)
     return Volume(data, volume.spacing, volume.origin, kind=volume.kind)
 
 
@@ -894,3 +931,157 @@ def test_select_no_longer_takes_jobs(tmp_path, capsys):
     assert code == 1
     assert "usage" in err
     assert "--jobs" in err
+
+
+# ------------------------------------------------------- read path
+
+ORIENTATIONS = [
+    (perm, flips)
+    for perm in itertools.permutations(range(3))
+    for flips in itertools.product((False, True), repeat=3)
+]
+# dims of 1, and dims no slab width below divides evenly
+READ_SHAPES = [(5, 7, 3), (1, 6, 4), (7, 1, 1), (5, 3, 7, 3), (3, 1, 5, 2), (4, 6, 1, 1)]
+SLAB_BUDGETS = [1, 24, 96, 1 << 20]  # bytes: one-voxel-wide slabs up to a single slab
+
+
+def _file_values(rng, dtype, shape):
+    dtype = np.dtype(dtype)
+    if dtype.kind == "f":
+        return (rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e4], size=shape)).astype(dtype)
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, size=shape, endpoint=True, dtype=dtype)
+
+
+def _file_view(values, endian, perm, flips):
+    """The read-only reoriented view ``read_volume`` makes of a file buffer."""
+    dtype = values.dtype.newbyteorder(endian)
+    buf = values.astype(dtype).tobytes(order="F")
+    view = np.frombuffer(buf, dtype=dtype).reshape(values.shape, order="F")
+    view = np.transpose(view, perm + tuple(range(3, view.ndim)))
+    for w in range(3):
+        if flips[w]:
+            view = np.flip(view, axis=w)
+    return view
+
+
+def _copy_cases(view):
+    """(source, target dtype) pairs of every read kind: labels widen to int32
+    (float labels after ``rint``), scaled images cast to float32, unscaled
+    images and probability stacks keep the native file dtype."""
+    cases = [(view, np.dtype(np.float32)), (view, view.dtype.newbyteorder("="))]
+    if view.dtype.kind == "f":
+        cases.append((np.rint(np.clip(view, -1e3, 1e3)), np.dtype(np.int32)))
+    else:
+        cases.append((view, np.dtype(np.int32)))
+    return cases
+
+
+def _same_copy(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    assert got.flags.writeable == want.flags.writeable
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("perm, flips", ORIENTATIONS)
+def test_layout_copy_matches_the_plain_copy(monkeypatch, perm, flips):
+    rng = np.random.default_rng(sum(perm) * 8 + sum(f << i for i, f in enumerate(flips)))
+    for code, shape in itertools.product(sorted(_DTYPE_BY_CODE), READ_SHAPES):
+        values = _file_values(rng, _DTYPE_BY_CODE[code], shape)
+        for endian in "<>":
+            view = _file_view(values, endian, perm, flips)
+            for source, target in _copy_cases(view):
+                want = ref_layout_copy(source, target)
+                for budget in SLAB_BUDGETS:
+                    monkeypatch.setattr(nifti, "SLAB_BYTES", budget)
+                    _same_copy(nifti._layout_copy(source, target), want)
+
+
+def _read_outcome(path, kind):
+    try:
+        vol = read_volume(path, kind=kind, label_set=None)
+    except PancsegError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    data = vol.data
+    return ("ok", data.dtype, data.shape, data.flags.c_contiguous, data.flags.writeable,
+            data.tobytes(), vol.spacing, vol.origin)
+
+
+READ_FILES = {  # kind read as, file shape, intensity scaling
+    "labels": ("labels", (5, 7, 3), (1.0, 0.0)),
+    "image": ("image", (5, 7, 3), (1.0, 0.0)),
+    "scaled_image": ("image", (1, 6, 4), (2.5, -1.0)),
+    "probabilities": ("probabilities", (5, 3, 7, 3), (1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("code", sorted(_DTYPE_BY_CODE))
+@pytest.mark.parametrize("endian", ["<", ">"])
+def test_read_volume_matches_the_plain_copy(tmp_path, monkeypatch, code, endian):
+    """Every orientation, dtype and byte order of every kind reads the same
+    with the slab-staged copy as with the plain one; 4D stacks included."""
+    rng = np.random.default_rng(code)
+    dtype = np.dtype(_DTYPE_BY_CODE[code])
+    path = tmp_path / "file.nii"
+    monkeypatch.setattr(nifti, "SLAB_BYTES", 24)  # several slabs, a ragged last one
+    for name, (kind, shape, scaling) in READ_FILES.items():
+        if kind == "probabilities" and dtype.kind == "f":
+            values = np.eye(shape[3], dtype=dtype)[rng.integers(0, shape[3], size=shape[:3])]
+        elif kind == "labels":
+            values = rng.integers(0, 3, size=shape).astype(dtype)
+        else:
+            values = _file_values(rng, dtype, shape)
+        for perm, flips in ORIENTATIONS:
+            srows = orientation_srows(perm, flips)
+            path.write_bytes(raw_nifti(values, endian=endian, srows=srows, scaling=scaling))
+            got = _read_outcome(path, kind)
+            with monkeypatch.context() as plain:
+                plain.setattr(nifti, "_layout_copy", ref_layout_copy)
+                want = _read_outcome(path, kind)
+            assert got == want, (name, perm, flips)
+            assert got[0] == ("error" if kind == "probabilities" and dtype.kind != "f" else "ok")
+
+
+# values near the edges of the probability checks: signed zeros, subnormals
+# of both float widths, and sums just inside and just outside PROB_SUM_TOL
+_PROB_SPECIALS = (0.0, -0.0, 1.0, 1e-40, 1e-310, 2.0**-24, 1 - 1e-5, 1 + 1e-7, 1e-5, -1e-6)
+_SUM_NUDGES = ((0.0,), (0.0, 9e-6, -9e-6), (0.0, 1e-5, -1e-5, 1.1e-5, -1.1e-5, 1e-3))
+
+
+@st.composite
+def _probability_stacks(draw):
+    n = draw(st.integers(1, 12))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    dims = draw(st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.dirichlet(np.ones(n), size=dims)
+    data *= 1.0 + rng.choice(draw(st.sampled_from(_SUM_NUDGES)), size=dims)[..., None]
+    special = rng.random(data.shape) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    data[special] = rng.choice(_PROB_SPECIALS, size=int(special.sum()))
+    layout = draw(st.sampled_from(LAYOUTS))
+    return _relaid(data.astype(dtype), layout)
+
+
+def _check_outcome(check, data):
+    try:
+        check(data)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_probability_stacks())
+@example(np.full((2, 1, 1, 3), -0.0, dtype=np.float32))
+@example(np.full((1, 1, 1, 1), np.float32(1e-40)))
+def test_class_sums_match_numpy_sum_bit_for_bit(data):
+    bits = np.uint32 if data.dtype == np.float32 else np.uint64
+    got, want = class_sums(data), data.sum(axis=-1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    got, want = np.ascontiguousarray(got).view(bits), np.ascontiguousarray(want).view(bits)
+    assert np.array_equal(got, want)
+    want_error = _check_outcome(ref_check_probabilities, data)
+    assert _check_outcome(check_probabilities, data) == want_error
+

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gzip
+import json
 import struct
 
 import numpy as np
@@ -9,8 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from pancseg import nifti
 from pancseg import volume as volume_module
-from pancseg.errors import FormatError, HeaderLimitError, LabelSetError, ValidationError
+from pancseg.cli import main
+from pancseg.errors import (
+    FormatError,
+    HeaderLimitError,
+    LabelSetError,
+    PancsegError,
+    ValidationError,
+)
 from pancseg.nifti import _DTYPE_BY_CODE, read_volume, write_volume
 from pancseg.volume import (
     LABEL_SCAN_MAX_SPAN,
@@ -23,7 +32,7 @@ from pancseg.volume import (
     write_manifest,
 )
 
-from conftest import damaged_gzip, probability_volume
+from conftest import damaged_gzip, orientation_srows, probability_volume, raw_nifti
 
 
 def test_volume_rejects_bad_inputs(rng):
@@ -94,14 +103,14 @@ def test_volume_helpers(rng):
 
 
 def test_validate_label_set():
-    labels = Volume(np.array([[[0, 3]]], dtype=np.int32), (1, 1, 1), kind="labels")
+    labels = np.array([[[0, 3]]], dtype=np.int32)
     validate_label_set(labels, (0, 1, 2, 3))
     with pytest.raises(LabelSetError):
         validate_label_set(labels, (0, 1, 2))
 
 
 def test_validate_label_set_message_is_the_same_on_both_scan_paths(monkeypatch):
-    labels = Volume(np.array([[[0, 3], [7, 2]]], dtype=np.int32), (1, 1, 1), kind="labels")
+    labels = np.array([[[0, 3], [7, 2]]], dtype=np.int32)
     with pytest.raises(LabelSetError) as fast:
         validate_label_set(labels, (0, 1, 2))
     monkeypatch.setattr(volume_module, "LABEL_SCAN_MAX_SPAN", -1)  # always sort
@@ -312,54 +321,6 @@ def test_corrupt_files_raise_format_errors(tmp_path, rng):
         read_volume(tmp_path / "does_not_exist.nii")
 
 
-def _raw_nifti(
-    data,
-    *,
-    endian="<",
-    pixdim=(1.0, 1.0, 1.0),
-    srows=None,
-    qform=None,
-    xyzt_units=2,
-    vox_offset=352,
-):
-    """Hand-assembled single-file NIfTI for header-variant tests."""
-    data = np.asarray(data)
-    code = {np.dtype(d): c for c, d in _DTYPE_BY_CODE.items()}[data.dtype]
-    hdr = bytearray(HEADER := 348)
-    struct.pack_into(endian + "i", hdr, 0, HEADER)
-    dim = [data.ndim] + list(data.shape) + [1] * (7 - data.ndim)
-    struct.pack_into(endian + "8h", hdr, 40, *dim)
-    struct.pack_into(endian + "2h", hdr, 70, code, data.dtype.itemsize * 8)
-    pd = [1.0] + list(pixdim) + [1.0] * 4
-    if qform is not None and qform.get("qfac", 1.0) < 0:
-        pd[0] = -1.0
-    struct.pack_into(endian + "8f", hdr, 76, *pd)
-    struct.pack_into(endian + "f", hdr, 108, float(vox_offset))
-    struct.pack_into(endian + "2f", hdr, 112, 1.0, 0.0)
-    struct.pack_into(endian + "B", hdr, 123, xyzt_units)
-    sform_code = 1 if srows is not None else 0
-    qform_code = 1 if qform is not None else 0
-    struct.pack_into(endian + "2h", hdr, 252, qform_code, sform_code)
-    if qform is not None:
-        struct.pack_into(
-            endian + "6f",
-            hdr,
-            256,
-            qform.get("b", 0.0),
-            qform.get("c", 0.0),
-            qform.get("d", 0.0),
-            *qform.get("offset", (0.0, 0.0, 0.0)),
-        )
-    if srows is not None:
-        struct.pack_into(endian + "4f", hdr, 280, *srows[0])
-        struct.pack_into(endian + "4f", hdr, 296, *srows[1])
-        struct.pack_into(endian + "4f", hdr, 312, *srows[2])
-    hdr[344:348] = b"n+1\x00"
-    swapped = data.astype(data.dtype.newbyteorder(endian), copy=False)
-    pad = b"\x00" * (vox_offset - HEADER)
-    return bytes(hdr) + pad + swapped.tobytes(order="F")
-
-
 # (perm, flips) of RAS+ reorientation: world axis w comes from voxel axis
 # perm[w], reversed where flips[w]
 _ORIENTATIONS = [
@@ -368,13 +329,6 @@ _ORIENTATIONS = [
     ((0, 1, 2), (True, False, True)),
     ((1, 2, 0), (False, True, False)),
 ]
-
-
-def _srows(perm, flips, spacing=(1.5, 0.75, 2.0)):
-    rot = np.zeros((3, 3))
-    for w in range(3):
-        rot[w, perm[w]] = -spacing[w] if flips[w] else spacing[w]
-    return [tuple(rot[w]) + (float(w),) for w in range(3)]
 
 
 def _reference_decode(raw, dtype, shape, perm, flips, kind):
@@ -403,7 +357,7 @@ def test_single_copy_read_matches_reference_decode(tmp_path, rng, code, endian, 
     else:
         cases.append(("image", rng.integers(0, 100, size=(4, 3, 5)).astype(dtype)))
     for kind, data in cases:
-        raw = _raw_nifti(data, endian=endian, srows=_srows(perm, flips))
+        raw = raw_nifti(data, endian=endian, srows=orientation_srows(perm, flips))
         path = tmp_path / f"{kind}.nii"
         path.write_bytes(raw)
         vol = read_volume(path, kind=kind, label_set=None)
@@ -431,11 +385,11 @@ def test_labels_beyond_int32_are_format_errors(tmp_path, dtype, wide):
     data = np.zeros((2, 3, 2), dtype=dtype)
     data[1, 2, 0] = wide
     path = tmp_path / "wide.nii"
-    path.write_bytes(_raw_nifti(data))
+    path.write_bytes(raw_nifti(data))
     with pytest.raises(FormatError, match="int32 range"):
         read_volume(path, kind="labels", label_set=None)
     data[1, 2, 0] = 2**31 - 1  # the widest value that still fits
-    path.write_bytes(_raw_nifti(data))
+    path.write_bytes(raw_nifti(data))
     assert read_volume(path, kind="labels", label_set=None).data.max() == 2**31 - 1
 
 
@@ -458,7 +412,7 @@ def test_non_finite_float_labels_are_format_errors(tmp_path):
         data = np.zeros((2, 2, 2), dtype=np.float32)
         data[0, 1, 1] = bad
         path = tmp_path / "nonfinite.nii"
-        path.write_bytes(_raw_nifti(data))
+        path.write_bytes(raw_nifti(data))
         with pytest.raises(FormatError):
             read_volume(path, kind="labels", label_set=None)
 
@@ -484,10 +438,10 @@ def test_non_finite_header_fields_are_format_errors(tmp_path, offset, fmt, value
 def test_non_finite_qform_and_pixdim_are_format_errors(tmp_path, rng):
     data = rng.normal(size=(3, 3, 3)).astype(np.float32)
     path = tmp_path / "q.nii"
-    path.write_bytes(_raw_nifti(data, pixdim=(1.0, np.nan, 1.0)))
+    path.write_bytes(raw_nifti(data, pixdim=(1.0, np.nan, 1.0)))
     with pytest.raises(FormatError):
         read_volume(path)
-    path.write_bytes(_raw_nifti(data, qform={"offset": (0.0, np.inf, 0.0)}))
+    path.write_bytes(raw_nifti(data, qform={"offset": (0.0, np.inf, 0.0)}))
     with pytest.raises(FormatError):
         read_volume(path)
 
@@ -524,7 +478,7 @@ def test_header_mutations_give_a_volume_or_a_format_error(tmp_path_factory, muta
     # voxel bytes 0..2 decode to small finite non-negative values in every
     # datatype, so a Volume check can only fail through the header
     data = np.arange(60, dtype=np.uint8).reshape(3, 4, 5) % 3
-    raw = bytearray(_raw_nifti(data, srows=_srows((0, 1, 2), (False, False, False))))
+    raw = bytearray(raw_nifti(data, srows=orientation_srows((0, 1, 2), (False, False, False))))
     for offset, blob in mutations:
         raw[offset : offset + len(blob)] = blob
     path = tmp_path_factory.mktemp("fuzz") / "mutated.nii"
@@ -544,8 +498,8 @@ def test_big_endian_files_read_identically(tmp_path, rng):
     data = rng.normal(size=(4, 3, 5)).astype(np.float32)
     little = tmp_path / "le.nii"
     big = tmp_path / "be.nii"
-    little.write_bytes(_raw_nifti(data, endian="<", pixdim=(1.0, 2.0, 0.5)))
-    big.write_bytes(_raw_nifti(data, endian=">", pixdim=(1.0, 2.0, 0.5)))
+    little.write_bytes(raw_nifti(data, endian="<", pixdim=(1.0, 2.0, 0.5)))
+    big.write_bytes(raw_nifti(data, endian=">", pixdim=(1.0, 2.0, 0.5)))
     a = read_volume(little)
     b = read_volume(big)
     assert np.array_equal(a.data, b.data)
@@ -557,7 +511,7 @@ def test_sform_permutation_reorients_to_ras(tmp_path, rng):
     # voxel axis 0 points Anterior, axis 1 Superior, axis 2 Right
     srows = [(0.0, 0.0, 3.0, 5.0), (1.5, 0.0, 0.0, -2.0), (0.0, 2.0, 0.0, 7.0)]
     path = tmp_path / "perm.nii"
-    path.write_bytes(_raw_nifti(data, srows=srows))
+    path.write_bytes(raw_nifti(data, srows=srows))
     vol = read_volume(path)
     assert np.array_equal(vol.data, np.transpose(data, (2, 0, 1)))
     assert vol.spacing == pytest.approx((3.0, 1.5, 2.0))
@@ -569,7 +523,7 @@ def test_sform_flip_reorients_to_ras(tmp_path, rng):
     # like the permutation case but voxel axis 0 now points Posterior
     srows = [(0.0, 0.0, 3.0, 5.0), (-1.5, 0.0, 0.0, -2.0), (0.0, 2.0, 0.0, 7.0)]
     path = tmp_path / "flip.nii"
-    path.write_bytes(_raw_nifti(data, srows=srows))
+    path.write_bytes(raw_nifti(data, srows=srows))
     vol = read_volume(path)
     expected = np.flip(np.transpose(data, (2, 0, 1)), axis=1)
     assert np.array_equal(vol.data, expected)
@@ -582,7 +536,7 @@ def test_qform_identity_and_z_flip(tmp_path, rng):
     data = rng.normal(size=(3, 3, 4)).astype(np.float32)
     plain = tmp_path / "q.nii"
     plain.write_bytes(
-        _raw_nifti(data, pixdim=(1.0, 1.5, 2.0), qform={"offset": (1.0, 2.0, 3.0)})
+        raw_nifti(data, pixdim=(1.0, 1.5, 2.0), qform={"offset": (1.0, 2.0, 3.0)})
     )
     vol = read_volume(plain)
     assert np.array_equal(vol.data, data)
@@ -591,7 +545,7 @@ def test_qform_identity_and_z_flip(tmp_path, rng):
 
     flipped = tmp_path / "qflip.nii"
     flipped.write_bytes(
-        _raw_nifti(data, pixdim=(1.0, 1.5, 2.0), qform={"qfac": -1.0})
+        raw_nifti(data, pixdim=(1.0, 1.5, 2.0), qform={"qfac": -1.0})
     )
     back = read_volume(flipped)
     assert np.array_equal(back.data, np.flip(data, axis=2))
@@ -603,12 +557,12 @@ def test_qform_identity_and_z_flip(tmp_path, rng):
 def test_spacing_units_convert_to_millimetres(tmp_path, rng):
     data = rng.normal(size=(3, 3, 3)).astype(np.float32)
     metres = tmp_path / "m.nii"
-    metres.write_bytes(_raw_nifti(data, pixdim=(0.001, 0.002, 0.001), xyzt_units=1))
+    metres.write_bytes(raw_nifti(data, pixdim=(0.001, 0.002, 0.001), xyzt_units=1))
     vol = read_volume(metres)
     assert vol.spacing == pytest.approx((1.0, 2.0, 1.0))
 
     micro = tmp_path / "um.nii"
-    micro.write_bytes(_raw_nifti(data, pixdim=(500.0, 500.0, 1000.0), xyzt_units=3))
+    micro.write_bytes(raw_nifti(data, pixdim=(500.0, 500.0, 1000.0), xyzt_units=3))
     vol = read_volume(micro)
     assert vol.spacing == pytest.approx((0.5, 0.5, 1.0))
 
@@ -616,7 +570,7 @@ def test_spacing_units_convert_to_millimetres(tmp_path, rng):
 def test_nonstandard_vox_offset_is_honoured(tmp_path, rng):
     data = rng.normal(size=(2, 3, 4)).astype(np.float32)
     path = tmp_path / "offset.nii"
-    path.write_bytes(_raw_nifti(data, vox_offset=368))
+    path.write_bytes(raw_nifti(data, vox_offset=368))
     vol = read_volume(path)
     assert np.array_equal(vol.data, data)
 
@@ -696,3 +650,69 @@ def test_damaged_gzip_is_a_format_error(tmp_path, rng, defect):
     path.write_bytes(damaged_gzip(path.read_bytes(), defect))
     with pytest.raises(FormatError, match="corrupt gzip stream"):
         read_volume(path, kind="labels")
+
+
+# The label checks of a read, in the order they fail: a non-integral or
+# out-of-int32 value is a FormatError (exit 2) found before the layout copy;
+# a negative label is the ValidationError of ``Volume`` (exit 1); a label
+# outside the declared set is a LabelSetError (exit 1).  The set check runs
+# on the file's own dtype, so these pin that it still sees what the int32
+# copy held.
+LABEL_PRECEDENCE = {  # file dtype and byte order, values, error type, text, exit code
+    "negative_and_unknown": (np.int8, "<", (-1, 7), "ValidationError", "negative values", 1),
+    "unknown": (
+        np.uint8, "<", (7,), "LabelSetError", "unknown label(s) [7]; declared set is [0, 1, 2]", 1
+    ),
+    "float_unknown": (np.float32, "<", (3.0, 7.0), "LabelSetError", "unknown label(s) [3, 7];", 1),
+    "big_endian_unknown": (np.int16, ">", (300,), "LabelSetError", "unknown label(s) [300];", 1),
+    "beyond_int32": (np.int64, "<", (-1, 2**32 + 2), "FormatError", "exceed the int32 range", 2),
+}
+
+
+def _label_map(tmp_path, dtype, values, endian="<"):
+    data = np.zeros((4, 3, 5), dtype=dtype)
+    data[1, 1:3, 2] = 2
+    for i, value in enumerate(values):
+        data[0, i, 4 - i] = value
+    path = tmp_path / "pred.nii"
+    path.write_bytes(raw_nifti(data, endian=endian))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(LABEL_PRECEDENCE))
+def test_label_errors_keep_their_order_and_text(tmp_path, capsys, monkeypatch, case):
+    dtype, endian, values, kind, text, exit_code = LABEL_PRECEDENCE[case]
+    path = _label_map(tmp_path, dtype, values, endian)
+    with pytest.raises(PancsegError) as raised:
+        read_volume(path, kind="labels")
+    assert type(raised.value).__name__ == kind
+    assert text in str(raised.value)
+
+    ref = tmp_path / "ref.nii"
+    write_volume(Volume(np.zeros((4, 3, 5), dtype=np.int32), (1, 1, 1), kind="labels"), ref)
+    code = main(["eval-case", "--ref", str(ref), "--pred", str(path), "--json-errors"])
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert (error["type"], error["exit_code"]) == (kind, exit_code)
+    assert text in error["message"]
+
+    if kind == "FormatError":  # found before the layout copy is made
+
+        def no_copy(view, dtype):
+            raise AssertionError("layout copy reached")
+
+        monkeypatch.setattr(nifti, "_layout_copy", no_copy)
+        with pytest.raises(FormatError, match="int32 range"):
+            read_volume(path, kind="labels", label_set=None)
+
+
+def test_reads_without_a_label_set_skip_the_set_check(tmp_path, capsys):
+    path = _label_map(tmp_path, np.uint8, (7,))
+    assert read_volume(path, kind="labels", label_set=None).data.max() == 7
+    out = tmp_path / "out.nii"
+    argv = ["resample", "--input", str(path), "--output", str(out), "--kind", "labels"]
+    assert main(argv + ["--spacing", "1", "1", "1", "--json-errors"]) == 0
+    capsys.readouterr()
+    assert read_volume(out, kind="labels", label_set=None).data.max() == 7
