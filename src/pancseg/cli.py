@@ -27,7 +27,8 @@ from .augment import apply_pipeline, load_preset, preset
 from .ensemble import EnsembleSpec, combine, load_ensemble_spec, save_ensemble_spec
 from .errors import ConfigError, FormatError, PancsegError
 from .geometry import IMAGE_ORDERS, LABEL_ORDERS, ResamplePlan, resample_image, resample_labels
-from .metrics import EMPTY_POLICIES, VOLUME_UNITS, EvalConfig, aggregate_cohort, evaluate_case
+from .metrics import EMPTY_POLICIES, VOLUME_UNITS, BinaryMask, EvalConfig
+from .metrics import aggregate_cohort, evaluate_case
 from .nifti import read_volume, write_volume
 from .report import (
     case_report_to_dict,
@@ -79,31 +80,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    label_id: int = EvalConfig.label_id
-    tolerance_mm: float = EvalConfig.tolerance_mm
-    empty_policy: str = EvalConfig.empty_policy
-    volume_unit: str = EvalConfig.volume_unit
+class RunConfig(EvalConfig):
+    """The evaluation options, checked first, plus the run-wide ones."""
+
     seed: Optional[int] = None
     jobs: int = 1
     norm: str = "minmax"
     metric_weights: tuple[float, ...] = DEFAULT_WEIGHTS
 
     def __post_init__(self):
-        self.eval_config()
+        super().__post_init__()
         if not self.jobs >= 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.norm not in NORMALIZATIONS:
             raise ConfigError(f"normalization must be one of {NORMALIZATIONS}, got {self.norm!r}")
         check_weights(self.metric_weights)
-
-    def eval_config(self) -> EvalConfig:
-        return EvalConfig(
-            label_id=self.label_id,
-            tolerance_mm=self.tolerance_mm,
-            empty_policy=self.empty_policy,
-            volume_unit=self.volume_unit,
-        )
 
 
 # The one table of shared options: every RunConfig field and the parser that its
@@ -315,22 +306,25 @@ def cmd_ensemble(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _evaluate_files(ref_path, pred_path, config: EvalConfig, case_id: str):
+    """Read both label maps, then mask and score them."""
+    volumes = [read_volume(path, kind="labels") for path in (ref_path, pred_path)]
+    # both maps stay alive until scored: freeing each at its mask refaults fresh pages per read
+    ref, pred = (BinaryMask.from_labels(volume, config.label_id) for volume in volumes)
+    return evaluate_case(ref, pred, config, case_id=case_id)
+
+
 def cmd_eval_case(args, cfg: RunConfig) -> int:
-    config = cfg.eval_config()
-    ref = read_volume(args.ref, kind="labels")
-    pred = read_volume(args.pred, kind="labels")
     case_id = args.case_id or _default_case_id(args.pred)
-    case = evaluate_case(ref, pred, config, case_id=case_id)
-    prov = None if args.no_provenance else provenance(config_to_dict(config), [args.ref, args.pred])
-    _emit(dumps_json(case_report_to_dict(case, config, prov)), args.out)
+    case = _evaluate_files(args.ref, args.pred, cfg, case_id)
+    prov = None if args.no_provenance else provenance(config_to_dict(cfg), [args.ref, args.pred])
+    _emit(dumps_json(case_report_to_dict(case, cfg, prov)), args.out)
     return EXIT_OK
 
 
 def _evaluate_manifest(manifest, config: EvalConfig, jobs: int):
     def one(row):
-        ref = read_volume(row.reference, kind="labels")
-        pred = read_volume(row.prediction, kind="labels")
-        return evaluate_case(ref, pred, config, case_id=row.case_id)
+        return _evaluate_files(row.reference, row.prediction, config, row.case_id)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -339,10 +333,9 @@ def _evaluate_manifest(manifest, config: EvalConfig, jobs: int):
 
 
 def cmd_eval_cohort(args, cfg: RunConfig) -> int:
-    config = cfg.eval_config()
     manifest = read_manifest(args.manifest)
-    cases = _evaluate_manifest(manifest, config, cfg.jobs)
-    report = aggregate_cohort(cases, config)
+    cases = _evaluate_manifest(manifest, cfg, cfg.jobs)
+    report = aggregate_cohort(cases, cfg)
     if args.csv:
         _emit(report_to_csv(report), args.out)
         return EXIT_OK
@@ -351,7 +344,7 @@ def cmd_eval_cohort(args, cfg: RunConfig) -> int:
         inputs = [args.manifest]
         for row in manifest.rows:
             inputs.extend([row.reference, row.prediction])
-        prov = provenance(config_to_dict(config), inputs)
+        prov = provenance(config_to_dict(cfg), inputs)
     _emit(dumps_json(report_to_dict(report, prov)), args.out)
     return EXIT_OK
 
@@ -362,16 +355,15 @@ def cmd_select(args, cfg: RunConfig) -> int:
     if args.beam is not None and args.size_min != 1:
         raise ConfigError(f"--beam grows subsets from size 1; got --size-min {args.size_min}")
     pool = load_pool(args.pool)
-    config = cfg.eval_config()
     size_min = args.size_min
     size_max = args.size_max if args.size_max is not None else len(pool.members)
-    evaluator = SubsetEvaluator(pool, config)
+    evaluator = SubsetEvaluator(pool, cfg)
     if args.beam is not None:
         results = beam_search_subsets(
             pool,
             size_max=size_max,
             beam_width=args.beam,
-            config=config,
+            config=cfg,
             weights=cfg.metric_weights,
             norm=cfg.norm,
             evaluator=evaluator,
@@ -381,7 +373,7 @@ def cmd_select(args, cfg: RunConfig) -> int:
             pool,
             size_min=size_min,
             size_max=size_max,
-            config=config,
+            config=cfg,
             weights=cfg.metric_weights,
             norm=cfg.norm,
             budget=args.budget,
@@ -411,7 +403,7 @@ def cmd_select(args, cfg: RunConfig) -> int:
         "size_min": size_min,
         "size_max": size_max,
         "beam_width": args.beam,
-        **config_to_dict(config),
+        **config_to_dict(cfg),
     }
     inputs = {str(args.pool)}
     for case_id, ref_path in pool.cases:

@@ -1,5 +1,9 @@
 """The five challenge metrics over binary tumor masks.
 
+Every metric function, ``evaluate_case`` included, takes ``BinaryMask``s; a
+label map becomes its tumor mask through ``BinaryMask.from_labels(volume,
+config.label_id)``, the one masking rule.
+
 Tumor Dice, Surface Dice at tolerance, MASD and HD95 are computed with
 area-weighted surfel semantics: surface elements live on the dual grid
 between voxels, carry marching-cubes patch areas, and directed distances are
@@ -107,6 +111,11 @@ class BinaryMask:
 
     def is_empty(self) -> bool:
         return self.voxels == 0
+
+    def physical_diagonal_mm(self) -> float:
+        """Length of the grid diagonal in mm (used as the surface penalty)."""
+        ext = [d * s for d, s in zip(self.dims, self.spacing)]
+        return float(np.sqrt(sum(e * e for e in ext)))
 
 
 def dice(ref: BinaryMask, pred: BinaryMask) -> tuple[float, tuple[str, ...]]:
@@ -291,21 +300,16 @@ class CaseMetrics:
 
 
 def evaluate_case(
-    ref: Volume,
-    pred: Volume,
+    ref: BinaryMask,
+    pred: BinaryMask,
     config: EvalConfig = EvalConfig(),
     case_id: str = "case",
 ) -> CaseMetrics:
-    """All five per-case metric fields for one reference/prediction pair."""
-    if ref.kind != "labels" or pred.kind != "labels":
-        raise ValidationError("evaluate_case expects two label volumes")
+    """All five per-case metric fields for one reference/prediction mask pair."""
     check_same_grid((ref.dims, ref.spacing), (pred.dims, pred.spacing), "label volume")
-    ref_mask = BinaryMask.from_labels(ref, config.label_id)
-    pred_mask = BinaryMask.from_labels(pred, config.label_id)
-
-    vol_ref = tumor_volume(ref_mask)
-    vol_pred = tumor_volume(pred_mask)
-    dice_value, flags = dice(ref_mask, pred_mask)
+    vol_ref = tumor_volume(ref)
+    vol_pred = tumor_volume(pred)
+    dice_value, flags = dice(ref, pred)
 
     if "both_empty" in flags:
         sdice, masd_mm, hd95_mm = 1.0, 0.0, 0.0
@@ -317,7 +321,7 @@ def evaluate_case(
         else:
             sdice = masd_mm = hd95_mm = None
     else:
-        sd = surface_distances(ref_mask, pred_mask)
+        sd = surface_distances(ref, pred)
         sdice = surface_dice(sd, config.tolerance_mm)
         masd_mm = masd(sd)
         hd95_mm = hd95(sd)

@@ -1,11 +1,12 @@
 """Metric-aware ensemble subset search.
 
 Every candidate subset of the member pool is combined on the validation
-cases, evaluated with the five challenge metrics, and scored by a composite:
-each metric is normalized across the evaluated population (min-max by
-default, rank optionally), aligned so higher is always better, and the
-composite is the weighted mean.  Ranking ties break toward fewer members,
-then lexicographic member ids, so leaderboards are reproducible.
+cases, masked, evaluated with the five challenge metrics against each case's
+reference mask, and scored by a composite: each metric is normalized across
+the evaluated population (min-max by default, rank optionally), aligned so
+higher is always better, and the composite is the weighted mean.  Ranking
+ties break toward fewer members, then lexicographic member ids, so
+leaderboards are reproducible.
 
 Min-max normalization keeps the argmax invariant under positive affine
 transforms of a raw metric; rank normalization extends that to arbitrary
@@ -34,6 +35,7 @@ from .ensemble import (
 from .metrics import (
     CASE_METRICS,
     VOLUME_RMSE,
+    BinaryMask,
     CohortReport,
     EvalConfig,
     aggregate_cohort,
@@ -119,7 +121,6 @@ def load_pool(path: str | Path) -> CandidatePool:
 @dataclass(frozen=True)
 class CompositeScore:
     normalized: tuple[float, ...]  # direction-aligned, one per METRIC_FIELDS entry
-    weights: tuple[float, ...]
     score: float
 
 
@@ -200,7 +201,6 @@ def normalize_metrics(
     return [
         CompositeScore(
             normalized=tuple(float(x) for x in normalized[i]),
-            weights=weights,
             score=float(scores[i]),
         )
         for i in range(len(reports))
@@ -217,7 +217,8 @@ class SubsetEvaluator:
     active rest is gathered and fused.  The fused labels are bit-identical
     to a full-volume fusion (see ``ensemble``), and all per-subset checks
     still run per case in the same order, so a defective pool fails with the
-    same error at the same subset.
+    same error at the same subset.  Each case's reference is read and masked
+    once; each fused prediction is masked and scored against it.
 
     Reports are memoized by the sorted member ids, which a pool keeps
     unique.
@@ -227,16 +228,17 @@ class SubsetEvaluator:
         self.pool = pool
         self.config = config
         self.base_dir = Path(pool.base_dir) if pool.base_dir else None
-        self._references: dict[str, Volume] = {}
+        self._references: dict[str, BinaryMask] = {}
         self._members: dict[tuple[str, str], tuple[Volume, np.ndarray]] = {}
         self._member_digests: dict[str, str] = {}
         self._reports: dict[tuple[str, ...], CohortReport] = {}
         self._members_by_id = {m.member_id: m for m in pool.members}
 
-    def _reference(self, case_id: str, ref_path: str):
+    def _reference(self, case_id: str, ref_path: str) -> BinaryMask:
         if case_id not in self._references:
             path = resolve_relative(ref_path, self.base_dir)
-            self._references[case_id] = read_volume(path, kind="labels")
+            volume = read_volume(path, kind="labels")
+            self._references[case_id] = BinaryMask.from_labels(volume, self.config.label_id)
         return self._references[case_id]
 
     def _member(self, member_id: str, case_id: str) -> tuple[Volume, np.ndarray]:
@@ -277,7 +279,8 @@ class SubsetEvaluator:
                 volumes[mid], codes[mid] = self._member(mid, case_id)
             combined = combine_volumes(spec, volumes, codes)
             ref = self._reference(case_id, ref_path)
-            cases.append(evaluate_case(ref, combined, self.config, case_id=case_id))
+            pred = BinaryMask.from_labels(combined, self.config.label_id)
+            cases.append(evaluate_case(ref, pred, self.config, case_id=case_id))
         report = aggregate_cohort(cases, self.config)
         self._reports[member_ids] = report
         return report

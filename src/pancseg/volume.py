@@ -175,15 +175,6 @@ class Volume:
             raise ValidationError("n_classes is only defined for probability stacks")
         return int(self.data.shape[3])
 
-    def voxel_volume_mm3(self) -> float:
-        sx, sy, sz = self.spacing
-        return sx * sy * sz
-
-    def physical_diagonal_mm(self) -> float:
-        """Length of the image diagonal in mm (used as the surface penalty)."""
-        ext = [d * s for d, s in zip(self.dims, self.spacing)]
-        return float(np.sqrt(sum(e * e for e in ext)))
-
     def same_grid(self, other: "Volume") -> bool:
         return same_grid((self.dims, self.spacing), (other.dims, other.spacing))
 

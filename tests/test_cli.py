@@ -414,6 +414,41 @@ def test_eval_case_grid_mismatch_is_a_validation_error(tmp_path, capsys):
     assert "error" in err
 
 
+# A case with two defects reports the one its first failing step meets: both
+# reads come before the grid check.
+TWO_DEFECTS = {
+    "unknown_ref_label_and_grid": ("LabelSetError", 1, "unknown label(s) [5]"),
+    "truncated_pred_and_grid": ("FormatError", 2, "pred.nii.gz"),
+    "grid_only": ("GridMismatchError", 1, "label volume grids differ"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval-case", "eval-cohort"])
+@pytest.mark.parametrize("defects", sorted(TWO_DEFECTS))
+def test_eval_reports_the_first_of_two_defects(tmp_path, capsys, command, defects):
+    ref = tmp_path / "ref.nii.gz"
+    pred = tmp_path / "pred.nii.gz"
+    ref_labels = _ball()
+    if defects.startswith("unknown_ref_label"):
+        ref_labels[0, 0, 0] = 5
+    _write_labels(ref, ref_labels)
+    _write_labels(pred, _ball(dims=(11, 11, 11)))
+    if defects.startswith("truncated_pred"):
+        pred.write_bytes(damaged_gzip(pred.read_bytes(), "truncated"))
+    if command == "eval-case":
+        argv = ["eval-case", "--ref", str(ref), "--pred", str(pred)]
+    else:
+        manifest = tmp_path / "cohort.csv"
+        manifest.write_text(f"case_id,reference,prediction\nc1,{ref},{pred}\n")
+        argv = ["eval-cohort", "--manifest", str(manifest)]
+    code, out, err = _run(capsys, *argv, "--json-errors")
+    error_type, exit_code, text = TWO_DEFECTS[defects]
+    assert (code, out) == (exit_code, "")
+    doc = json.loads(err)["error"]
+    assert (doc["type"], doc["exit_code"]) == (error_type, exit_code)
+    assert text in doc["message"]
+
+
 def _cohort_fixture(tmp_path):
     rows = ["case_id,reference,prediction"]
     for i, shift in enumerate(((0, 0, 0), (1, 0, 0))):

@@ -69,6 +69,8 @@ def test_binary_mask_basics(rng):
         BinaryMask.from_labels(Volume(np.zeros((2, 2, 2), dtype=np.float32), (1, 1, 1)), 2)
     with pytest.raises(ValidationError):
         BinaryMask(np.zeros((2, 2)), (1, 1, 1))
+    grid = BinaryMask(np.zeros((4, 5, 6), dtype=bool), (0.5, 2.0, 3.0))
+    assert grid.physical_diagonal_mm() == pytest.approx(np.sqrt(2.0**2 + 10.0**2 + 18.0**2))
 
 
 def test_dice_hand_cases():
@@ -257,12 +259,16 @@ def test_dice_matches_brute_force(rng):
         assert got == pytest.approx(brute_dice(a, b), abs=1e-12)
 
 
+def _tumor(labels, label_id=2):
+    return BinaryMask.from_labels(labels, label_id)
+
+
 def test_evaluate_case_happy_path(rng):
     dims = (8, 8, 8)
     spacing = (1.0, 1.5, 2.0)
     ref = label_volume(random_mask(rng, dims, "blob"), spacing)
     pred = label_volume(random_mask(rng, dims, "blob"), spacing)
-    case = evaluate_case(ref, pred, EvalConfig(), case_id="case_07")
+    case = evaluate_case(_tumor(ref), _tumor(pred), EvalConfig(), case_id="case_07")
     assert case.case_id == "case_07"
     assert case.flags == ()
     assert 0.0 <= case.dice <= 1.0
@@ -279,16 +285,16 @@ def test_evaluate_case_selects_the_tumor_label():
     data[0, 0, 0] = 1  # pancreas voxel, must not count as tumor
     data[2, 2, 2] = 2
     ref = Volume(data, (1, 1, 1), kind="labels")
-    case = evaluate_case(ref, ref, EvalConfig(label_id=2))
+    case = evaluate_case(_tumor(ref), _tumor(ref), EvalConfig(label_id=2))
     assert case.volume_ref_mm3 == 1.0
     assert case.dice == 1.0
-    pancreas = evaluate_case(ref, ref, EvalConfig(label_id=1))
+    pancreas = evaluate_case(_tumor(ref, 1), _tumor(ref, 1), EvalConfig(label_id=1))
     assert pancreas.volume_ref_mm3 == 1.0
 
 
 def test_evaluate_case_both_empty():
     ref = label_volume(np.zeros((4, 4, 4), dtype=bool), (1, 2, 3))
-    case = evaluate_case(ref, ref, EvalConfig())
+    case = evaluate_case(_tumor(ref), _tumor(ref), EvalConfig())
     assert case.dice == 1.0
     assert case.surface_dice_5mm == 1.0
     assert case.masd_mm == 0.0
@@ -301,7 +307,7 @@ def test_evaluate_case_one_empty_penalize(rng):
     spacing = (1.0, 2.0, 0.5)
     ref = label_volume(random_mask(rng, dims), spacing)
     pred = label_volume(np.zeros(dims, dtype=bool), spacing)
-    case = evaluate_case(ref, pred, EvalConfig(empty_policy="penalize"))
+    case = evaluate_case(_tumor(ref), _tumor(pred), EvalConfig(empty_policy="penalize"))
     diag = float(np.sqrt(sum((d * s) ** 2 for d, s in zip(dims, spacing))))
     assert case.dice == 0.0
     assert case.surface_dice_5mm == 0.0
@@ -314,7 +320,7 @@ def test_evaluate_case_one_empty_exclude(rng):
     dims = (4, 5, 6)
     ref = label_volume(np.zeros(dims, dtype=bool), (1, 1, 1))
     pred = label_volume(random_mask(rng, dims), (1, 1, 1))
-    case = evaluate_case(ref, pred, EvalConfig(empty_policy="exclude"))
+    case = evaluate_case(_tumor(ref), _tumor(pred), EvalConfig(empty_policy="exclude"))
     assert case.dice == 0.0
     assert case.surface_dice_5mm is None
     assert case.masd_mm is None
@@ -326,7 +332,7 @@ def test_evaluate_case_rejects_mismatched_grids(rng):
     ref = label_volume(random_mask(rng, (4, 4, 4)), (1, 1, 1))
     pred = label_volume(random_mask(rng, (4, 4, 5)), (1, 1, 1))
     with pytest.raises(GridMismatchError):
-        evaluate_case(ref, pred)
+        evaluate_case(_tumor(ref), _tumor(pred))
 
 
 def _case(case_id, dice_v, sdice, masd_v, hd, vr, vp, flags=()):

@@ -15,7 +15,8 @@ of the ``correlate`` form ``ref_neighbour_codes`` that the shifted-slice sum of
 ``neighbour_codes`` replaced; of the plain one-pass copy ``ref_layout_copy``
 that the slab-staged ``nifti._layout_copy`` replaced; and of the
 ``sum(axis=-1)`` form ``ref_check_probabilities`` that the column adds of
-``volume.class_sums`` replaced.  They stay here as the reference the
+``volume.class_sums`` replaced; and of the label-volume ``ref_evaluate_case``
+that the mask-taking ``metrics.evaluate_case`` replaced.  They stay here as the reference the
 shared code must match bit for bit, including on forced ties and unequal
 weights, and error for error.
 """
@@ -56,13 +57,19 @@ from pancseg.geometry import (
     sample_points,
 )
 from pancseg.metrics import (
+    EMPTY_POLICIES,
     BinaryMask,
+    CaseMetrics,
     EvalConfig,
     SurfaceDistances,
     dice,
     edt,
     evaluate_case,
+    hd95,
+    masd,
+    surface_dice,
     surface_distances,
+    tumor_volume,
 )
 from pancseg import nifti
 from pancseg.nifti import _DTYPE_BY_CODE, read_volume, write_volume
@@ -335,6 +342,45 @@ def ref_edt(mask: BinaryMask) -> np.ndarray:
     if mask.is_empty():
         return np.full(mask.dims, np.inf)
     return ndimage.distance_transform_edt(~mask.bits, sampling=mask.spacing)
+
+
+def ref_evaluate_case(ref, pred, config=EvalConfig(), case_id="case") -> CaseMetrics:
+    if ref.kind != "labels" or pred.kind != "labels":
+        raise ValidationError("evaluate_case expects two label volumes")
+    check_same_grid((ref.dims, ref.spacing), (pred.dims, pred.spacing), "label volume")
+    ref_mask = BinaryMask.from_labels(ref, config.label_id)
+    pred_mask = BinaryMask.from_labels(pred, config.label_id)
+
+    vol_ref = tumor_volume(ref_mask)
+    vol_pred = tumor_volume(pred_mask)
+    dice_value, flags = dice(ref_mask, pred_mask)
+
+    if "both_empty" in flags:
+        sdice, masd_mm, hd95_mm = 1.0, 0.0, 0.0
+    elif flags:  # exactly one side empty
+        if config.empty_policy == "penalize":
+            ext = [d * s for d, s in zip(ref.dims, ref.spacing)]  # Volume.physical_diagonal_mm
+            diag = float(np.sqrt(sum(e * e for e in ext)))
+            sdice, masd_mm, hd95_mm = 0.0, diag, diag
+            flags = flags + ("penalized",)
+        else:
+            sdice = masd_mm = hd95_mm = None
+    else:
+        sd = surface_distances(ref_mask, pred_mask)
+        sdice = surface_dice(sd, config.tolerance_mm)
+        masd_mm = masd(sd)
+        hd95_mm = hd95(sd)
+
+    return CaseMetrics(
+        case_id=case_id,
+        dice=dice_value,
+        surface_dice_5mm=sdice,
+        masd_mm=masd_mm,
+        hd95_mm=hd95_mm,
+        volume_ref_mm3=vol_ref,
+        volume_pred_mm3=vol_pred,
+        flags=flags,
+    )
 
 
 def ref_neighbour_codes(bits: np.ndarray) -> np.ndarray:
@@ -861,6 +907,59 @@ def test_surface_distances_do_not_depend_on_the_embedding(seed, dims, fills, low
         _same(getattr(got, name), getattr(want, name))
 
 
+# ------------------------------------------------------- case evaluation
+
+
+def _label_map(rng, dims, tumor_fill):
+    """Labels 0 and 1 with tumor label 2 at about ``tumor_fill``; a fill of 0
+    leaves no tumor."""
+    data = (rng.random(dims) < 0.4).astype(np.int32)
+    data[rng.random(dims) < tumor_fill] = 2
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=MASK_DIMS,
+    fills=st.tuples(FILLS, FILLS),
+    label_id=st.sampled_from([1, 2, 7]),  # 7 is held by neither map
+    empty_policy=st.sampled_from(EMPTY_POLICIES),
+    tolerance=st.sampled_from([0.0, 1.0, 5.0]),
+    spacing=MASK_SPACINGS,
+)
+@example(0, (4, 3, 2), (0.0, 0.0), 2, "penalize", 5.0, (0.78125, 0.78125, 2.5))
+@example(0, (4, 3, 2), (0.3, 0.0), 2, "penalize", 5.0, (0.78125, 0.78125, 2.5))
+@example(0, (4, 3, 2), (0.3, 0.0), 2, "exclude", 5.0, (0.78125, 0.78125, 2.5))
+@example(0, (4, 3, 2), (0.0, 0.3), 2, "penalize", 5.0, (1.0, 1.5, 3.0))
+@example(0, (4, 3, 2), (0.0, 0.3), 2, "exclude", 5.0, (1.0, 1.5, 3.0))
+@example(0, (4, 3, 2), (0.3, 0.3), 7, "exclude", 5.0, (1.0, 1.5, 3.0))
+def test_evaluate_case_on_masks_matches_the_label_volume_form(
+    seed, dims, fills, label_id, empty_policy, tolerance, spacing
+):
+    rng = np.random.default_rng(seed)
+    ref, pred = (Volume(_label_map(rng, dims, f), spacing, kind="labels") for f in fills)
+    config = EvalConfig(label_id=label_id, tolerance_mm=tolerance, empty_policy=empty_policy)
+    want = ref_evaluate_case(ref, pred, config, case_id="c7")
+    masks = (BinaryMask.from_labels(v, label_id) for v in (ref, pred))
+    assert evaluate_case(*masks, config, case_id="c7") == want
+
+
+def test_evaluate_case_on_masks_keeps_the_grid_error():
+    ref = Volume(np.zeros((4, 4, 4), dtype=np.int32), (1.0, 1.0, 1.0), kind="labels")
+    pred = Volume(np.zeros((4, 4, 5), dtype=np.int32), (1.0, 1.0, 1.0), kind="labels")
+    errors = []
+    for call in (
+        lambda: ref_evaluate_case(ref, pred),
+        lambda: evaluate_case(BinaryMask.from_labels(ref, 2), BinaryMask.from_labels(pred, 2)),
+    ):
+        with pytest.raises(GridMismatchError) as info:
+            call()
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("label volume grids differ")
+
+
 # ------------------------------------------------------- grid tolerance
 
 
@@ -891,9 +990,7 @@ def test_every_grid_check_shares_one_tolerance(rng, rel, accepted):
         "surface_distances": lambda: surface_distances(
             BinaryMask(bits, spacing), BinaryMask(bits, other)
         ),
-        "evaluate_case": lambda: evaluate_case(
-            Volume(labels, spacing, kind="labels"), Volume(labels, other, kind="labels")
-        ),
+        "evaluate_case": lambda: evaluate_case(BinaryMask(bits, spacing), BinaryMask(bits, other)),
         "resample_image": lambda: resample_image(
             image_volume(rng, dims, other), ResamplePlan(dims, spacing, (1.0, 1.0, 1.0))
         ),

@@ -7,7 +7,7 @@ import pytest
 
 from pancseg.ensemble import EnsembleMember, EnsembleSpec
 from pancseg.errors import BudgetExceededError, ConfigError, FormatError, ValidationError
-from pancseg.metrics import CohortReport, EvalConfig
+from pancseg.metrics import BinaryMask, CohortReport, EvalConfig
 from pancseg import selection
 from pancseg.nifti import write_volume
 from pancseg.selection import (
@@ -446,3 +446,35 @@ def test_consensus_codes_are_computed_once_per_member_and_case(tmp_path, rng, mo
     assert len(calls) == 10
     beam_search_subsets(pool, 5, 2, evaluator=evaluator)
     assert len(calls) == 10
+
+
+def test_reference_masks_are_built_once_per_case(tmp_path, rng, monkeypatch):
+    fused, masked = [], []
+    real_combine = selection.combine_volumes
+    real_from_labels = BinaryMask.from_labels
+
+    def combining(*args):
+        fused.append(real_combine(*args))
+        return fused[-1]
+
+    def masking(volume, label_id):
+        masked.append(volume)
+        return real_from_labels(volume, label_id)
+
+    monkeypatch.setattr(selection, "combine_volumes", combining)
+    monkeypatch.setattr(BinaryMask, "from_labels", staticmethod(masking))
+    refs = {"c1": _ball(), "c2": _ball(shift=(1, 0, 0))}
+    predictions = {
+        f"m{i}": {case: _flip(ref, rng, 20) for case, ref in refs.items()} for i in range(4)
+    }
+    pool = _write_pool(tmp_path, predictions, refs)
+    evaluator = SubsetEvaluator(pool, EvalConfig())
+
+    def reference_masks():
+        return [v for v in masked if not any(v is f for f in fused)]
+
+    assert len(search_subsets(pool, 1, 4, evaluator=evaluator)) == 15
+    assert len(reference_masks()) == 2
+    assert len(masked) == len(fused) + 2  # every fused prediction is masked once
+    beam_search_subsets(pool, 4, 2, evaluator=evaluator)
+    assert len(reference_masks()) == 2

@@ -81,8 +81,6 @@ def test_volume_data_is_frozen():
 def test_volume_helpers(rng):
     vol = Volume(np.zeros((4, 5, 6), dtype=np.float32), (0.5, 2.0, 3.0), origin=(1, 2, 3))
     assert vol.dims == (4, 5, 6)
-    assert vol.voxel_volume_mm3() == pytest.approx(3.0)
-    assert vol.physical_diagonal_mm() == pytest.approx(np.sqrt(2.0**2 + 10.0**2 + 18.0**2))
     other = Volume(np.ones((4, 5, 6), dtype=np.float32), (0.5 * (1 + 5e-6), 2.0, 3.0))
     assert vol.same_grid(other)
     assert not vol.same_grid(Volume(np.zeros((4, 5, 7), dtype=np.float32), (0.5, 2.0, 3.0)))
