@@ -30,7 +30,7 @@ from scipy import ndimage
 
 from .errors import ConfigError, EmptySurfaceError, ValidationError
 from .surfels import border_map, neighbour_codes, surfel_area_table
-from .volume import Volume, check_same_grid
+from .volume import Volume, check_same_grid, check_spacing
 
 EMPTY_POLICIES = ("penalize", "exclude")
 VOLUME_UNITS = ("mm3", "ml")
@@ -52,6 +52,12 @@ CASE_VOLUMES = ("volume_ref_mm3", "volume_pred_mm3")  # exact, in mm^3, after th
 VOLUME_RMSE = "volume_rmse"  # cohort-level, over all cases; lower is better
 
 
+def check_tolerance(tolerance_mm: float) -> None:
+    """Raise ConfigError unless the surface dice tolerance is finite and >= 0."""
+    if not (0 <= tolerance_mm < np.inf):
+        raise ConfigError(f"tolerance_mm must be finite and >= 0, got {tolerance_mm}")
+
+
 def mean_field(name: str) -> str:
     """The CohortReport field holding the cohort mean of a per-case metric."""
     return "mean_" + name
@@ -67,8 +73,7 @@ class EvalConfig:
     def __post_init__(self):
         if not (0 <= self.label_id <= LABEL_ID_MAX):
             raise ConfigError(f"label_id must be in [0, {LABEL_ID_MAX}], got {self.label_id}")
-        if not (0 <= self.tolerance_mm < np.inf):
-            raise ConfigError(f"tolerance_mm must be finite and >= 0, got {self.tolerance_mm}")
+        check_tolerance(self.tolerance_mm)
         if self.empty_policy not in EMPTY_POLICIES:
             raise ConfigError(f"empty_policy must be one of {EMPTY_POLICIES}")
         if self.volume_unit not in VOLUME_UNITS:
@@ -91,8 +96,7 @@ class BinaryMask:
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        if any(s <= 0 for s in self.spacing):
-            raise ValidationError(f"spacing must be positive, got {self.spacing}")
+        check_spacing(self.spacing)
 
     @classmethod
     def from_labels(cls, volume: Volume, label_id: int) -> "BinaryMask":
@@ -245,8 +249,7 @@ def surface_distances(ref: BinaryMask, pred: BinaryMask) -> SurfaceDistances:
 
 def surface_dice(sd: SurfaceDistances, tolerance_mm: float) -> float:
     """Area fraction of both surfaces lying within tolerance of the other."""
-    if tolerance_mm < 0:
-        raise ConfigError(f"tolerance must be >= 0, got {tolerance_mm}")
+    check_tolerance(tolerance_mm)
     total = sd.total_area_ref() + sd.total_area_pred()
     if total == 0:
         raise EmptySurfaceError("surface dice is undefined for two empty surfaces")

@@ -72,6 +72,12 @@ def label_argmax(values: np.ndarray, score, shape) -> np.ndarray:
     return out
 
 
+def check_spacing(spacing: tuple) -> None:
+    """Raise ValidationError unless ``spacing`` is 3 positive finite reals."""
+    if len(spacing) != 3 or not all(0 < s < np.inf for s in spacing):
+        raise ValidationError(f"spacing must be 3 positive finite reals, got {spacing}")
+
+
 def same_grid(a, b) -> bool:
     """True when two ``(dims, spacing)`` grids have equal dims and spacings
     equal to within ``GRID_RTOL`` relative."""
@@ -146,8 +152,7 @@ class Volume:
             )
         if any(d < 1 for d in data.shape):
             raise ValidationError(f"dims must all be >= 1, got {data.shape}")
-        if len(self.spacing) != 3 or not all(0 < s < np.inf for s in self.spacing):
-            raise ValidationError(f"spacing must be 3 positive finite reals, got {self.spacing}")
+        check_spacing(self.spacing)
         if len(self.origin) != 3 or not np.isfinite(self.origin).all():
             raise ValidationError(f"origin must be 3 finite reals, got {self.origin}")
         self._validate_values(data)

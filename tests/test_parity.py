@@ -8,8 +8,10 @@ per-path separable tap loops and one-hot score stacks decoded by
 nearest indices and three-array fancy-index gathers, that the single
 linear-index gather replaced; of the full-volume fusion
 (``average_probabilities`` then ``argmax_labels``, and ``majority_vote``)
-that the settled/active split replaced; of the per-code loop of
-``surfel_area_table`` that its array form replaced; of the full-map distance
+that the settled/active split replaced; of the per-code loop
+``ref_surfel_area_table``, which reads the verbatim normals table in
+``oracles.py``, that the ten-row-area form of ``surfel_area_table`` replaced;
+of the full-map distance
 transform ``ref_edt`` that ``metrics.edt``'s query-voxel distances replaced; and
 of the ``correlate`` form ``ref_neighbour_codes`` that the shifted-slice sum of
 ``neighbour_codes`` replaced; of the plain one-pass copy ``ref_layout_copy``
@@ -74,12 +76,7 @@ from pancseg.metrics import (
 from pancseg import nifti
 from pancseg.nifti import _DTYPE_BY_CODE, read_volume, write_volume
 from pancseg.selection import CandidatePool, SubsetEvaluator, beam_search_subsets, search_subsets
-from pancseg.surfels import (
-    _NEIGHBOUR_CODE_TO_NORMALS,
-    CODE_KERNEL,
-    neighbour_codes,
-    surfel_area_table,
-)
+from pancseg.surfels import CODE_KERNEL, neighbour_codes, surfel_area_table
 from pancseg.volume import (
     PROB_SUM_TOL,
     Volume,
@@ -91,6 +88,7 @@ from pancseg.volume import (
 )
 
 from conftest import image_volume, orientation_srows, probability_volume, raw_nifti
+from oracles import NEIGHBOUR_CODE_TO_NORMALS
 
 # ------------------------------------------------------- reference copies
 
@@ -330,7 +328,7 @@ def ref_surfel_area_table(spacing) -> np.ndarray:
     s0, s1, s2 = (float(s) for s in spacing)
     table = np.zeros(256, dtype=np.float64)
     for code in range(256):
-        normals = np.asarray(_NEIGHBOUR_CODE_TO_NORMALS[code], dtype=np.float64)
+        normals = np.asarray(NEIGHBOUR_CODE_TO_NORMALS[code], dtype=np.float64)
         scaled = normals * np.array([s1 * s2, s0 * s2, s0 * s1])
         table[code] = np.sqrt((scaled * scaled).sum(axis=1)).sum()
     table[0] = 0.0
@@ -834,6 +832,10 @@ def test_surfel_area_table_matches_reference():
     spacings = [(1.0, 1.0, 1.0), (0.78125, 0.78125, 2.5), (1e-3, 7.0, 0.3)]
     spacings += [tuple(rng.uniform(0.05, 8.0, 3)) for _ in range(200)]
     spacings += [tuple(np.float32(rng.uniform(0.05, 8.0, 3))) for _ in range(200)]
+    # extremes: every mix of tiny, unit and huge axes, then log-uniform draws
+    spacings += list(itertools.product((1e-4, 1e-2, 1.0, 1e3), repeat=3))
+    spacings += [tuple(10.0 ** rng.uniform(-4.0, 3.0, 3)) for _ in range(400)]
+    spacings += [tuple(np.float32(10.0 ** rng.uniform(-4.0, 3.0, 3))) for _ in range(400)]
     for spacing in spacings:
         _same(surfel_area_table(spacing), ref_surfel_area_table(spacing))
 
