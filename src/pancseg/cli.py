@@ -67,7 +67,7 @@ EXIT_IO = 2
 ENV_PREFIX = "PANCSEG_"
 
 
-class _UsageError(Exception):
+class UsageError(Exception):
     def __init__(self, parser: argparse.ArgumentParser, message: str):
         super().__init__(message)
         self.parser = parser
@@ -76,7 +76,7 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; the documented contract is 1
     def error(self, message):
-        raise _UsageError(self, message)
+        raise UsageError(self, message)
 
 
 @dataclass(frozen=True)
@@ -568,9 +568,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        exc.parser.print_usage(sys.stderr)
-        sys.stderr.write(f"pancseg: error: {exc}\n")
+    except UsageError as exc:
+        # argparse stopped before it set args.json_errors: read the raw flag,
+        # or an abbreviation that argparse would take for it
+        raw = sys.argv[1:] if argv is None else argv
+        if any(len(t) >= 4 and "--json-errors".startswith(t) for t in raw):
+            _emit_error(exc, EXIT_VALIDATION, True)
+        else:
+            exc.parser.print_usage(sys.stderr)
+            sys.stderr.write(f"pancseg: error: {exc}\n")
         return EXIT_VALIDATION
     json_errors = bool(getattr(args, "json_errors", False))
     try:

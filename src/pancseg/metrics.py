@@ -7,8 +7,13 @@ config.label_id)``, the one masking rule.
 Tumor Dice, Surface Dice at tolerance, MASD and HD95 are computed with
 area-weighted surfel semantics: surface elements live on the dual grid
 between voxels, carry marching-cubes patch areas, and directed distances are
-read from the opposing surface's Euclidean distance transform.  Tumor Volume
-RMSE is aggregated at cohort level from exact per-case voxel volumes.
+read from the opposing surface's Euclidean distance transform.  That feature
+transform runs on the query surfels' bbox grown by a margin, not on the whole
+crop; a surfel keeps its distance only when it is below its distance to every
+inner face of that domain, so no feature outside it can be nearer, and the
+others retry on a wider one.  A parity test pins every distance to the
+full-crop value bit for bit, forced ties included.  Tumor Volume RMSE is
+aggregated at cohort level from exact per-case voxel volumes.
 
 Empty masks are handled by an explicit, report-visible policy:
 
@@ -36,6 +41,11 @@ EMPTY_POLICIES = ("penalize", "exclude")
 VOLUME_UNITS = ("mm3", "ml")
 
 HD_FRACTION = 0.95
+# edt(mask, where): first domain margin in largest voxel sides, and the relative
+# guard that sends a near-tie with a feature outside the domain to a retry
+# instead of resting it on scipy's internal rounding (see edt)
+EDT_MARGIN_SIDES = 4
+EDT_TIE_GUARD = 1 + 1e-12
 # label maps hold non-negative int32 values (Volume and read_volume enforce it)
 LABEL_ID_MAX = int(np.iinfo(np.int32).max)
 
@@ -136,6 +146,21 @@ def dice(ref: BinaryMask, pred: BinaryMask) -> tuple[float, tuple[str, ...]]:
     return 2.0 * inter / total, ()
 
 
+def _feature_transform(bits: np.ndarray, spacing) -> np.ndarray:
+    return ndimage.distance_transform_edt(
+        ~bits, sampling=spacing, return_distances=False, return_indices=True
+    )
+
+
+def _distances(offsets: np.ndarray, spacing) -> np.ndarray:
+    # scipy's own arithmetic on feature offsets (axis 0 holds the three axes)
+    dist = offsets.astype(np.float64)
+    for axis, step in enumerate(spacing):
+        dist[axis] *= step
+    np.multiply(dist, dist, dist)
+    return np.sqrt(np.add.reduce(dist, axis=0))
+
+
 def edt(mask: BinaryMask, where: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact anisotropic distance (mm) to the nearest true voxel center, from
     the ``where`` voxel centers in C order (every voxel, as a grid, when
@@ -143,24 +168,52 @@ def edt(mask: BinaryMask, where: Optional[np.ndarray] = None) -> np.ndarray:
 
     The distances are scipy's own arithmetic on its feature transform, applied
     only at the query voxels, so they equal ``distance_transform_edt`` bit for
-    bit.
+    bit.  With ``where``, the feature transform runs on the queries' bbox
+    grown by ``EDT_MARGIN_SIDES`` largest voxel sides (in mm, per axis).  A
+    query keeps its distance ``d`` only if ``d`` is strictly below, with a
+    relative guard of ``EDT_TIE_GUARD``, its distance ``fl(k * s)`` to every
+    inner domain face that is not a grid face (``k`` voxels away on an axis
+    of side ``s``): every feature beyond such a face gets a computed distance
+    of at least that, since ``sqrt(fl(x * x)) == |x|`` and adding squares
+    never lowers a float sum.  The other queries retry on their own bbox
+    with the margin doubled; the last try is the whole grid.
     """
     if mask.is_empty():
         return np.full(mask.dims if where is None else int(np.count_nonzero(where)), np.inf)
-    nearest = ndimage.distance_transform_edt(
-        ~mask.bits, sampling=mask.spacing, return_distances=False, return_indices=True
-    )
     if where is None:
-        offsets = nearest - np.indices(mask.dims, dtype=nearest.dtype)
-    else:
-        flat = np.flatnonzero(where)
-        points = np.unravel_index(flat, mask.dims)
-        offsets = nearest.reshape(3, -1)[:, flat] - np.array(points, dtype=nearest.dtype)
-    dist = offsets.astype(np.float64)
-    for axis, step in enumerate(mask.spacing):
-        dist[axis] *= step
-    np.multiply(dist, dist, dist)
-    return np.sqrt(np.add.reduce(dist, axis=0))
+        nearest = _feature_transform(mask.bits, mask.spacing)
+        return _distances(nearest - np.indices(mask.dims, dtype=nearest.dtype), mask.spacing)
+    points = np.array(np.unravel_index(np.flatnonzero(where), mask.dims))
+    out = np.empty(points.shape[1])
+    todo = np.arange(points.shape[1])
+    dims, spacing = np.array(mask.dims), np.array(mask.spacing)
+    margin_mm = EDT_MARGIN_SIDES * spacing.max()
+    while len(todo):
+        pts = points[:, todo]
+        reach = np.minimum(np.ceil(margin_mm / spacing), dims).astype(np.intp)
+        lo = np.maximum(pts.min(axis=1) - reach, 0)
+        hi = np.minimum(pts.max(axis=1) + reach + 1, dims)
+        margin_mm *= 2
+        bits = mask.bits[tuple(slice(l, h) for l, h in zip(lo, hi))]
+        whole = bits.shape == mask.dims
+        if not (whole or bits.any()):  # no feature: scipy returns no valid index
+            continue
+        nearest = _feature_transform(bits, mask.spacing)
+        local = (pts - lo[:, None]).astype(nearest.dtype)
+        dist = _distances(nearest[(slice(None), *local)] - local, mask.spacing)
+        if whole:
+            out[todo] = dist
+            break
+        bound = np.full(len(todo), np.inf)
+        for axis, step in enumerate(mask.spacing):
+            if lo[axis] > 0:
+                np.minimum(bound, (local[axis] + 1) * step, out=bound)
+            if hi[axis] < dims[axis]:
+                np.minimum(bound, (bits.shape[axis] - local[axis]) * step, out=bound)
+        done = dist * EDT_TIE_GUARD < bound
+        out[todo[done]] = dist[done]
+        todo = todo[~done]
+    return out
 
 
 @dataclass(frozen=True)

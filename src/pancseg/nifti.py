@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, HeaderLimitError
-from .volume import DEFAULT_LABEL_SET, Volume, validate_label_set
+from .volume import DEFAULT_LABEL_SET, SLAB_BYTES, Volume, validate_label_set
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352  # header + 4-byte extension flag
@@ -47,10 +47,6 @@ _CODE_BY_DTYPE = {np.dtype(d).str[1:]: c for c, d in _DTYPE_BY_CODE.items()}
 
 _UNIT_SCALE = {0: 1.0, 1: 1000.0, 2: 1.0, 3: 0.001}  # unknown, m, mm, um
 _INT32 = np.iinfo(np.int32)
-
-# Source bytes staged per slab by ``_layout_copy``: small enough that the
-# strided walk of the layout step stays in cache.
-SLAB_BYTES = 1 << 20
 
 
 def _dtype_code(dtype: np.dtype) -> int:

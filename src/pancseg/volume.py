@@ -35,21 +35,36 @@ GRID_RTOL = 1e-5
 # costs about 1/50 of a full-volume sort, so wider spans fall back to it.
 LABEL_SCAN_MAX_SPAN = 32
 
+# Bytes per block of a blockwise pass (``nifti._layout_copy``'s staged slabs,
+# ``unique_labels``' presence tests): small enough to stay in cache.
+SLAB_BYTES = 1 << 20
+
 
 def unique_labels(data: np.ndarray) -> np.ndarray:
     """Sorted distinct values of an integer array, exactly as ``np.unique``.
 
     Label maps hold a handful of values, so after a min/max pass each value
     strictly between the two is tested for presence instead of sorting the
-    whole volume.
+    whole volume: block by block over the flat data, each block of about
+    SLAB_BYTES tested for the values not yet seen, stopping once all are.
     """
     if data.size == 0:
         return np.unique(data)
     lo, hi = int(data.min()), int(data.max())
     if hi - lo > LABEL_SCAN_MAX_SPAN:
         return np.unique(data)
-    inner = [v for v in range(lo + 1, hi) if (data == v).any()]
-    return np.array(sorted({lo, hi, *inner}), dtype=data.dtype)
+    # presence ignores order: undo flips so a reoriented file view flattens
+    # without a copy
+    flat = data[tuple(slice(None, None, -1 if s < 0 else 1) for s in data.strides)]
+    flat = flat.ravel(order="K")
+    step = max(1, SLAB_BYTES // flat.itemsize)
+    missing = set(range(lo + 1, hi))
+    for start in range(0, flat.size, step):
+        if not missing:
+            break
+        block = flat[start : start + step]
+        missing = {v for v in missing if not (block == v).any()}
+    return np.array([v for v in range(lo, hi + 1) if v not in missing], dtype=data.dtype)
 
 
 def label_argmax(values: np.ndarray, score, shape) -> np.ndarray:

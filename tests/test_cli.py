@@ -689,6 +689,26 @@ def test_unknown_flag_exits_one_with_usage(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("flag", ["--json-errors", "--json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval-case", "--ref", "r", "--pred", "p", "--label", "1e3"],
+        ["eval-case", "--ref", "r", "--pred", "p", "--frobnicate"],
+        ["eval-case", "--ref", "r"],
+        ["lr-curve", "--family", "step", "--lr0", "0.01", "--max-epochs", "4"],
+    ],
+)
+def test_usage_error_under_json_errors_is_one_json_object(capsys, argv, flag):
+    code, out, err = _run(capsys, *argv, flag)
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "UsageError"
+    assert doc["error"]["exit_code"] == 1
+    assert doc["error"]["message"]
+
+
 def test_missing_input_exits_two(tmp_path, capsys):
     code, _, err = _run(
         capsys,

@@ -21,6 +21,15 @@ that the slab-staged ``nifti._layout_copy`` replaced; and of the
 that the mask-taking ``metrics.evaluate_case`` replaced.  They stay here as the reference the
 shared code must match bit for bit, including on forced ties and unequal
 weights, and error for error.
+
+``ref_edt`` on the full grid is also the reference of ``metrics.edt``'s
+bounded domain: with query voxels, the feature transform runs on their bbox
+grown by a margin, a query keeps its distance only when it is below (by a
+relative guard) its distance to every inner face of that domain, and the rest
+retry on a wider domain.  The bounded-domain tests force 3-4-5 ties, set
+features just outside the first domain, put queries on the grid edge and
+queries whose nearest feature lies beyond the first margin, and record the
+domains the feature transform is given.
 """
 from __future__ import annotations
 
@@ -58,7 +67,9 @@ from pancseg.geometry import (
     resample_labels,
     sample_points,
 )
+from pancseg import metrics
 from pancseg.metrics import (
+    EDT_MARGIN_SIDES,
     EMPTY_POLICIES,
     BinaryMask,
     CaseMetrics,
@@ -869,6 +880,115 @@ def test_edt_matches_the_full_map_reference(seed, dims, fill, query, spacing):
     _same(edt(mask), want)
     where = rng.random(dims) < query
     _same(edt(mask, where), want[where])
+
+
+# 3-4-5 offsets: every one is 5 voxels away, so isotropic spacings tie them
+PYTHAGOREAN = np.array(
+    [p for t in set(itertools.permutations((3, 4, 0))) | set(itertools.permutations((5, 0, 0)))
+     for p in itertools.product(*[(v, -v) if v else (0,) for v in t])]
+)
+
+
+def _first_domain(points, dims, spacing):
+    """The query bbox grown as edt's first try grows it."""
+    side = np.array(spacing)
+    reach = np.minimum(np.ceil(EDT_MARGIN_SIDES * side.max() / side), dims).astype(int)
+    return np.maximum(points.min(axis=1) - reach, 0), np.minimum(points.max(axis=1) + reach + 1, dims)
+
+
+def _bounded_edt_input(rng, dims, spacing, fill, box, ties, noise, at_edge):
+    """Sparse features and a compact box of queries (at the grid's low corner
+    when ``at_edge``); for a ``ties`` share of the queries, features at scaled
+    3-4-5 offsets; a ``noise`` share of the voxels on the planes just outside
+    the first domain set."""
+    dims = np.array(dims)
+    bits = rng.random(dims) < fill
+    side = np.minimum(box, dims)
+    start = np.zeros(3, dtype=int) if at_edge else rng.integers(0, dims - side + 1)
+    where = np.zeros(dims, dtype=bool)
+    where[tuple(slice(a, a + s) for a, s in zip(start, side))] = rng.random(side) < 0.5
+    where[tuple(start)] = True
+    points = np.argwhere(where).T
+    for q in points.T[rng.random(points.shape[1]) < ties]:
+        offsets = PYTHAGOREAN[rng.choice(len(PYTHAGOREAN), size=3, replace=False)]
+        for p in q + rng.integers(1, 4) * offsets:
+            if np.all((p >= 0) & (p < dims)):
+                bits[tuple(p)] = True
+    lo, hi = _first_domain(points, dims, spacing)
+    for axis in range(3):
+        for plane in (lo[axis] - 1, hi[axis]):
+            if 0 <= plane < dims[axis]:
+                face = [slice(None)] * 3
+                face[axis] = plane
+                bits[tuple(face)] |= rng.random(bits[tuple(face)].shape) < noise
+    return BinaryMask(bits, spacing), where
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(6, 40), st.integers(6, 40), st.integers(4, 24)),
+    spacing=MASK_SPACINGS,
+    fill=st.sampled_from([0.0, 0.001, 0.01, 0.05]),
+    box=st.tuples(*[st.integers(1, 8)] * 3),
+    ties=st.sampled_from([0.0, 0.3, 1.0]),
+    noise=st.sampled_from([0.0, 0.05, 0.5]),
+    at_edge=st.booleans(),
+)
+@example(0, (40, 40, 24), (1.0, 1.0, 1.0), 0.0, (1, 1, 1), 1.0, 0.0, False)
+@example(1, (40, 40, 24), (0.78125, 0.78125, 0.78125), 0.0, (3, 3, 3), 1.0, 0.5, False)
+@example(2, (40, 40, 24), (0.78125, 0.78125, 2.5), 0.001, (4, 4, 2), 0.3, 0.05, True)
+def test_bounded_edt_matches_the_full_map_reference(
+    seed, dims, spacing, fill, box, ties, noise, at_edge
+):
+    mask, where = _bounded_edt_input(
+        np.random.default_rng(seed), dims, spacing, fill, box, ties, noise, at_edge
+    )
+    _same(edt(mask, where), ref_edt(mask)[where])
+
+
+def _domains(monkeypatch, mask, where):
+    """The input shapes edt(mask, where) gives the feature transform."""
+    want = ref_edt(mask)[where]
+    shapes = []
+    real = metrics.ndimage.distance_transform_edt
+
+    def record(input, *args, **kwargs):
+        shapes.append(input.shape)
+        return real(input, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics.ndimage, "distance_transform_edt", record)
+        got = edt(mask, where)
+    _same(got, want)
+    return shapes
+
+
+def test_bounded_edt_domain_follows_the_query_spread(monkeypatch):
+    dims, spacing = (60, 50, 20), (0.78125, 0.78125, 2.5)
+    bits = np.zeros(dims, dtype=bool)
+    bits[20:30, 20:28, 8:12] = True
+    bits[2, 3, 1] = bits[57, 46, 18] = True  # far islands
+    mask = BinaryMask(bits, spacing)
+    compact = np.zeros(dims, dtype=bool)
+    compact[19:31, 19:29, 7:13] = True
+    # reach 13 in-plane and 4 in z around the queries' bbox
+    assert _domains(monkeypatch, mask, compact) == [(38, 36, 14)]
+    # spread queries: the grown bbox is the grid, one dense call
+    spread = compact.copy()
+    spread[1, 2, 0] = spread[58, 48, 19] = True
+    assert _domains(monkeypatch, mask, spread) == [dims]
+    # a lone query whose one feature, in the first domain's corner, lies
+    # beyond the first margin: it retries on a wider domain
+    lone = np.zeros(dims, dtype=bool)
+    lone[45, 10, 10] = True
+    corner = np.zeros(dims, dtype=bool)
+    corner[58, 23, 10] = True
+    assert _domains(monkeypatch, BinaryMask(corner, spacing), lone) == [(27, 24, 9), (41, 37, 17)]
+    # domains holding no feature are skipped, not transformed
+    origin = np.zeros(dims, dtype=bool)
+    origin[0, 0, 0] = True
+    assert _domains(monkeypatch, BinaryMask(origin, spacing), lone) == [dims]
 
 
 @settings(max_examples=200, deadline=None)

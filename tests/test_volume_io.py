@@ -134,12 +134,32 @@ def _label_arrays(draw):
 @example(np.array([300, 0, 300, 300], dtype=np.int32))
 @example(np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max], dtype=np.int64))
 @example(np.array([2**64 - 1, 2**64 - 3], dtype=np.uint64))
+# label 1 first appears in the last of three blocks of SLAB_BYTES
+@example(np.r_[np.zeros(5 << 19, dtype=np.uint8), 1, 2])
 def test_unique_labels_matches_np_unique(data):
+    _same_as_np_unique(data)
+
+
+def _same_as_np_unique(data):
     expected = np.unique(data)
     got = unique_labels(data)
     assert got.dtype == expected.dtype
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
+
+
+def test_unique_labels_scans_every_block(monkeypatch):
+    monkeypatch.setattr(volume_module, "SLAB_BYTES", 64)  # 32 int16 values a block
+    data = np.zeros((7, 11, 13), dtype=np.int16)  # 1001 values: a ragged last block
+    data[0, 0, 0], data[3, 5, 7] = 6, 1
+    for last in (-1, -9):  # within the ragged last block of 9 values
+        for value in (2, 4):
+            probe = data.copy()
+            probe.reshape(-1)[last] = value
+            _same_as_np_unique(probe)
+    _same_as_np_unique(np.asfortranarray(data))
+    _same_as_np_unique(data.transpose(2, 0, 1)[::-1, :, ::-1])  # a reoriented view
+    _same_as_np_unique(data[:, ::2, 1:])  # not contiguous
 
 
 def test_label_round_trip_is_bit_exact(tmp_path, rng):
