@@ -307,10 +307,12 @@ def cmd_ensemble(args, cfg: RunConfig) -> int:
 
 
 def _evaluate_files(ref_path, pred_path, config: EvalConfig, case_id: str):
-    """Read both label maps, then mask and score them."""
-    volumes = [read_volume(path, kind="labels") for path in (ref_path, pred_path)]
-    # both maps stay alive until scored: freeing each at its mask refaults fresh pages per read
-    ref, pred = (BinaryMask.from_labels(volume, config.label_id) for volume in volumes)
+    """Read and mask both label maps, then score them; each map is dropped
+    once its mask exists."""
+    ref, pred = (
+        BinaryMask.from_labels(read_volume(path, kind="labels"), config.label_id)
+        for path in (ref_path, pred_path)
+    )
     return evaluate_case(ref, pred, config, case_id=case_id)
 
 

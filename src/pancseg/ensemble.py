@@ -261,11 +261,18 @@ def average_probabilities(stacks: Sequence[Volume], weights: Optional[Sequence[f
     )
 
 
+def _class_label_dtype(n_classes: int) -> np.dtype:
+    """The dtype of a label map of class indices: uint8 while every one of
+    ``n_classes`` indices fits, else int32."""
+    return np.dtype(np.uint8 if n_classes <= 256 else np.int32)
+
+
 def argmax_labels(p: Volume) -> Volume:
-    """Per-voxel argmax class; ties go to the lowest class index."""
+    """Per-voxel argmax class, uint8 up to 256 classes; ties go to the lowest
+    class index."""
     if p.kind != "probabilities":
         raise ValidationError(f"argmax_labels expects a probability stack, got {p.kind}")
-    labels = np.argmax(p.data, axis=-1).astype(np.int32)
+    labels = np.argmax(p.data, axis=-1).astype(_class_label_dtype(p.n_classes))
     return Volume(data=labels, spacing=p.spacing, origin=p.origin, kind="labels")
 
 
@@ -290,10 +297,13 @@ def consensus_codes(volume: Volume) -> np.ndarray:
     return codes.reshape(volume.dims)
 
 
-def _fuse_active(members: Sequence[Volume], codes: Sequence[np.ndarray], fuse_rows) -> Volume:
-    """The fused label map on the members' grid, int32 in C order: settled
-    voxels take the shared code; the flat indices of the active ones go to
-    ``fuse_rows``, which returns their labels.  When most voxels are active,
+def _fuse_active(
+    members: Sequence[Volume], codes: Sequence[np.ndarray], fuse_rows, dtype
+) -> Volume:
+    """The fused label map on the members' grid, of ``dtype`` (which holds
+    every label the members can fuse to) in C order: settled voxels take the
+    shared code; the flat indices of the active ones go to ``fuse_rows``,
+    which returns their labels.  When most voxels are active,
     ``fuse_rows(None)`` fuses every voxel instead, which is as exact: settled
     voxels fuse to their code.
     """
@@ -301,8 +311,9 @@ def _fuse_active(members: Sequence[Volume], codes: Sequence[np.ndarray], fuse_ro
     settled = first >= 0
     for c in codes[1:]:
         settled &= c == first
-    # a fresh C-order copy, so the flat view below writes into ``out`` itself
-    out = np.array(first, dtype=np.int32, order="C")
+    # a fresh C-order copy, so the flat view below writes into ``out`` itself;
+    # only active voxels can hold a code of -1, and they are overwritten
+    out = np.array(first, dtype=dtype, order="C")
     active = np.flatnonzero(~settled)
     if 2 * active.size > out.size:
         out.reshape(-1)[:] = fuse_rows(None)
@@ -331,7 +342,7 @@ def _fuse_probabilities(
         check_probabilities(acc)
         return np.argmax(acc, axis=-1)
 
-    return _fuse_active(stacks, codes, fuse_rows)
+    return _fuse_active(stacks, codes, fuse_rows, _class_label_dtype(n_classes))
 
 
 def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[float]] = None) -> Volume:
@@ -357,7 +368,12 @@ def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[fl
         values = np.unique(np.concatenate([unique_labels(r) for r in rows]))
         return label_argmax(values, votes, rows[0].shape)
 
-    return _fuse_active(label_members, [v.data for v in label_members], vote_rows)
+    # the members' common dtype holds every label any of them holds; uint64
+    # and a signed dtype have none but float64, and uint64 holds the labels
+    dtype = np.result_type(*(v.data.dtype for v in label_members))
+    if dtype.kind == "f":
+        dtype = np.dtype(np.uint64)
+    return _fuse_active(label_members, [v.data for v in label_members], vote_rows, dtype)
 
 
 def combine_volumes(

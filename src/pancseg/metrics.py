@@ -46,7 +46,9 @@ HD_FRACTION = 0.95
 # instead of resting it on scipy's internal rounding (see edt)
 EDT_MARGIN_SIDES = 4
 EDT_TIE_GUARD = 1 + 1e-12
-# label maps hold non-negative int32 values (Volume and read_volume enforce it)
+# the widest label a read keeps (read_volume rejects files beyond int32); a
+# map keeps its file's integer dtype, and ``==`` compares an id that dtype
+# cannot hold by value, so it matches no voxel instead of wrapping
 LABEL_ID_MAX = int(np.iinfo(np.int32).max)
 
 # The per-case metrics in report order, each with its higher-is-better flag.

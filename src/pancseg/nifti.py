@@ -9,10 +9,11 @@ then a plain pixdim diagonal).  Reads make one layout copy: the reoriented
 view of the file buffer is byte-swapped, cast and laid out in C order, in
 slabs along an axis that is neither the view's fastest nor its last, each
 staged in source order through a small temporary (see ``_layout_copy``).
-A label map's label set is checked once, after ``Volume`` has rejected
-negative labels: on the file's own integer data when the file stores
-integers, so the widened int32 copy is not scanned; a float-coded map is
-checked on the int32 copy.  Writing always emits an RAS+ diagonal sform.
+An integer label map keeps the file's dtype, in native byte order; only
+uint32, int64 and uint64 files, whose values can exceed int32, are range
+checked and become int32, as do float-coded maps after ``rint``.  The label
+set is checked once, on the Volume's own data, after ``Volume`` has
+rejected negative labels.  Writing always emits an RAS+ diagonal sform.
 """
 from __future__ import annotations
 
@@ -263,8 +264,8 @@ def read_volume(
     spacing = tuple(float(np.linalg.norm(affine[:3, perm[w]])) for w in range(3))
     origin = tuple(float(v) for v in (affine[:3, :3] @ corner + affine[:3, 3]))
 
+    target = dtype.newbyteorder("=")
     if kind == "labels":
-        target = np.dtype(np.int32)
         if data.dtype.kind == "f":
             rounded = np.rint(data)
             with np.errstate(invalid="ignore"):  # inf - inf is NaN, caught below
@@ -272,17 +273,13 @@ def read_volume(
             if not integral:
                 raise FormatError(f"{path}: label volume has non-integral values")
             data = rounded
-        if not np.can_cast(data.dtype, target):
+        if not np.can_cast(data.dtype, np.int32):
             lo, hi = data.min(), data.max()
             if lo < _INT32.min or hi > _INT32.max:
                 raise FormatError(f"{path}: label values {lo}..{hi} exceed the int32 range")
+            target = np.dtype(np.int32)
     elif scaled:
         target = np.dtype(np.float32)
-    else:
-        target = dtype.newbyteorder("=")
-    # an integer label file is scanned in its own dtype; float labels (the
-    # full-size rounded array, dropped after the copy) as the int32 copy
-    narrow = data if kind == "labels" and data.dtype.kind != "f" else None
     # the one copy: byte swap, cast and RAS+ C-order layout
     data = _layout_copy(data, target)
     if scaled:
@@ -291,7 +288,7 @@ def read_volume(
 
     vol = Volume(data=data, spacing=spacing, origin=origin, kind=kind)
     if kind == "labels" and label_set is not None:
-        validate_label_set(data if narrow is None else narrow, label_set)
+        validate_label_set(data, label_set)
     return vol
 
 
@@ -322,7 +319,7 @@ def write_volume(volume: Volume, path: str | Path) -> None:
         )
     data = volume.data
     if volume.kind == "labels":
-        data = data.astype(_label_storage_dtype(data))
+        data = data.astype(_label_storage_dtype(data), copy=False)
     elif data.dtype == np.float16:
         data = data.astype(np.float32)
     code = _dtype_code(data.dtype)

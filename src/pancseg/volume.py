@@ -180,7 +180,8 @@ class Volume:
         elif self.kind == "labels":
             if not np.issubdtype(data.dtype, np.integer):
                 raise ValidationError(f"label volume must have integer dtype, got {data.dtype}")
-            if data.size and data.min() < 0:
+            # an unsigned map cannot hold a negative label, so it is not scanned
+            if data.dtype.kind == "i" and data.size and data.min() < 0:
                 raise ValidationError("label volume contains negative values")
         else:
             check_probabilities(data)
@@ -214,9 +215,8 @@ class Volume:
 
 
 def validate_label_set(labels: np.ndarray, label_set: Iterable[int]) -> None:
-    """Raise LabelSetError if the integral ``labels`` use a label outside
-    ``label_set``.  Any numeric dtype works, so a read can check the file's
-    own narrow data instead of the widened copy."""
+    """Raise LabelSetError if the integer ``labels`` use a label outside
+    ``label_set``."""
     allowed = set(int(v) for v in label_set)
     present = set(int(v) for v in unique_labels(labels))
     unknown = sorted(present - allowed)

@@ -14,7 +14,7 @@ from pancseg.ensemble import EnsembleMember, EnsembleSpec, combine_volumes, load
 from pancseg.nifti import read_volume, write_volume
 from pancseg.volume import Volume
 
-from conftest import damaged_gzip, image_volume, probability_volume
+from conftest import damaged_gzip, image_volume, probability_volume, raw_nifti
 
 SPACING = (1.0, 1.0, 1.5)
 
@@ -1018,6 +1018,68 @@ def test_largest_int32_label_id_is_accepted(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["case"]["flags"] == ["both_empty"]
+
+
+def test_label_id_beyond_a_uint8_map_matches_no_voxel(tmp_path, capsys):
+    # 258 mod 256 is the tumor label 2 that the map holds
+    ref = tmp_path / "ref.nii"
+    ref.write_bytes(raw_nifti(_ball(dims=(6, 6, 6), radius=1.5).astype(np.uint8)))
+    assert read_volume(ref, kind="labels").data.dtype == np.uint8
+    code, out, _ = _run(capsys, "eval-case", "--ref", str(ref), "--pred", str(ref), "--label", "258")
+    assert code == 0
+    assert json.loads(out)["case"]["flags"] == ["both_empty"]
+
+
+# (dtype, byte order) of one label map's files; reads keep the narrow integer
+# dtypes and widen the rest to int32
+LABEL_FILE_DTYPES = [
+    (np.uint8, "<"), (np.int8, "<"), (np.uint16, "<"), (np.int16, "<"), (np.int32, "<"),
+    (np.int32, ">"), (np.uint32, "<"), (np.int64, "<"), (np.float32, "<"),
+]
+
+
+def test_outputs_do_not_depend_on_the_label_file_dtype(tmp_path, capsys):
+    dims = (12, 10, 8)
+    pancreas = np.where(_ball(dims, radius=4.0) > 0, 1, 0)
+    maps = [
+        np.where(_ball(dims, shift=shift, radius=2.2) > 0, 2, pancreas)
+        for shift in ((0, 0, 0), (1, 0, 0), (0, 1, -1))
+    ]
+    spec = {
+        "mode": "majority",
+        "members": [
+            {"member_id": f"m{i}", "path": f"m{i}.nii", "weight": w}
+            for i, w in enumerate((1.0, 1.5, 1.2))
+        ],
+    }
+    outputs = []
+    for dtype, endian in LABEL_FILE_DTYPES:
+        case = tmp_path / f"{np.dtype(dtype).name}{endian}"
+        case.mkdir()
+        for i, labels in enumerate(maps):
+            raw = raw_nifti(labels.astype(dtype), endian=endian, pixdim=SPACING)
+            (case / f"m{i}.nii").write_bytes(raw)
+        (case / "spec.json").write_text(json.dumps(spec))
+        code, report, _ = _run(
+            capsys, "eval-case", "--ref", str(case / "m0.nii"), "--pred", str(case / "m1.nii"),
+            "--no-provenance",
+        )
+        assert code == 0
+        fused, resampled = case / "fused.nii.gz", case / "resampled.nii.gz"
+        code, _, _ = _run(
+            capsys, "ensemble", "--spec", str(case / "spec.json"), "--case-id", "c",
+            "--output", str(fused),
+        )
+        assert code == 0
+        code, _, _ = _run(
+            capsys, "resample", "--input", str(case / "m2.nii"), "--output", str(resampled),
+            "--kind", "labels", "--spacing", "0.7", "0.8", "1.1",
+        )
+        assert code == 0
+        outputs.append((report, fused.read_bytes(), resampled.read_bytes()))
+    assert outputs[0][0].count('"dice"') == 1
+    for got in outputs[1:]:
+        assert got == outputs[0]
 
 
 @pytest.mark.parametrize("source", ["flag_0", "flag_minus_3", "env", "config_file"])

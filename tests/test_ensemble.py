@@ -19,7 +19,7 @@ from pancseg.ensemble import (
     save_ensemble_spec,
 )
 from pancseg.errors import ConfigError, FormatError, GridMismatchError, ValidationError
-from pancseg.nifti import write_volume
+from pancseg.nifti import read_volume, write_volume
 from pancseg.volume import Volume
 
 from conftest import probability_volume
@@ -347,3 +347,48 @@ def test_settled_voxels_skip_fusion_but_not_validation():
     with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
         combine_volumes(spec, {"a": _prob(edge), "b": _prob(edge)})
     assert (combine_volumes(spec, {"a": _prob(onehot), "b": _prob(onehot)}).data == 0).all()
+
+
+def test_majority_vote_holds_a_label_only_the_wider_member_can(tmp_path):
+    # label 300 of a uint16 member outvotes a uint8 member; in a uint8 map it
+    # would wrap to 44
+    low = Volume(np.full((4, 2, 2), 2, dtype=np.uint8), (1, 1, 1), kind="labels")
+    high = np.full((4, 2, 2), 2, dtype=np.uint16)  # slabs 0 and 1 settle on 2
+    high[2] = 300
+    high[3] = 0
+    high = Volume(high, (1, 1, 1), kind="labels")
+    want = high.data
+    for ids in (("a", "b"), ("b", "a")):  # either member reduced first
+        members = (EnsembleMember(ids[0], "p", weight=1.0), EnsembleMember(ids[1], "p", weight=2.0))
+        spec = EnsembleSpec(members=members, mode="majority")
+        fused = combine_volumes(spec, {ids[0]: low, ids[1]: high})
+        assert fused.data.dtype == np.uint16
+        assert np.array_equal(fused.data, want)
+    path = tmp_path / "fused.nii.gz"
+    write_volume(fused, path)
+    assert np.array_equal(read_volume(path, kind="labels", label_set=None).data, want)
+
+
+def test_fusing_narrow_inputs_gives_a_narrow_map(rng):
+    members = [
+        Volume(rng.integers(0, 3, size=(4, 4, 4)).astype(np.uint8), (1, 1, 1), kind="labels")
+        for _ in range(3)
+    ]
+    fused = majority_vote(members)
+    assert fused.data.dtype == np.uint8
+    mixed = [members[0].with_data(members[0].data.astype(np.uint64)), members[1]]
+    mixed.append(members[2].with_data(members[2].data.astype(np.int8)))
+    assert majority_vote(mixed).data.dtype == np.uint64
+    assert np.array_equal(majority_vote(mixed).data, fused.data)
+    values = sorted(set(int(v) for m in members for v in np.unique(m.data)))
+    assert np.array_equal(fused.data, brute_majority([m.data for m in members], [1.0] * 3, values))
+    for n_classes, dtype in ((3, np.uint8), (256, np.uint8), (257, np.int32)):
+        stacks = {
+            f"m{i}": probability_volume(rng, (3, 2, 2), (1, 1, 1), n_classes=n_classes)
+            for i in range(3)
+        }
+        spec = EnsembleSpec(members=tuple(EnsembleMember(k, "p") for k in stacks))
+        fused = combine_volumes(spec, stacks)
+        averaged = argmax_labels(average_probabilities(list(stacks.values())))
+        assert fused.data.dtype == averaged.data.dtype == dtype
+        assert np.array_equal(fused.data, averaged.data)

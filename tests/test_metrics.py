@@ -81,6 +81,18 @@ def test_binary_mask_basics(rng):
     assert grid.physical_diagonal_mm() == pytest.approx(np.sqrt(2.0**2 + 10.0**2 + 18.0**2))
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8])
+def test_mask_of_an_id_a_narrow_map_cannot_hold_is_empty(dtype):
+    # in eight bits 256 wraps to 0, 258 to 2, and 2**31 - 1 to 255 (uint8)
+    data = np.zeros((3, 2, 2), dtype=dtype)
+    data[1] = 2
+    data[2] = np.iinfo(dtype).max
+    labels = Volume(data, (1, 1, 1), kind="labels")
+    assert BinaryMask.from_labels(labels, 2).voxels == 4
+    for label_id in (256, 258, 2**31 - 1):
+        assert BinaryMask.from_labels(labels, label_id).is_empty()
+
+
 def test_dice_hand_cases():
     a = np.zeros((4, 1, 1), dtype=bool)
     b = np.zeros((4, 1, 1), dtype=bool)

@@ -245,7 +245,13 @@ def ref_majority_vote_data(label_members, weights) -> np.ndarray:
         for j, value in enumerate(values):
             scores[..., j] += w * (v.data == value)
     # values ascending, so the first maximum is the lowest label id
-    return values[np.argmax(scores, axis=-1)].astype(np.int32)
+    return values[np.argmax(scores, axis=-1)].astype(ref_vote_dtype(label_members))
+
+
+def ref_vote_dtype(label_members) -> np.dtype:
+    """A vote's label dtype: the members' common dtype, which holds every
+    label any of them holds."""
+    return np.result_type(*(v.data.dtype for v in label_members))
 
 
 def ref_check_grids(volumes):
@@ -288,7 +294,9 @@ def ref_average_probabilities(stacks, weights=None) -> Volume:
 def ref_argmax_labels(p: Volume) -> Volume:
     if p.kind != "probabilities":
         raise ValidationError(f"argmax_labels expects a probability stack, got {p.kind}")
-    labels = np.argmax(p.data, axis=-1).astype(np.int32)
+    # class indices fit uint8 up to 256 classes
+    dtype = np.uint8 if p.data.shape[-1] <= 256 else np.int32
+    labels = np.argmax(p.data, axis=-1).astype(dtype)
     return Volume(data=labels, spacing=p.spacing, origin=p.origin, kind="labels")
 
 
@@ -314,7 +322,8 @@ def ref_majority_vote(label_members, weights=None) -> Volume:
         return acc
 
     values = np.unique(np.concatenate([unique_labels(v.data) for v in label_members]))
-    out = label_argmax(values, votes, label_members[0].dims).astype(np.int32, copy=False)
+    out = label_argmax(values, votes, label_members[0].dims)
+    out = out.astype(ref_vote_dtype(label_members), copy=False)
     return Volume(
         data=out,
         spacing=label_members[0].spacing,
@@ -716,7 +725,7 @@ def test_split_fuses_disagreeing_members_of_any_layout(layout, mode):
     spec = _spec(3, None, mode)
     want = _outcome(lambda: ref_combine_volumes(spec, members))
     assert want[0] == "ok"
-    assert np.frombuffer(want[3], dtype=np.int32).reshape(4, 3, 2)[0, 0, 0] == 2
+    assert np.frombuffer(want[3], dtype=want[1]).reshape(4, 3, 2)[0, 0, 0] == 2
     assert _outcome(lambda: combine_volumes(spec, members)) == want
 
 
@@ -1185,9 +1194,10 @@ def _file_view(values, endian, perm, flips):
 
 
 def _copy_cases(view):
-    """(source, target dtype) pairs of every read kind: labels widen to int32
-    (float labels after ``rint``), scaled images cast to float32, unscaled
-    images and probability stacks keep the native file dtype."""
+    """(source, target dtype) pairs of every read kind: float, uint32, int64
+    and uint64 labels become int32 (float labels after ``rint``), scaled
+    images cast to float32, and unscaled images, probability stacks and
+    narrower integer labels keep the native file dtype."""
     cases = [(view, np.dtype(np.float32)), (view, view.dtype.newbyteorder("="))]
     if view.dtype.kind == "f":
         cases.append((np.rint(np.clip(view, -1e3, 1e3)), np.dtype(np.int32)))

@@ -169,10 +169,34 @@ def test_label_round_trip_is_bit_exact(tmp_path, rng):
         path = tmp_path / name
         write_volume(vol, path)
         back = read_volume(path, kind="labels")
-        assert back.data.dtype == np.int32
+        assert back.data.dtype == np.uint8  # stored as uint8 by range, read as stored
         assert np.array_equal(back.data, data)
         assert back.spacing == pytest.approx(vol.spacing, rel=1e-6)
         assert back.origin == pytest.approx(vol.origin, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "dtype, endian, want",
+    [
+        (np.uint8, "<", np.uint8),
+        (np.int8, "<", np.int8),
+        (np.uint16, ">", np.uint16),
+        (np.int16, "<", np.int16),
+        (np.int32, ">", np.int32),
+        (np.uint32, "<", np.int32),  # these three can exceed int32
+        (np.int64, ">", np.int32),
+        (np.uint64, "<", np.int32),
+        (np.float32, "<", np.int32),  # float-coded, after rint
+    ],
+)
+def test_label_read_keeps_a_narrow_integer_dtype(tmp_path, dtype, endian, want):
+    data = np.zeros((3, 4, 2), dtype=dtype)
+    data[1, 2:, 1] = 2
+    path = tmp_path / "labels.nii"
+    path.write_bytes(raw_nifti(data, endian=endian))
+    back = read_volume(path, kind="labels")
+    assert back.data.dtype == want and back.data.dtype.isnative
+    assert np.array_equal(back.data, data)
 
 
 def test_image_round_trip_preserves_float32(tmp_path, rng):
@@ -350,14 +374,15 @@ _ORIENTATIONS = [
 
 
 def _reference_decode(raw, dtype, shape, perm, flips, kind):
-    """The decode chain the single-copy read replaces: cast, reorient, copy."""
+    """The decode chain the single-copy read replaces: cast, reorient, copy.
+    Label maps keep the file's dtype unless it can exceed int32 or is float."""
     data = np.frombuffer(raw, dtype=dtype, count=int(np.prod(shape)), offset=352)
     data = data.reshape(shape, order="F").astype(dtype.newbyteorder("="))
     data = np.transpose(data, perm + tuple(range(3, data.ndim)))
     for w in range(3):
         if flips[w]:
             data = np.flip(data, axis=w)
-    if kind == "labels":
+    if kind == "labels" and not np.can_cast(data.dtype, np.int32):
         data = data.astype(np.int32)
     return np.ascontiguousarray(data)
 
@@ -673,9 +698,9 @@ def test_damaged_gzip_is_a_format_error(tmp_path, rng, defect):
 # The label checks of a read, in the order they fail: a non-integral or
 # out-of-int32 value is a FormatError (exit 2) found before the layout copy;
 # a negative label is the ValidationError of ``Volume`` (exit 1); a label
-# outside the declared set is a LabelSetError (exit 1).  The set check runs
-# on the file's own dtype, so these pin that it still sees what the int32
-# copy held.
+# outside the declared set is a LabelSetError (exit 1).  The checks run on
+# the Volume's data, which keeps the file's integer dtype, so these pin that
+# a narrow, big-endian or float-coded map fails as it did when widened.
 LABEL_PRECEDENCE = {  # file dtype and byte order, values, error type, text, exit code
     "negative_and_unknown": (np.int8, "<", (-1, 7), "ValidationError", "negative values", 1),
     "unknown": (
