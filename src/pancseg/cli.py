@@ -330,8 +330,8 @@ def _evaluate_manifest(manifest, config: EvalConfig, jobs: int):
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, manifest.rows))
-    return [one(row) for row in manifest.rows]
+            return list(pool.map(one, manifest))
+    return [one(row) for row in manifest]
 
 
 def cmd_eval_cohort(args, cfg: RunConfig) -> int:
@@ -344,7 +344,7 @@ def cmd_eval_cohort(args, cfg: RunConfig) -> int:
     prov = None
     if not args.no_provenance:
         inputs = [args.manifest]
-        for row in manifest.rows:
+        for row in manifest:
             inputs.extend([row.reference, row.prediction])
         prov = provenance(config_to_dict(cfg), inputs)
     _emit(dumps_json(report_to_dict(report, prov)), args.out)
@@ -365,7 +365,6 @@ def cmd_select(args, cfg: RunConfig) -> int:
             pool,
             size_max=size_max,
             beam_width=args.beam,
-            config=cfg,
             weights=cfg.metric_weights,
             norm=cfg.norm,
             evaluator=evaluator,
@@ -375,7 +374,6 @@ def cmd_select(args, cfg: RunConfig) -> int:
             pool,
             size_min=size_min,
             size_max=size_max,
-            config=cfg,
             weights=cfg.metric_weights,
             norm=cfg.norm,
             budget=args.budget,

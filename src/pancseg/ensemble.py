@@ -9,9 +9,10 @@ Members are always reduced in member_id order regardless of how the spec
 lists them, which makes both modes bit-exactly invariant under permutation
 of the member list.
 
-Fusion splits the grid by consensus codes (``consensus_codes``): a label
-map's code is its label; a probability vector's code is its hot class when
-it is exactly one-hot (one entry ``== 1.0``, all others ``== 0.0``) and -1
+Fusion splits the grid by each member's consensus codes
+(``Volume.consensus_codes``, computed once per volume): a label map's code
+is its label; a probability vector's code is its hot class when it is
+exactly one-hot (one entry ``== 1.0``, all others ``== 0.0``) and -1
 otherwise.  A voxel is *settled* when every member has the same code and it
 is >= 0; its fused label is that code.  Only the remaining *active* voxels
 are gathered (one member at a time for probabilities), go through the
@@ -276,41 +277,18 @@ def argmax_labels(p: Volume) -> Volume:
     return Volume(data=labels, spacing=p.spacing, origin=p.origin, kind="labels")
 
 
-def consensus_codes(volume: Volume) -> np.ndarray:
-    """One code per voxel: the label of a label map; for a probability stack
-    the hot class where the vector is exactly one-hot, else -1."""
-    if volume.kind == "labels":
-        return volume.data
-    if volume.kind != "probabilities":
-        raise ValidationError(f"consensus codes need labels or probabilities, got {volume.kind}")
-    n_classes = volume.n_classes
-    flat = volume.data.reshape(-1, n_classes)
-    dtype = np.int8 if n_classes <= 127 else np.int32
-    codes = np.full(len(flat), -1, dtype=dtype)
-    nonzero = np.zeros(len(flat), dtype=dtype)
-    # class columns one at a time: reductions along a short axis are slow
-    for c in range(n_classes):
-        column = flat[:, c]
-        nonzero += column != 0
-        codes[column == 1.0] = c
-    codes[nonzero != 1] = -1
-    return codes.reshape(volume.dims)
-
-
-def _fuse_active(
-    members: Sequence[Volume], codes: Sequence[np.ndarray], fuse_rows, dtype
-) -> Volume:
+def _fuse_active(members: Sequence[Volume], fuse_rows, dtype) -> Volume:
     """The fused label map on the members' grid, of ``dtype`` (which holds
     every label the members can fuse to) in C order: settled voxels take the
-    shared code; the flat indices of the active ones go to ``fuse_rows``,
-    which returns their labels.  When most voxels are active,
+    shared ``consensus_codes``; the flat indices of the active ones go to
+    ``fuse_rows``, which returns their labels.  When most voxels are active,
     ``fuse_rows(None)`` fuses every voxel instead, which is as exact: settled
     voxels fuse to their code.
     """
-    first = codes[0]
+    first = members[0].consensus_codes
     settled = first >= 0
-    for c in codes[1:]:
-        settled &= c == first
+    for m in members[1:]:
+        settled &= m.consensus_codes == first
     # a fresh C-order copy, so the flat view below writes into ``out`` itself;
     # only active voxels can hold a code of -1, and they are overwritten
     out = np.array(first, dtype=dtype, order="C")
@@ -322,17 +300,10 @@ def _fuse_active(
     return Volume(data=out, spacing=members[0].spacing, origin=members[0].origin, kind="labels")
 
 
-def _fuse_probabilities(
-    stacks: Sequence[Volume],
-    weights: Sequence[float],
-    codes: Optional[Sequence[np.ndarray]],
-) -> Volume:
+def _fuse_probabilities(stacks: Sequence[Volume], weights: Sequence[float]) -> Volume:
     """``argmax_labels(average_probabilities(stacks, weights))``, fusing only
     the active voxels."""
     stacks, weights = _probability_members(stacks, weights)
-    if codes is None:
-        codes = [consensus_codes(v) for v in stacks]
-
     n_classes = stacks[0].n_classes
     flat = [v.data.reshape(-1, n_classes) for v in stacks]
 
@@ -342,7 +313,7 @@ def _fuse_probabilities(
         check_probabilities(acc)
         return np.argmax(acc, axis=-1)
 
-    return _fuse_active(stacks, codes, fuse_rows, _class_label_dtype(n_classes))
+    return _fuse_active(stacks, fuse_rows, _class_label_dtype(n_classes))
 
 
 def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[float]] = None) -> Volume:
@@ -373,19 +344,15 @@ def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[fl
     dtype = np.result_type(*(v.data.dtype for v in label_members))
     if dtype.kind == "f":
         dtype = np.dtype(np.uint64)
-    return _fuse_active(label_members, [v.data for v in label_members], vote_rows, dtype)
+    return _fuse_active(label_members, vote_rows, dtype)
 
 
-def combine_volumes(
-    spec: EnsembleSpec,
-    volumes: Mapping[str, Volume],
-    codes: Optional[Mapping[str, np.ndarray]] = None,
-) -> Volume:
+def combine_volumes(spec: EnsembleSpec, volumes: Mapping[str, Volume]) -> Volume:
     """Combine already-loaded member volumes keyed by member_id.
 
-    ``codes`` optionally maps every member_id to its ``consensus_codes``, so
-    a caller fusing many subsets of one prob_avg pool computes them once per
-    member.  Majority mode ignores them: a label map is its own code.
+    Each volume computes its ``consensus_codes`` once, so a caller fusing
+    many subsets of one pool from the same volumes pays for them once per
+    member; a label map is its own code.
     """
     ordered = spec.sorted_members()
     missing = [m.member_id for m in ordered if m.member_id not in volumes]
@@ -393,9 +360,8 @@ def combine_volumes(
         raise ValidationError(f"no volume supplied for member(s) {missing}")
     vols = [volumes[m.member_id] for m in ordered]
     weights = [m.weight for m in ordered]
-    member_codes = None if codes is None else [codes[m.member_id] for m in ordered]
     if spec.mode == "prob_avg":
-        return _fuse_probabilities(vols, weights, member_codes)
+        return _fuse_probabilities(vols, weights)
     return majority_vote(vols, weights)
 
 

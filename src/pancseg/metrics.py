@@ -148,46 +148,28 @@ def dice(ref: BinaryMask, pred: BinaryMask) -> tuple[float, tuple[str, ...]]:
     return 2.0 * inter / total, ()
 
 
-def _feature_transform(bits: np.ndarray, spacing) -> np.ndarray:
-    return ndimage.distance_transform_edt(
-        ~bits, sampling=spacing, return_distances=False, return_indices=True
-    )
-
-
-def _distances(offsets: np.ndarray, spacing) -> np.ndarray:
-    # scipy's own arithmetic on feature offsets (axis 0 holds the three axes)
-    dist = offsets.astype(np.float64)
-    for axis, step in enumerate(spacing):
-        dist[axis] *= step
-    np.multiply(dist, dist, dist)
-    return np.sqrt(np.add.reduce(dist, axis=0))
-
-
 def edt(mask: BinaryMask, where: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact anisotropic distance (mm) to the nearest true voxel center, from
-    the ``where`` voxel centers in C order (every voxel, as a grid, when
-    ``where`` is None); +inf when the mask is empty.
+    the ``where`` voxel centers in C order (every voxel, as a grid of
+    ``mask.dims``, when ``where`` is None); +inf when the mask is empty.
 
     The distances are scipy's own arithmetic on its feature transform, applied
     only at the query voxels, so they equal ``distance_transform_edt`` bit for
-    bit.  With ``where``, the feature transform runs on the queries' bbox
-    grown by ``EDT_MARGIN_SIDES`` largest voxel sides (in mm, per axis).  A
-    query keeps its distance ``d`` only if ``d`` is strictly below, with a
-    relative guard of ``EDT_TIE_GUARD``, its distance ``fl(k * s)`` to every
-    inner domain face that is not a grid face (``k`` voxels away on an axis
-    of side ``s``): every feature beyond such a face gets a computed distance
-    of at least that, since ``sqrt(fl(x * x)) == |x|`` and adding squares
-    never lowers a float sum.  The other queries retry on their own bbox
-    with the margin doubled; the last try is the whole grid.
+    bit.  The feature transform runs on the queries' bbox grown by
+    ``EDT_MARGIN_SIDES`` largest voxel sides (in mm, per axis); with every
+    voxel a query that is the whole grid.  A query keeps its distance ``d``
+    only if ``d`` is strictly below, with a relative guard of
+    ``EDT_TIE_GUARD``, its distance ``fl(k * s)`` to every inner domain face
+    that is not a grid face (``k`` voxels away on an axis of side ``s``):
+    every feature beyond such a face gets a computed distance of at least
+    that, since ``sqrt(fl(x * x)) == |x|`` and adding squares never lowers a
+    float sum.  The other queries retry on their own bbox with the margin
+    doubled; the last try is the whole grid.
     """
-    if mask.is_empty():
-        return np.full(mask.dims if where is None else int(np.count_nonzero(where)), np.inf)
-    if where is None:
-        nearest = _feature_transform(mask.bits, mask.spacing)
-        return _distances(nearest - np.indices(mask.dims, dtype=nearest.dtype), mask.spacing)
-    points = np.array(np.unravel_index(np.flatnonzero(where), mask.dims))
-    out = np.empty(points.shape[1])
-    todo = np.arange(points.shape[1])
+    queries = np.ones(mask.dims, dtype=bool) if where is None else where
+    points = np.array(np.unravel_index(np.flatnonzero(queries), mask.dims))
+    out = np.full(points.shape[1], np.inf)
+    todo = np.arange(0 if mask.is_empty() else points.shape[1])  # no feature: all +inf
     dims, spacing = np.array(mask.dims), np.array(mask.spacing)
     margin_mm = EDT_MARGIN_SIDES * spacing.max()
     while len(todo):
@@ -200,9 +182,16 @@ def edt(mask: BinaryMask, where: Optional[np.ndarray] = None) -> np.ndarray:
         whole = bits.shape == mask.dims
         if not (whole or bits.any()):  # no feature: scipy returns no valid index
             continue
-        nearest = _feature_transform(bits, mask.spacing)
+        nearest = ndimage.distance_transform_edt(
+            ~bits, sampling=mask.spacing, return_distances=False, return_indices=True
+        )
         local = (pts - lo[:, None]).astype(nearest.dtype)
-        dist = _distances(nearest[(slice(None), *local)] - local, mask.spacing)
+        # scipy's own arithmetic on the feature offsets (axis 0 holds the axes)
+        dist = (nearest[(slice(None), *local)] - local).astype(np.float64)
+        for axis, step in enumerate(mask.spacing):
+            dist[axis] *= step
+        np.multiply(dist, dist, dist)
+        dist = np.sqrt(np.add.reduce(dist, axis=0))
         if whole:
             out[todo] = dist
             break
@@ -215,7 +204,7 @@ def edt(mask: BinaryMask, where: Optional[np.ndarray] = None) -> np.ndarray:
         done = dist * EDT_TIE_GUARD < bound
         out[todo[done]] = dist[done]
         todo = todo[~done]
-    return out
+    return out.reshape(mask.dims) if where is None else out
 
 
 @dataclass(frozen=True)

@@ -317,6 +317,13 @@ def write_volume(volume: Volume, path: str | Path) -> None:
         raise HeaderLimitError(
             f"dims {dims} exceed the NIfTI-1 header limit of {MAX_DIM} per axis"
         )
+    with np.errstate(over="ignore"):  # the header stores float32
+        grid = np.array(volume.spacing + volume.origin, dtype=np.float32)
+    if not np.isfinite(grid).all():
+        raise HeaderLimitError(
+            f"spacing {volume.spacing} or origin {volume.origin} exceeds the float32 "
+            "range of the NIfTI-1 header"
+        )
     data = volume.data
     if volume.kind == "labels":
         data = data.astype(_label_storage_dtype(data), copy=False)

@@ -28,12 +28,12 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not self.lr0 > 0:
-            raise ConfigError(f"lr0 must be positive, got {self.lr0}")
+        if not 0 < self.lr0 < math.inf:
+            raise ConfigError(f"lr0 must be positive and finite, got {self.lr0}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not self.exponent > 0:
-            raise ConfigError(f"exponent must be positive, got {self.exponent}")
+        if not 0 < self.exponent < math.inf:
+            raise ConfigError(f"exponent must be positive and finite, got {self.exponent}")
         if not 0 <= self.warmup_epochs < self.max_epochs:
             raise ConfigError(
                 f"warmup_epochs must be in [0, max_epochs), got {self.warmup_epochs}"

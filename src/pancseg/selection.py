@@ -28,7 +28,6 @@ from .ensemble import (
     EnsembleSpec,
     check_unique,
     combine_volumes,
-    consensus_codes,
     load_member_volume,
     read_member_file,
 )
@@ -211,14 +210,15 @@ class SubsetEvaluator:
     """Loads member predictions once and evaluates subsets with caching.
 
     Each (member, case) prediction is read lazily, the first time a subset
-    needs it, and stored with its ``consensus_codes``, computed right then,
-    once.  Every subset fuses from those codes: voxels where all its members
-    hold the same non-negative code are settled and copied, and only the
-    active rest is gathered and fused.  The fused labels are bit-identical
-    to a full-volume fusion (see ``ensemble``), and all per-subset checks
-    still run per case in the same order, so a defective pool fails with the
-    same error at the same subset.  Each case's reference is read and masked
-    once; each fused prediction is masked and scored against it.
+    needs it, and stored; its ``Volume.consensus_codes`` are computed by the
+    first fusion and kept on the volume.  Every subset fuses from those
+    codes: voxels where all its members hold the same non-negative code are
+    settled and copied, and only the active rest is gathered and fused.  The
+    fused labels are bit-identical to a full-volume fusion (see
+    ``ensemble``), and all per-subset checks still run per case in the same
+    order, so a defective pool fails with the same error at the same subset.
+    Each case's reference is read and masked once; each fused prediction is
+    masked and scored against it.
 
     Reports are memoized by the sorted member ids, which a pool keeps
     unique.
@@ -229,7 +229,7 @@ class SubsetEvaluator:
         self.config = config
         self.base_dir = Path(pool.base_dir) if pool.base_dir else None
         self._references: dict[str, BinaryMask] = {}
-        self._members: dict[tuple[str, str], tuple[Volume, np.ndarray]] = {}
+        self._members: dict[tuple[str, str], Volume] = {}
         self._member_digests: dict[str, str] = {}
         self._reports: dict[tuple[str, ...], CohortReport] = {}
         self._members_by_id = {m.member_id: m for m in pool.members}
@@ -241,13 +241,12 @@ class SubsetEvaluator:
             self._references[case_id] = BinaryMask.from_labels(volume, self.config.label_id)
         return self._references[case_id]
 
-    def _member(self, member_id: str, case_id: str) -> tuple[Volume, np.ndarray]:
-        """One member's prediction for one case and its consensus codes."""
+    def _member(self, member_id: str, case_id: str) -> Volume:
+        """One member's prediction for one case, read once."""
         key = (member_id, case_id)
         if key not in self._members:
             member = self._members_by_id[member_id]
-            volume = load_member_volume(member, self.pool.mode, case_id, self.base_dir)
-            self._members[key] = (volume, consensus_codes(volume))
+            self._members[key] = load_member_volume(member, self.pool.mode, case_id, self.base_dir)
         return self._members[key]
 
     def member_digest(self, member_id: str) -> str:
@@ -274,10 +273,8 @@ class SubsetEvaluator:
         )
         cases = []
         for case_id, ref_path in self.pool.cases:
-            volumes, codes = {}, {}
-            for mid in member_ids:
-                volumes[mid], codes[mid] = self._member(mid, case_id)
-            combined = combine_volumes(spec, volumes, codes)
+            volumes = {mid: self._member(mid, case_id) for mid in member_ids}
+            combined = combine_volumes(spec, volumes)
             ref = self._reference(case_id, ref_path)
             pred = BinaryMask.from_labels(combined, self.config.label_id)
             cases.append(evaluate_case(ref, pred, self.config, case_id=case_id))
@@ -329,13 +326,16 @@ def search_subsets(
     pool: CandidatePool,
     size_min: int,
     size_max: int,
-    config: EvalConfig = EvalConfig(),
     weights: Sequence[float] = DEFAULT_WEIGHTS,
     norm: str = "minmax",
     budget: int = DEFAULT_BUDGET,
     evaluator: Optional[SubsetEvaluator] = None,
 ) -> list[SubsetResult]:
-    """Exhaustively rank every member subset within the size range."""
+    """Exhaustively rank every member subset within the size range.
+
+    ``evaluator`` (default: a fresh one with the default ``EvalConfig``)
+    holds the metric options and caches loads and reports across searches.
+    """
     n = len(pool.members)
     if not 1 <= size_min <= size_max <= n:
         raise ConfigError(
@@ -348,7 +348,7 @@ def search_subsets(
             "raise the budget or use beam search"
         )
     if evaluator is None:
-        evaluator = SubsetEvaluator(pool, config)
+        evaluator = SubsetEvaluator(pool, EvalConfig())
     return _grow_subsets(evaluator, size_min, size_max, None, weights, norm)
 
 
@@ -356,7 +356,6 @@ def beam_search_subsets(
     pool: CandidatePool,
     size_max: int,
     beam_width: int,
-    config: EvalConfig = EvalConfig(),
     weights: Sequence[float] = DEFAULT_WEIGHTS,
     norm: str = "minmax",
     evaluator: Optional[SubsetEvaluator] = None,
@@ -367,7 +366,8 @@ def beam_search_subsets(
     empty subset, and keeps the best beam_width extensions by composite
     score over everything evaluated so far.  The final ranking covers all
     evaluated subsets; with beam_width at least the number of subsets per
-    level the result equals exhaustive search.
+    level the result equals exhaustive search.  ``evaluator`` is as for
+    ``search_subsets``.
     """
     n = len(pool.members)
     if beam_width < 1:
@@ -375,5 +375,5 @@ def beam_search_subsets(
     if not 1 <= size_max <= n:
         raise ConfigError(f"size_max must be in 1..{n}, got {size_max}")
     if evaluator is None:
-        evaluator = SubsetEvaluator(pool, config)
+        evaluator = SubsetEvaluator(pool, EvalConfig())
     return _grow_subsets(evaluator, 1, size_max, beam_width, weights, norm)

@@ -1,4 +1,4 @@
-"""In-memory volume and manifest types.
+"""In-memory volume and manifest-row types.
 
 The canonical in-memory layout is a numpy array indexed ``[x, y, z]`` (plus a
 trailing class axis for probability stacks) with axis 0 increasing to the
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -199,14 +200,32 @@ class Volume:
     def same_grid(self, other: "Volume") -> bool:
         return same_grid((self.dims, self.spacing), (other.dims, other.spacing))
 
-    def with_data(self, data: np.ndarray, kind: str | None = None) -> "Volume":
-        """New volume on the same grid with replacement voxel data."""
-        return Volume(
-            data=data,
-            spacing=self.spacing,
-            origin=self.origin,
-            kind=self.kind if kind is None else kind,
-        )
+    def with_data(self, data: np.ndarray) -> "Volume":
+        """New volume of the same kind on the same grid with replacement voxel data."""
+        return Volume(data=data, spacing=self.spacing, origin=self.origin, kind=self.kind)
+
+    @cached_property
+    def consensus_codes(self) -> np.ndarray:
+        """One code per voxel, computed once: the label of a label map; for a
+        probability stack the hot class where the vector is exactly one-hot,
+        else -1 (int8 up to 127 classes, read-only)."""
+        if self.kind == "labels":
+            return self.data
+        if self.kind != "probabilities":
+            raise ValidationError(f"consensus codes need labels or probabilities, got {self.kind}")
+        n_classes = self.n_classes
+        flat = self.data.reshape(-1, n_classes)
+        dtype = np.int8 if n_classes <= 127 else np.int32
+        codes = np.full(len(flat), -1, dtype=dtype)
+        nonzero = np.zeros(len(flat), dtype=dtype)
+        # class columns one at a time: reductions along a short axis are slow
+        for c in range(n_classes):
+            column = flat[:, c]
+            nonzero += column != 0
+            codes[column == 1.0] = c
+        codes[nonzero != 1] = -1
+        codes.setflags(write=False)
+        return codes.reshape(self.dims)
 
     def label_values(self) -> tuple[int, ...]:
         if self.kind != "labels":
@@ -231,20 +250,6 @@ class ManifestRow:
     case_id: str
     reference: str
     prediction: str
-
-
-@dataclass(frozen=True)
-class Manifest:
-    rows: tuple[ManifestRow, ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def case_ids(self) -> tuple[str, ...]:
-        return tuple(r.case_id for r in self.rows)
 
 
 MANIFEST_COLUMNS = ("case_id", "reference", "prediction")
@@ -287,7 +292,7 @@ def read_json_object(path: str | Path, what: str) -> dict:
     return doc
 
 
-def read_manifest(path: str | Path) -> Manifest:
+def read_manifest(path: str | Path) -> tuple[ManifestRow, ...]:
     """Parse a cohort manifest CSV with header ``case_id,reference,prediction``.
 
     Rows are kept in file order.  Duplicate case ids, missing columns, empty
@@ -319,7 +324,7 @@ def read_manifest(path: str | Path) -> Manifest:
         raise FormatError(f"manifest {path} is not UTF-8 CSV: {exc}") from exc
     if not rows:
         raise FormatError(f"manifest {path} has no rows")
-    return Manifest(rows=tuple(rows))
+    return tuple(rows)
 
 
 def write_manifest(rows: Sequence[ManifestRow], path: str | Path) -> None:

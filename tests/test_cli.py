@@ -91,6 +91,23 @@ def test_resample_over_the_voxel_budget_is_a_config_error(tmp_path, capsys, spac
     assert not out_file.exists()
 
 
+def test_resample_beyond_the_float32_header_is_a_header_limit_error(tmp_path, capsys):
+    src = tmp_path / "lab.nii.gz"
+    _write_labels(src, _ball(dims=(4, 4, 4), radius=1.2))
+    out_file = tmp_path / "out.nii.gz"
+    code, out, err = _run(
+        capsys,
+        "resample", "--input", str(src), "--output", str(out_file), "--kind", "labels",
+        "--spacing", "1e39", "1", "1", "--json-errors",
+    )
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "HeaderLimitError"
+    assert "float32" in doc["error"]["message"]
+    assert not out_file.exists()
+
+
 def test_resample_labels_kind(tmp_path, capsys):
     src = tmp_path / "lab.nii.gz"
     _write_labels(src, _ball(), spacing=(2.0, 2.0, 2.0))
@@ -672,6 +689,20 @@ def test_lr_curve_csv(tmp_path, capsys):
     assert len(lines) == 6
     assert lines[1] == "0,0.01"
     assert lines[-1] == "4,0"
+
+
+@pytest.mark.parametrize("flag", ["--lr0", "--exponent"])
+def test_lr_curve_rejects_an_infinite_rate_or_exponent(capsys, flag):
+    argv = {"--lr0": "0.01", "--exponent": "0.9", flag: "inf"}
+    code, out, err = _run(
+        capsys, "lr-curve", "--family", "poly", "--max-epochs", "2",
+        *(f"{k}={v}" for k, v in argv.items()), "--json-errors",
+    )
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert flag[2:] in doc["error"]["message"]
 
 
 def test_lr_curve_rejects_bad_family(capsys):

@@ -12,7 +12,6 @@ from pancseg.ensemble import (
     average_probabilities,
     combine,
     combine_volumes,
-    consensus_codes,
     load_ensemble_spec,
     load_member_volume,
     majority_vote,
@@ -328,12 +327,13 @@ def test_consensus_codes():
             ]
         ]
     )
-    assert consensus_codes(stack).tolist() == [[[1, 2], [-1, -1]]]
-    assert consensus_codes(stack).dtype == np.int8
+    assert stack.consensus_codes.tolist() == [[[1, 2], [-1, -1]]]
+    assert stack.consensus_codes.dtype == np.int8
+    assert not stack.consensus_codes.flags.writeable
     labels = _labels([[[0, 2], [1, 0]]])
-    assert consensus_codes(labels) is labels.data
+    assert labels.consensus_codes is labels.data
     with pytest.raises(ValidationError):
-        consensus_codes(Volume(np.zeros((2, 2, 2)), (1, 1, 1), kind="image"))
+        Volume(np.zeros((2, 2, 2)), (1, 1, 1), kind="image").consensus_codes
 
 
 def test_settled_voxels_skip_fusion_but_not_validation():

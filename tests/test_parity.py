@@ -56,7 +56,6 @@ from pancseg.ensemble import (
     EnsembleSpec,
     average_probabilities,
     combine_volumes,
-    consensus_codes,
     majority_vote,
 )
 from pancseg.errors import GridMismatchError, PancsegError, ValidationError
@@ -679,10 +678,8 @@ def test_prob_avg_split_matches_full_volume_fusion(
     members = [_relayout(v, layout) for v in members]
     spec = _spec(n_members, weights, "prob_avg")
     volumes = {f"m{i}": v for i, v in enumerate(members)}
-    codes = {mid: consensus_codes(v) for mid, v in volumes.items()}
     want = _outcome(lambda: ref_combine_volumes(spec, volumes))
     assert _outcome(lambda: combine_volumes(spec, volumes)) == want
-    assert _outcome(lambda: combine_volumes(spec, volumes, codes)) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -744,8 +741,6 @@ def test_failing_average_raises_the_same_error_on_both_paths(dtype):
     want = _outcome(lambda: ref_combine_volumes(spec, members))
     assert want[0] == "error" and "must lie in [0, 1]" in want[2]
     assert _outcome(lambda: combine_volumes(spec, members)) == want
-    codes = {mid: consensus_codes(v) for mid, v in members.items()}
-    assert _outcome(lambda: combine_volumes(spec, members, codes)) == want
 
 
 # ------------------------------------------------------- selection errors
@@ -835,7 +830,7 @@ def test_defective_pool_fails_at_the_same_subset_as_full_fusion(
     pool = _defective_pool(tmp_path, defects, mode)
     got = _search_outcome(pool, SEARCHES[search])
 
-    def full_volume(spec, volumes, codes):
+    def full_volume(spec, volumes):
         return ref_combine_volumes(spec, volumes)
 
     monkeypatch.setattr(selection, "combine_volumes", full_volume)

@@ -100,6 +100,14 @@ def test_spec_validation():
         ScheduleSpec("poly_warmup", lr0=0.01, max_epochs=10, warmup_epochs=-1)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_lr0_and_exponent_must_be_finite(value):
+    with pytest.raises(ConfigError, match="lr0"):
+        ScheduleSpec("poly", lr0=value, max_epochs=10)
+    with pytest.raises(ConfigError, match="exponent"):
+        ScheduleSpec("poly", lr0=0.01, max_epochs=10, exponent=value)
+
+
 def test_epoch_bounds_are_enforced():
     spec = ScheduleSpec("poly", lr0=0.01, max_epochs=10)
     with pytest.raises(ValidationError):

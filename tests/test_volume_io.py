@@ -23,7 +23,6 @@ from pancseg.errors import (
 from pancseg.nifti import _DTYPE_BY_CODE, read_volume, write_volume
 from pancseg.volume import (
     LABEL_SCAN_MAX_SPAN,
-    Manifest,
     ManifestRow,
     Volume,
     read_manifest,
@@ -252,6 +251,23 @@ def test_oversized_dims_hit_header_limit(tmp_path):
     # the limit error is an I/O-class failure, not a validation failure
     assert not isinstance(HeaderLimitError("x"), ValidationError)
     assert isinstance(HeaderLimitError("x"), FormatError)
+
+
+@pytest.mark.parametrize(
+    "spacing, origin",
+    [((1e39, 1, 1), (0, 0, 0)), ((1, 1, 1), (0, -1e39, 0)), ((1, 1, 3.5e38), (0, 0, 0))],
+)
+def test_grid_beyond_float32_hits_header_limit(tmp_path, spacing, origin):
+    vol = Volume(np.zeros((2, 2, 2), dtype=np.uint8), spacing, origin, kind="labels")
+    path = tmp_path / "wide.nii"
+    with pytest.raises(HeaderLimitError, match="float32"):
+        write_volume(vol, path)
+    assert not path.exists()
+    # the largest float32 still fits and reads back
+    edge = float(np.finfo(np.float32).max)
+    write_volume(Volume(vol.data, (edge, 1, 1), (0, -edge, 0), kind="labels"), path)
+    back = read_volume(path, kind="labels")
+    assert back.spacing[0] == edge and back.origin[1] == -edge
 
 
 def _patch_header(path, offset, fmt, *values):
@@ -626,10 +642,7 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.csv"
     write_manifest(rows, path)
     manifest = read_manifest(path)
-    assert isinstance(manifest, Manifest)
-    assert manifest.case_ids() == ("case_001", "case_002")
-    assert list(manifest) == rows
-    assert len(manifest) == 2
+    assert manifest == tuple(rows)
 
 
 def test_manifest_accepts_crlf_line_endings(tmp_path):
@@ -640,8 +653,8 @@ def test_manifest_accepts_crlf_line_endings(tmp_path):
         b"case_b,ref_b.nii.gz,pred_b.nii.gz\r\n"
     )
     manifest = read_manifest(path)
-    assert manifest.case_ids() == ("case_a", "case_b")
-    assert manifest.rows[1].prediction == "pred_b.nii.gz"
+    assert tuple(r.case_id for r in manifest) == ("case_a", "case_b")
+    assert manifest[1].prediction == "pred_b.nii.gz"
 
 
 def test_manifest_rejects_malformed_inputs(tmp_path):
