@@ -47,11 +47,28 @@ TRANSFORM_PARAMS = {
 
 TRANSFORM_NAMES = tuple(TRANSFORM_PARAMS)
 
+# Each range key's lowest allowed value and whether the value itself is
+# allowed.  rotation_rad and strength take any finite value.
+RANGE_FLOORS = {
+    "scale": (0.0, False),
+    "sigma_mm": (0.0, False),
+    "gamma": (0.0, False),
+    "factor": (1.0, True),
+    "sigma": (0.0, True),
+}
+
 PRESET_ORDERS = {"da5": (3, 1), "da5ord0": (0, 0), "da5segord0": (3, 0)}
 
 BLUR_TRUNCATE = 4.0
 
 _MASK64 = (1 << 64) - 1
+
+
+def _check_floor(name: str, key: str, value: float, error=ValidationError) -> None:
+    """Raise ``error`` when ``value`` lies below the floor of range ``key``."""
+    floor, inclusive = RANGE_FLOORS.get(key, (-math.inf, False))
+    if not (value >= floor if inclusive else value > floor):
+        raise error(f"{name}.{key} must be {'>=' if inclusive else '>'} {floor:g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +97,7 @@ class TransformSpec:
                 raise ConfigError(
                     f"{self.name}.{key}: range ({lo}, {hi}) must be finite and ordered"
                 )
+            _check_floor(self.name, key, lo, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -230,8 +248,8 @@ def spatial_transform(img: Volume, lab: Volume, rotation, scale, preset: Augment
     differs (image_order for the image, nearest or one-hot-linear argmax for
     labels).  Output grids equal input grids.
     """
-    if any(s <= 0 for s in scale):
-        raise ValidationError(f"scale components must be positive, got {tuple(scale)}")
+    for s in scale:
+        _check_floor("spatial", "scale", s)
     check_same_grid((img.dims, img.spacing), (lab.dims, lab.spacing), "image and label")
 
     coords = _spatial_coords(img.dims, img.spacing, rotation, scale)
@@ -260,22 +278,17 @@ def intensity_transform(img: Volume, kind: str, params: dict, seed: int = 0) -> 
     """
     if img.kind != "image":
         raise ValidationError(f"intensity transforms expect an image volume, got {img.kind}")
+    for key, value in params.items():
+        _check_floor(kind, key, float(value))
     data = img.data.astype(np.float64, copy=False)
     if kind == "blur":
-        sigma = float(params["sigma_mm"])
-        if sigma <= 0:
-            raise ValidationError(f"blur sigma must be > 0 mm, got {sigma}")
-        out = _blur_data(data, sigma, img.spacing)
+        out = _blur_data(data, float(params["sigma_mm"]), img.spacing)
     elif kind == "sharpen":
         sigma = float(params.get("sigma_mm", 1.0))
         strength = float(params["strength"])
-        if sigma <= 0:
-            raise ValidationError(f"sharpen sigma must be > 0 mm, got {sigma}")
         out = data + strength * (data - _blur_data(data, sigma, img.spacing))
     elif kind == "gamma":
         gamma = float(params["gamma"])
-        if gamma <= 0:
-            raise ValidationError(f"gamma must be > 0, got {gamma}")
         lo = float(data.min())
         hi = float(data.max())
         if hi == lo:
@@ -284,8 +297,6 @@ def intensity_transform(img: Volume, kind: str, params: dict, seed: int = 0) -> 
             out = ((data - lo) / (hi - lo)) ** gamma * (hi - lo) + lo
     elif kind == "noise":
         sigma = float(params["sigma"])
-        if sigma < 0:
-            raise ValidationError(f"noise sigma must be >= 0, got {sigma}")
         g = _generator(seed, 0)
         out = data + sigma * g.standard_normal(data.shape)
     else:
@@ -297,8 +308,7 @@ def simulate_low_res(img: Volume, factor: float) -> Volume:
     """Nearest-neighbor downsample by ``factor``, tricubic upsample back."""
     if img.kind != "image":
         raise ValidationError(f"simulate_low_res expects an image volume, got {img.kind}")
-    if factor < 1:
-        raise ValidationError(f"low-res factor must be >= 1, got {factor}")
+    _check_floor("lowres", "factor", factor)
     small_dims = target_grid(img.dims, (1.0,) * 3, (factor,) * 3)
     # shape-ratio alignment: going from n to m voxels, center j maps to
     # (j + 0.5) * n/m - 0.5

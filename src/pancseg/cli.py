@@ -2,13 +2,15 @@
 
 Conventions across all subcommands:
 
-- stdout carries data (JSON or CSV documents), stderr carries diagnostics;
+- each subcommand computes one document (JSON or CSV); stdout carries it,
+  ``--out`` copies it, and stderr carries only diagnostics.  A JSON
+  document's last key is its provenance: the tool version, the resolved
+  configuration and a sha256 digest of every input file, unless
+  ``--no-provenance`` (eval-case, eval-cohort) is given.  Documents hold no
+  timestamps, so reruns over identical inputs are byte-identical;
 - exit 0 on success, 1 on validation/config errors, 2 on I/O or format
   errors; ``--json-errors`` emits a machine-readable error object on stderr;
-- shared options resolve as config file < PANCSEG_* environment < flags;
-- report documents embed the tool version, the resolved configuration and
-  sha256 digests of every input file, and contain no timestamps, so reruns
-  over identical inputs are byte-identical.
+- shared options resolve as config file < PANCSEG_* environment < flags.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from .report import (
     report_to_dict,
     round_sig,
 )
-from .schedules import FAMILIES, ScheduleSpec, schedule_curve
+from .schedules import DEFAULT_EXPONENT, FAMILIES, ScheduleSpec, schedule_curve
 from .selection import (
     DEFAULT_BUDGET,
     DEFAULT_WEIGHTS,
@@ -165,13 +167,18 @@ def sha256_file(path: str | Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def provenance(config_echo: dict, inputs) -> dict:
-    return {
-        "tool": "pancseg",
-        "version": __version__,
-        "config": config_echo,
-        "inputs": {str(p): sha256_file(p) for p in sorted(str(x) for x in inputs)},
-    }
+def _document(args, doc: dict, config_echo: dict, inputs) -> str:
+    """``doc`` as JSON text, with its provenance as the last key unless
+    ``--no-provenance`` is given.  Each distinct input is hashed once, in
+    path order."""
+    if not getattr(args, "no_provenance", False):
+        doc["provenance"] = {
+            "tool": "pancseg",
+            "version": __version__,
+            "config": config_echo,
+            "inputs": {p: sha256_file(p) for p in sorted({str(p) for p in inputs})},
+        }
+    return dumps_json(doc)
 
 
 def _output_path(path: str | Path) -> Path:
@@ -192,10 +199,12 @@ def _write_output_volume(volume: Volume, path: str | Path) -> str:
     return sha256_file(path)
 
 
-def _emit(text: str, out_path: Optional[str] = None):
-    sys.stdout.write(text)
-    if out_path:
-        _write_text(out_path, text)
+def _rebased(path: str, base_dir, new_dir) -> str:
+    """A relative path named in a file in ``base_dir``, rewritten to name the
+    same file from ``new_dir``; an absolute path stays as written."""
+    if Path(path).is_absolute():
+        return path
+    return os.path.relpath(resolve_relative(path, base_dir), new_dir)
 
 
 def _default_case_id(path: str | Path) -> str:
@@ -209,7 +218,7 @@ def _default_case_id(path: str | Path) -> str:
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_resample(args, cfg: RunConfig) -> int:
+def cmd_resample(args, cfg: RunConfig) -> str:
     volume = read_volume(args.input, kind=args.kind, label_set=None)
     plan = ResamplePlan.for_volume(
         volume,
@@ -232,12 +241,10 @@ def cmd_resample(args, cfg: RunConfig) -> int:
         "label_order": plan.label_order,
         "clamp_cubic": plan.clamp_cubic,
     }
-    doc = {"outputs": outputs, "provenance": provenance(echo, [args.input])}
-    _emit(dumps_json(doc), args.out)
-    return EXIT_OK
+    return _document(args, {"outputs": outputs}, echo, [args.input])
 
 
-def cmd_augment(args, cfg: RunConfig) -> int:
+def cmd_augment(args, cfg: RunConfig) -> str:
     img = read_volume(args.image, kind="image")
     lab = read_volume(args.labels, kind="labels", label_set=None)
     if args.preset_file:
@@ -259,12 +266,10 @@ def cmd_augment(args, cfg: RunConfig) -> int:
         "seed": pre.seed,
     }
     inputs = [args.image, args.labels] + ([args.preset_file] if args.preset_file else [])
-    doc = {"outputs": outputs, "provenance": provenance(echo, inputs)}
-    _emit(dumps_json(doc), args.out)
-    return EXIT_OK
+    return _document(args, {"outputs": outputs}, echo, inputs)
 
 
-def cmd_ensemble(args, cfg: RunConfig) -> int:
+def cmd_ensemble(args, cfg: RunConfig) -> str:
     spec_path = Path(args.spec)
     spec = load_ensemble_spec(spec_path)
     base_dir = spec_path.parent
@@ -286,24 +291,18 @@ def cmd_ensemble(args, cfg: RunConfig) -> int:
         out_paths = [Path(args.output_dir) / f"{c}.nii.gz" for c in case_ids]
 
     outputs = {}
-    member_files = set()
+    inputs = [spec_path] + ([args.manifest] if args.manifest else [])
     for case_id, out_path in zip(case_ids, out_paths):
         combined = combine(spec, case_id=case_id, base_dir=base_dir)
         outputs[str(out_path)] = _write_output_volume(combined, out_path)
-        for m in spec.members:
-            member_files.add(str(m.resolve_path(case_id, base_dir)))
+        inputs += [m.resolve_path(case_id, base_dir) for m in spec.members]
 
     echo = {
         "command": "ensemble",
         "mode": spec.mode,
         "members": [m.member_id for m in spec.sorted_members()],
     }
-    inputs = [str(spec_path)] + sorted(member_files)
-    if args.manifest:
-        inputs.append(str(args.manifest))
-    doc = {"outputs": outputs, "provenance": provenance(echo, inputs)}
-    _emit(dumps_json(doc), args.out)
-    return EXIT_OK
+    return _document(args, {"outputs": outputs}, echo, inputs)
 
 
 def _evaluate_files(ref_path, pred_path, config: EvalConfig, case_id: str):
@@ -316,12 +315,10 @@ def _evaluate_files(ref_path, pred_path, config: EvalConfig, case_id: str):
     return evaluate_case(ref, pred, config, case_id=case_id)
 
 
-def cmd_eval_case(args, cfg: RunConfig) -> int:
+def cmd_eval_case(args, cfg: RunConfig) -> str:
     case_id = args.case_id or _default_case_id(args.pred)
     case = _evaluate_files(args.ref, args.pred, cfg, case_id)
-    prov = None if args.no_provenance else provenance(config_to_dict(cfg), [args.ref, args.pred])
-    _emit(dumps_json(case_report_to_dict(case, cfg, prov)), args.out)
-    return EXIT_OK
+    return _document(args, case_report_to_dict(case, cfg), config_to_dict(cfg), [args.ref, args.pred])
 
 
 def _evaluate_manifest(manifest, config: EvalConfig, jobs: int):
@@ -334,24 +331,19 @@ def _evaluate_manifest(manifest, config: EvalConfig, jobs: int):
     return [one(row) for row in manifest]
 
 
-def cmd_eval_cohort(args, cfg: RunConfig) -> int:
+def cmd_eval_cohort(args, cfg: RunConfig) -> str:
     manifest = read_manifest(args.manifest)
     cases = _evaluate_manifest(manifest, cfg, cfg.jobs)
     report = aggregate_cohort(cases, cfg)
     if args.csv:
-        _emit(report_to_csv(report), args.out)
-        return EXIT_OK
-    prov = None
-    if not args.no_provenance:
-        inputs = [args.manifest]
-        for row in manifest:
-            inputs.extend([row.reference, row.prediction])
-        prov = provenance(config_to_dict(cfg), inputs)
-    _emit(dumps_json(report_to_dict(report, prov)), args.out)
-    return EXIT_OK
+        return report_to_csv(report)
+    inputs = [args.manifest]
+    for row in manifest:
+        inputs += [row.reference, row.prediction]
+    return _document(args, report_to_dict(report), config_to_dict(cfg), inputs)
 
 
-def cmd_select(args, cfg: RunConfig) -> int:
+def cmd_select(args, cfg: RunConfig) -> str:
     if not args.top >= 0:
         raise ConfigError(f"--top must be >= 0, got {args.top}")
     if args.beam is not None and args.size_min != 1:
@@ -380,21 +372,18 @@ def cmd_select(args, cfg: RunConfig) -> int:
             evaluator=evaluator,
         )
 
-    top = results[: args.top]
-    ranking = []
-    for rank, res in enumerate(top, start=1):
-        ranking.append(
-            {
-                "rank": rank,
-                "member_ids": list(res.member_ids),
-                "score": round_sig(res.score.score),
-                "normalized": {
-                    name: round_sig(value)
-                    for name, value in zip(METRIC_NAMES, res.score.normalized)
-                },
-                "report": report_to_dict(res.report),
-            }
-        )
+    ranking = [
+        {
+            "rank": rank,
+            "member_ids": list(res.member_ids),
+            "score": round_sig(res.score.score),
+            "normalized": {
+                name: round_sig(value) for name, value in zip(METRIC_NAMES, res.score.normalized)
+            },
+            "report": report_to_dict(res.report),
+        }
+        for rank, res in enumerate(results[: args.top], start=1)
+    ]
     echo = {
         "command": "select",
         "mode": pool.mode,
@@ -405,32 +394,27 @@ def cmd_select(args, cfg: RunConfig) -> int:
         "beam_width": args.beam,
         **config_to_dict(cfg),
     }
-    inputs = {str(args.pool)}
-    for case_id, ref_path in pool.cases:
-        inputs.add(str(resolve_relative(ref_path, evaluator.base_dir)))
-        for m in pool.members:
-            inputs.add(str(m.resolve_path(case_id, evaluator.base_dir)))
-    doc = {
-        "config": echo,
-        "n_evaluated": len(results),
-        "ranking": ranking,
-        "provenance": provenance(echo, sorted(inputs)),
-    }
-    _emit(dumps_json(doc), args.out)
-
     winner = results[0]
     if args.spec_out:
+        spec_path = _output_path(args.spec_out)
         members = tuple(
-            m for m in pool.sorted_members() if m.member_id in set(winner.member_ids)
+            replace(m, path=_rebased(m.path, evaluator.base_dir, spec_path.parent))
+            for m in pool.sorted_members()
+            if m.member_id in winner.member_ids
         )
-        spec = EnsembleSpec(members=members, mode=pool.mode)
-        save_ensemble_spec(spec, _output_path(args.spec_out))
+        save_ensemble_spec(EnsembleSpec(members=members, mode=pool.mode), spec_path)
     if args.report_out:
         _write_text(args.report_out, dumps_json(report_to_dict(winner.report)))
-    return EXIT_OK
+
+    inputs = [args.pool] + ([pool.manifest] if pool.manifest else [])
+    for case_id, ref_path in pool.cases:
+        inputs.append(resolve_relative(ref_path, evaluator.base_dir))
+        inputs += [m.resolve_path(case_id, evaluator.base_dir) for m in pool.members]
+    doc = {"config": echo, "n_evaluated": len(results), "ranking": ranking}
+    return _document(args, doc, echo, inputs)
 
 
-def cmd_lr_curve(args, cfg: RunConfig) -> int:
+def cmd_lr_curve(args, cfg: RunConfig) -> str:
     spec = ScheduleSpec(
         family=args.family,
         lr0=args.lr0,
@@ -441,8 +425,7 @@ def cmd_lr_curve(args, cfg: RunConfig) -> int:
     lines = ["epoch,lr"]
     for epoch, lr in schedule_curve(spec):
         lines.append(f"{epoch},{format_sig(lr)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 # -------------------------------------------------------------------- parser
@@ -543,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--lr0", type=float, required=True)
     p.add_argument("--max-epochs", type=int, required=True)
-    p.add_argument("--exponent", type=float, default=0.9)
+    p.add_argument("--exponent", type=float, default=DEFAULT_EXPONENT)
     p.add_argument("--warmup-epochs", type=int, default=0)
     p.set_defaults(handler=cmd_lr_curve)
 
@@ -581,7 +564,11 @@ def main(argv=None) -> int:
     json_errors = bool(getattr(args, "json_errors", False))
     try:
         cfg = resolve_config(args)
-        return args.handler(args, cfg)
+        text = args.handler(args, cfg)
+        sys.stdout.write(text)
+        if args.out:
+            _write_text(args.out, text)
+        return EXIT_OK
     except (FormatError, OSError) as exc:
         _emit_error(exc, EXIT_IO, json_errors)
         return EXIT_IO

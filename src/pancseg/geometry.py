@@ -127,9 +127,11 @@ def interp_taps(c: np.ndarray, n: int, order: int):
     """Tap indices and kernel weights for source coordinates ``c``.
 
     Returns (taps, weights) with leading axis K = 1/2/4 for order 0/1/3.
-    Taps are clipped into [0, n-1], which realizes edge clamping.
+    Taps are clipped into [0, n-1], which realizes edge clamping.  Every
+    float64 beyond 2**52 is an integer, so clipping ``c`` to +-2**53 first
+    keeps the int64 casts from wrapping and changes no tap or weight.
     """
-    c = np.asarray(c, dtype=np.float64)
+    c = np.clip(np.asarray(c, dtype=np.float64), -(2.0**53), 2.0**53)
     if order == 0:
         idx = np.clip(np.floor(c + 0.5).astype(np.int64), 0, n - 1)
         return idx[np.newaxis], np.ones((1,) + c.shape)

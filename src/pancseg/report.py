@@ -70,24 +70,16 @@ def aggregate_to_dict(report: CohortReport) -> dict:
     }
 
 
-def report_to_dict(report: CohortReport, provenance: Optional[dict] = None) -> dict:
-    doc = {
+def report_to_dict(report: CohortReport) -> dict:
+    return {
         "config": config_to_dict(report.config),
         "cases": [case_to_dict(c) for c in report.cases],
         "aggregate": aggregate_to_dict(report),
     }
-    if provenance is not None:
-        doc["provenance"] = provenance
-    return doc
 
 
-def case_report_to_dict(
-    case: CaseMetrics, config: EvalConfig, provenance: Optional[dict] = None
-) -> dict:
-    doc = {"config": config_to_dict(config), "case": case_to_dict(case)}
-    if provenance is not None:
-        doc["provenance"] = provenance
-    return doc
+def case_report_to_dict(case: CaseMetrics, config: EvalConfig) -> dict:
+    return {"config": config_to_dict(config), "case": case_to_dict(case)}
 
 
 def dumps_json(doc) -> str:

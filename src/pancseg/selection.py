@@ -65,6 +65,7 @@ class CandidatePool(EnsembleSpec):
 
     cases: tuple[tuple[str, str], ...]  # (case_id, reference path)
     base_dir: Optional[str] = None
+    manifest: Optional[str] = None  # the manifest file the cases were read from
 
     def __post_init__(self):
         if len(self.members) < 2:
@@ -89,6 +90,7 @@ def load_pool(path: str | Path) -> CandidatePool:
     base = path.parent
     if "cases" in doc and "manifest" in doc:
         raise FormatError(f"pool file {path}: give either 'cases' or 'manifest', not both")
+    manifest = None
     if "cases" in doc:
         entries = doc["cases"]
         if not isinstance(entries, list) or not all(
@@ -105,8 +107,8 @@ def load_pool(path: str | Path) -> CandidatePool:
     elif "manifest" in doc:
         if not isinstance(doc["manifest"], str):
             raise FormatError(f"pool file {path}: 'manifest' must be a path string")
-        manifest = read_manifest(resolve_relative(doc["manifest"], base))
-        cases = [(row.case_id, row.reference) for row in manifest]
+        manifest = str(resolve_relative(doc["manifest"], base))
+        cases = [(row.case_id, row.reference) for row in read_manifest(manifest)]
     else:
         raise FormatError(f"pool file {path}: missing 'cases' or 'manifest'")
     return CandidatePool(
@@ -114,6 +116,7 @@ def load_pool(path: str | Path) -> CandidatePool:
         cases=tuple(cases),
         mode=doc.get("mode", "prob_avg"),
         base_dir=str(base),
+        manifest=manifest,
     )
 
 

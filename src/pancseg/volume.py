@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -197,9 +197,6 @@ class Volume:
             raise ValidationError("n_classes is only defined for probability stacks")
         return int(self.data.shape[3])
 
-    def same_grid(self, other: "Volume") -> bool:
-        return same_grid((self.dims, self.spacing), (other.dims, other.spacing))
-
     def with_data(self, data: np.ndarray) -> "Volume":
         """New volume of the same kind on the same grid with replacement voxel data."""
         return Volume(data=data, spacing=self.spacing, origin=self.origin, kind=self.kind)
@@ -226,11 +223,6 @@ class Volume:
         codes[nonzero != 1] = -1
         codes.setflags(write=False)
         return codes.reshape(self.dims)
-
-    def label_values(self) -> tuple[int, ...]:
-        if self.kind != "labels":
-            raise ValidationError("label_values is only defined for label volumes")
-        return tuple(int(v) for v in unique_labels(self.data))
 
 
 def validate_label_set(labels: np.ndarray, label_set: Iterable[int]) -> None:
@@ -325,11 +317,3 @@ def read_manifest(path: str | Path) -> tuple[ManifestRow, ...]:
     if not rows:
         raise FormatError(f"manifest {path} has no rows")
     return tuple(rows)
-
-
-def write_manifest(rows: Sequence[ManifestRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for r in rows:
-            writer.writerow([r.case_id, r.reference, r.prediction])

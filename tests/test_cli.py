@@ -108,6 +108,22 @@ def test_resample_beyond_the_float32_header_is_a_header_limit_error(tmp_path, ca
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("label_order", ["0", "1"])
+def test_resample_far_past_int64_clamps_to_the_last_voxel(tmp_path, capsys, label_order):
+    # the one output voxel samples source coordinate 0.5e20 - 0.5, beyond
+    # int64: its taps clamp to the last voxel instead of wrapping to the first
+    src = tmp_path / "lab.nii.gz"
+    _write_labels(src, np.array([0, 0, 0, 2]).reshape(4, 1, 1), spacing=(1.0, 1.0, 1.0))
+    dst = tmp_path / "out.nii.gz"
+    code, _, err = _run(
+        capsys,
+        "resample", "--input", str(src), "--output", str(dst), "--kind", "labels",
+        "--spacing", "1e20", "1", "1", "--label-order", label_order,
+    )
+    assert code == 0, err
+    assert read_volume(dst, kind="labels").data.ravel().tolist() == [2]
+
+
 def test_resample_labels_kind(tmp_path, capsys):
     src = tmp_path / "lab.nii.gz"
     _write_labels(src, _ball(), spacing=(2.0, 2.0, 2.0))
@@ -234,6 +250,21 @@ def test_preset_range_names_exit_one_with_json_error(tmp_path, capsys, defect):
     doc = json.loads(err)
     assert doc["error"]["type"] == "ConfigError"
     assert BAD_RANGE_NAMES[defect]["name"] in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_preset_range_below_its_floor_exits_one_for_every_seed(tmp_path, capsys, seed):
+    # a range is checked at its low end, not only at the value a seed draws
+    preset_file = tmp_path / "preset.json"
+    blur = {"name": "blur", "probability": 1, "sigma_mm": [-1, 1]}
+    preset_file.write_text(json.dumps({"transforms": [blur]}))
+    argv = _json_input_argv(tmp_path, "preset file", preset_file)
+    code, out, err = _run(capsys, *argv, "--seed", str(seed), "--json-errors")
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert "blur.sigma_mm" in doc["error"]["message"]
 
 
 # ---------------------------------------------------------------- ensemble
@@ -591,6 +622,73 @@ def test_select_finds_the_planted_member(tmp_path, capsys):
     assert winner.mode == "majority"
     saved = json.loads(report_out.read_text())
     assert saved["aggregate"]["mean_dice"] == 1.0
+
+
+def test_select_spec_out_in_another_directory_re_executes(tmp_path, capsys):
+    pool_path = _pool_fixture(tmp_path)
+    spec_out = tmp_path / "out" / "w.json"
+    code, _, err = _run(capsys, "select", "--pool", str(pool_path), "--spec-out", str(spec_out))
+    assert code == 0, err
+    assert [m.path for m in load_ensemble_spec(spec_out).members] == ["../good/{case}.nii.gz"]
+    fused = tmp_path / "fused.nii.gz"
+    code, _, err = _run(
+        capsys, "ensemble", "--spec", str(spec_out), "--case-id", "c1", "--output", str(fused)
+    )
+    assert code == 0, err
+    assert np.array_equal(read_volume(fused, kind="labels").data, _ball())
+
+
+def test_select_provenance_lists_the_pool_manifest(tmp_path, capsys):
+    # the same pool in both forms: only the manifest pool reads a manifest
+    pool_path = _pool_fixture(tmp_path)
+    cases_form = json.loads(pool_path.read_text())
+    manifest = tmp_path / "val.csv"
+    manifest.write_text("case_id,reference,prediction\nc1,refs/c1.nii.gz,unused.nii.gz\n")
+    manifest_form = {**cases_form, "manifest": "val.csv"}
+    del manifest_form["cases"]
+    manifest_pool = tmp_path / "manifest_pool.json"
+    manifest_pool.write_text(json.dumps(manifest_form))
+    docs = []
+    for path in (pool_path, manifest_pool):
+        code, out, err = _run(capsys, "select", "--pool", str(path))
+        assert code == 0, err
+        docs.append(json.loads(out))
+    read = {str(tmp_path / "refs" / "c1.nii.gz")}
+    read |= {str(tmp_path / m / "c1.nii.gz") for m in ("good", "off1", "off2")}
+    assert set(docs[0]["provenance"]["inputs"]) == read | {str(pool_path)}
+    assert set(docs[1]["provenance"]["inputs"]) == read | {str(manifest_pool), str(manifest)}
+    assert docs[0]["ranking"] == docs[1]["ranking"]
+
+
+# each JSON document's keys; provenance comes last unless --no-provenance is given
+DOCUMENT_KEYS = {
+    "eval-case": ["config", "case", "provenance"],
+    "eval-cohort": ["config", "cases", "aggregate", "provenance"],
+    "select": ["config", "n_evaluated", "ranking", "provenance"],
+    "resample": ["outputs", "provenance"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DOCUMENT_KEYS))
+def test_provenance_is_the_last_key_of_each_json_document(tmp_path, capsys, command):
+    manifest = _cohort_fixture(tmp_path)
+    ref = str(tmp_path / "ref_0.nii.gz")
+    argv = {
+        "eval-case": ["eval-case", "--ref", ref, "--pred", ref],
+        "eval-cohort": ["eval-cohort", "--manifest", str(manifest)],
+        "select": ["select", "--pool", str(_pool_fixture(tmp_path))],
+        "resample": [
+            "resample", "--input", ref, "--output", str(tmp_path / "o.nii.gz"),
+            "--spacing", "2", "2", "2",
+        ],
+    }[command]
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    assert list(json.loads(out)) == DOCUMENT_KEYS[command]
+    if command.startswith("eval-"):
+        code, out, err = _run(capsys, *argv, "--no-provenance")
+        assert code == 0, err
+        assert list(json.loads(out)) == DOCUMENT_KEYS[command][:-1]
 
 
 def test_select_beam_agrees_with_exhaustive(tmp_path, capsys):

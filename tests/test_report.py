@@ -88,9 +88,6 @@ def test_report_document_layout():
     assert agg["flag_counts"] == {"penalized": 1, "pred_empty": 1}
     assert doc["cases"][1]["flags"] == ["penalized", "pred_empty"]
 
-    with_prov = report_to_dict(_report(), provenance={"tool": "x"})
-    assert list(with_prov.keys()) == ["config", "cases", "aggregate", "provenance"]
-
 
 def test_rmse_key_follows_volume_unit():
     doc = report_to_dict(_report(EvalConfig(volume_unit="ml")))

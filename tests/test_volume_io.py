@@ -26,9 +26,9 @@ from pancseg.volume import (
     ManifestRow,
     Volume,
     read_manifest,
+    same_grid,
     unique_labels,
     validate_label_set,
-    write_manifest,
 )
 
 from conftest import damaged_gzip, orientation_srows, probability_volume, raw_nifti
@@ -80,13 +80,12 @@ def test_volume_data_is_frozen():
 def test_volume_helpers(rng):
     vol = Volume(np.zeros((4, 5, 6), dtype=np.float32), (0.5, 2.0, 3.0), origin=(1, 2, 3))
     assert vol.dims == (4, 5, 6)
-    other = Volume(np.ones((4, 5, 6), dtype=np.float32), (0.5 * (1 + 5e-6), 2.0, 3.0))
-    assert vol.same_grid(other)
-    assert not vol.same_grid(Volume(np.zeros((4, 5, 7), dtype=np.float32), (0.5, 2.0, 3.0)))
-    assert not vol.same_grid(Volume(np.zeros((4, 5, 6), dtype=np.float32), (0.6, 2.0, 3.0)))
+    grid = (vol.dims, vol.spacing)
+    assert same_grid(grid, ((4, 5, 6), (0.5 * (1 + 5e-6), 2.0, 3.0)))
+    assert not same_grid(grid, ((4, 5, 7), (0.5, 2.0, 3.0)))
+    assert not same_grid(grid, ((4, 5, 6), (0.6, 2.0, 3.0)))
 
     labels = Volume(np.array([[[0, 2], [1, 2]]], dtype=np.int16), (1, 1, 1), kind="labels")
-    assert labels.label_values() == (0, 1, 2)
     relabelled = labels.with_data(np.zeros((1, 2, 2), dtype=np.int32))
     assert relabelled.kind == "labels"
     assert relabelled.spacing == labels.spacing
@@ -95,8 +94,6 @@ def test_volume_helpers(rng):
     assert probs.n_classes == 4
     with pytest.raises(ValidationError):
         labels.n_classes
-    with pytest.raises(ValidationError):
-        vol.label_values()
 
 
 def test_validate_label_set():
@@ -640,7 +637,11 @@ def test_manifest_round_trip(tmp_path):
         ManifestRow("case_002", "refs/case_002.nii.gz", "preds/case_002.nii.gz"),
     ]
     path = tmp_path / "manifest.csv"
-    write_manifest(rows, path)
+    path.write_text(
+        "case_id,reference,prediction\n"
+        "case_001,refs/case_001.nii.gz,preds/case_001.nii.gz\n"
+        "case_002,refs/case_002.nii.gz,preds/case_002.nii.gz\n"
+    )
     manifest = read_manifest(path)
     assert manifest == tuple(rows)
 
