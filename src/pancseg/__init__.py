@@ -1,131 +1,7 @@
 """Evaluation, resampling, augmentation and ensembling toolkit for
-pancreatic tumor segmentation volumes."""
+pancreatic tumor segmentation volumes.
+
+The package namespace holds only ``__version__``; import each name from its
+submodule (``from pancseg.metrics import evaluate_case``)."""
 
 __version__ = "0.1.0"
-
-from .augment import (
-    AugmentPreset,
-    TransformSpec,
-    apply_pipeline,
-    intensity_transform,
-    preset,
-    simulate_low_res,
-    spatial_transform,
-)
-from .ensemble import (
-    EnsembleMember,
-    EnsembleSpec,
-    argmax_labels,
-    average_probabilities,
-    combine,
-    combine_volumes,
-    load_ensemble_spec,
-    majority_vote,
-    save_ensemble_spec,
-)
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    EmptySurfaceError,
-    FormatError,
-    GridMismatchError,
-    HeaderLimitError,
-    LabelSetError,
-    PancsegError,
-    ValidationError,
-)
-from .geometry import ResamplePlan, resample_image, resample_labels, sample_points, target_grid
-from .metrics import (
-    BinaryMask,
-    CaseMetrics,
-    CohortReport,
-    EvalConfig,
-    SurfaceDistances,
-    aggregate_cohort,
-    dice,
-    edt,
-    evaluate_case,
-    hd95,
-    masd,
-    surface_dice,
-    surface_distances,
-    tumor_volume,
-)
-from .nifti import read_volume, write_volume
-from .report import report_to_csv, report_to_dict
-from .schedules import ScheduleSpec, lr_at, schedule_curve
-from .selection import (
-    CandidatePool,
-    CompositeScore,
-    SubsetResult,
-    beam_search_subsets,
-    load_pool,
-    normalize_metrics,
-    search_subsets,
-)
-from .volume import ManifestRow, Volume, read_manifest
-
-__all__ = [
-    "__version__",
-    "AugmentPreset",
-    "TransformSpec",
-    "apply_pipeline",
-    "intensity_transform",
-    "preset",
-    "simulate_low_res",
-    "spatial_transform",
-    "EnsembleMember",
-    "EnsembleSpec",
-    "argmax_labels",
-    "average_probabilities",
-    "combine",
-    "combine_volumes",
-    "load_ensemble_spec",
-    "majority_vote",
-    "save_ensemble_spec",
-    "BudgetExceededError",
-    "ConfigError",
-    "EmptySurfaceError",
-    "FormatError",
-    "GridMismatchError",
-    "HeaderLimitError",
-    "LabelSetError",
-    "PancsegError",
-    "ValidationError",
-    "ResamplePlan",
-    "resample_image",
-    "resample_labels",
-    "sample_points",
-    "target_grid",
-    "BinaryMask",
-    "CaseMetrics",
-    "CohortReport",
-    "EvalConfig",
-    "SurfaceDistances",
-    "aggregate_cohort",
-    "dice",
-    "edt",
-    "evaluate_case",
-    "hd95",
-    "masd",
-    "surface_dice",
-    "surface_distances",
-    "tumor_volume",
-    "read_volume",
-    "write_volume",
-    "report_to_csv",
-    "report_to_dict",
-    "ScheduleSpec",
-    "lr_at",
-    "schedule_curve",
-    "CandidatePool",
-    "CompositeScore",
-    "SubsetResult",
-    "beam_search_subsets",
-    "load_pool",
-    "normalize_metrics",
-    "search_subsets",
-    "ManifestRow",
-    "Volume",
-    "read_manifest",
-]

@@ -3,9 +3,10 @@
 Conventions across all subcommands:
 
 - each subcommand computes one document (JSON or CSV); stdout carries it,
-  ``--out`` copies it, and stderr carries only diagnostics.  A JSON
-  document's last key is its provenance: the tool version, the resolved
-  configuration and a sha256 digest of every input file, unless
+  ``--out`` copies it (written first, so a failed write prints nothing), and
+  stderr carries only diagnostics.  A JSON document's last key is its
+  provenance: the tool version, the resolved configuration and a sha256
+  digest of every input file, taken before any output is written, unless
   ``--no-provenance`` (eval-case, eval-cohort) is given.  Documents hold no
   timestamps, so reruns over identical inputs are byte-identical;
 - exit 0 on success, 1 on validation/config errors, 2 on I/O or format
@@ -26,7 +27,7 @@ from typing import Optional
 
 from . import __version__
 from .augment import apply_pipeline, load_preset, preset
-from .ensemble import EnsembleSpec, combine, load_ensemble_spec, save_ensemble_spec
+from .ensemble import EnsembleSpec, check_unique, combine, load_ensemble_spec, save_ensemble_spec
 from .errors import ConfigError, FormatError, PancsegError
 from .geometry import IMAGE_ORDERS, LABEL_ORDERS, ResamplePlan, resample_image, resample_labels
 from .metrics import EMPTY_POLICIES, VOLUME_UNITS, BinaryMask, EvalConfig
@@ -167,16 +168,30 @@ def sha256_file(path: str | Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _document(args, doc: dict, config_echo: dict, inputs) -> str:
+def _digest_inputs(args, inputs, digests: Optional[dict] = None) -> Optional[dict]:
+    """``digests`` (a new dict by default) with each input not yet in it
+    hashed once; None under ``--no-provenance``.  Commands call it before
+    they write any output, so an output that replaces an input cannot change
+    the digest recorded for that input."""
+    if getattr(args, "no_provenance", False):
+        return None
+    digests = {} if digests is None else digests
+    for path in map(str, inputs):
+        if path not in digests:
+            digests[path] = sha256_file(path)
+    return digests
+
+
+def _document(doc: dict, config_echo: dict, digests: Optional[dict]) -> str:
     """``doc`` as JSON text, with its provenance as the last key unless
-    ``--no-provenance`` is given.  Each distinct input is hashed once, in
-    path order."""
-    if not getattr(args, "no_provenance", False):
+    ``digests`` is None (``--no-provenance``); inputs are listed in path
+    order."""
+    if digests is not None:
         doc["provenance"] = {
             "tool": "pancseg",
             "version": __version__,
             "config": config_echo,
-            "inputs": {p: sha256_file(p) for p in sorted({str(p) for p in inputs})},
+            "inputs": dict(sorted(digests.items())),
         }
     return dumps_json(doc)
 
@@ -231,6 +246,7 @@ def cmd_resample(args, cfg: RunConfig) -> str:
         out = resample_image(volume, plan)
     else:
         out = resample_labels(volume, plan)
+    digests = _digest_inputs(args, [args.input])
     outputs = {str(Path(args.output)): _write_output_volume(out, args.output)}
     echo = {
         "command": "resample",
@@ -241,7 +257,7 @@ def cmd_resample(args, cfg: RunConfig) -> str:
         "label_order": plan.label_order,
         "clamp_cubic": plan.clamp_cubic,
     }
-    return _document(args, {"outputs": outputs}, echo, [args.input])
+    return _document({"outputs": outputs}, echo, digests)
 
 
 def cmd_augment(args, cfg: RunConfig) -> str:
@@ -254,6 +270,8 @@ def cmd_augment(args, cfg: RunConfig) -> str:
     if cfg.seed is not None:
         pre = replace(pre, seed=cfg.seed)
     img_out, lab_out = apply_pipeline(img, lab, pre)
+    inputs = [args.image, args.labels] + ([args.preset_file] if args.preset_file else [])
+    digests = _digest_inputs(args, inputs)
     outputs = {
         str(path): _write_output_volume(vol, path)
         for path, vol in ((args.out_image, img_out), (args.out_labels, lab_out))
@@ -265,44 +283,44 @@ def cmd_augment(args, cfg: RunConfig) -> str:
         "label_order": pre.label_order,
         "seed": pre.seed,
     }
-    inputs = [args.image, args.labels] + ([args.preset_file] if args.preset_file else [])
-    return _document(args, {"outputs": outputs}, echo, inputs)
+    return _document({"outputs": outputs}, echo, digests)
 
 
 def cmd_ensemble(args, cfg: RunConfig) -> str:
+    # argparse has taken exactly one of --case-id, --cases and --manifest, and
+    # one of --output and --output-dir
+    if (args.case_id is None) != (args.output is None):
+        raise ConfigError("--case-id goes with --output; --cases and --manifest with --output-dir")
     spec_path = Path(args.spec)
     spec = load_ensemble_spec(spec_path)
     base_dir = spec_path.parent
 
-    if args.case_id:
-        if not args.output:
-            raise ConfigError("--case-id needs --output FILE")
-        case_ids = [args.case_id]
+    if args.manifest is not None:
+        case_ids = [row.case_id for row in read_manifest(args.manifest)]
+    else:
+        case_ids = [args.case_id] if args.cases is None else args.cases
+        if "" in case_ids:
+            raise ConfigError("a case id must not be empty")
+        check_unique(case_ids, "case_id")
+    if args.output is not None:
         out_paths = [Path(args.output)]
     else:
-        if args.manifest:
-            case_ids = [row.case_id for row in read_manifest(args.manifest)]
-        elif args.cases:
-            case_ids = list(args.cases)
-        else:
-            raise ConfigError("give --case-id, --cases or --manifest")
-        if not args.output_dir:
-            raise ConfigError("cohort ensembling needs --output-dir DIR")
         out_paths = [Path(args.output_dir) / f"{c}.nii.gz" for c in case_ids]
 
     outputs = {}
-    inputs = [spec_path] + ([args.manifest] if args.manifest else [])
+    inputs = [spec_path] + ([args.manifest] if args.manifest is not None else [])
+    digests = _digest_inputs(args, inputs)
     for case_id, out_path in zip(case_ids, out_paths):
         combined = combine(spec, case_id=case_id, base_dir=base_dir)
+        _digest_inputs(args, [m.resolve_path(case_id, base_dir) for m in spec.members], digests)
         outputs[str(out_path)] = _write_output_volume(combined, out_path)
-        inputs += [m.resolve_path(case_id, base_dir) for m in spec.members]
 
     echo = {
         "command": "ensemble",
         "mode": spec.mode,
         "members": [m.member_id for m in spec.sorted_members()],
     }
-    return _document(args, {"outputs": outputs}, echo, inputs)
+    return _document({"outputs": outputs}, echo, digests)
 
 
 def _evaluate_files(ref_path, pred_path, config: EvalConfig, case_id: str):
@@ -318,7 +336,8 @@ def _evaluate_files(ref_path, pred_path, config: EvalConfig, case_id: str):
 def cmd_eval_case(args, cfg: RunConfig) -> str:
     case_id = args.case_id or _default_case_id(args.pred)
     case = _evaluate_files(args.ref, args.pred, cfg, case_id)
-    return _document(args, case_report_to_dict(case, cfg), config_to_dict(cfg), [args.ref, args.pred])
+    digests = _digest_inputs(args, [args.ref, args.pred])
+    return _document(case_report_to_dict(case, cfg), config_to_dict(cfg), digests)
 
 
 def _evaluate_manifest(manifest, config: EvalConfig, jobs: int):
@@ -340,7 +359,7 @@ def cmd_eval_cohort(args, cfg: RunConfig) -> str:
     inputs = [args.manifest]
     for row in manifest:
         inputs += [row.reference, row.prediction]
-    return _document(args, report_to_dict(report), config_to_dict(cfg), inputs)
+    return _document(report_to_dict(report), config_to_dict(cfg), _digest_inputs(args, inputs))
 
 
 def cmd_select(args, cfg: RunConfig) -> str:
@@ -394,6 +413,11 @@ def cmd_select(args, cfg: RunConfig) -> str:
         "beam_width": args.beam,
         **config_to_dict(cfg),
     }
+    inputs = [args.pool] + ([pool.manifest] if pool.manifest else [])
+    for case_id, ref_path in pool.cases:
+        inputs.append(resolve_relative(ref_path, evaluator.base_dir))
+        inputs += [m.resolve_path(case_id, evaluator.base_dir) for m in pool.members]
+    digests = _digest_inputs(args, inputs)
     winner = results[0]
     if args.spec_out:
         spec_path = _output_path(args.spec_out)
@@ -406,12 +430,8 @@ def cmd_select(args, cfg: RunConfig) -> str:
     if args.report_out:
         _write_text(args.report_out, dumps_json(report_to_dict(winner.report)))
 
-    inputs = [args.pool] + ([pool.manifest] if pool.manifest else [])
-    for case_id, ref_path in pool.cases:
-        inputs.append(resolve_relative(ref_path, evaluator.base_dir))
-        inputs += [m.resolve_path(case_id, evaluator.base_dir) for m in pool.members]
     doc = {"config": echo, "n_evaluated": len(results), "ranking": ranking}
-    return _document(args, doc, echo, inputs)
+    return _document(doc, echo, digests)
 
 
 def cmd_lr_curve(args, cfg: RunConfig) -> str:
@@ -477,11 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", parents=[common], help="combine member predictions")
     p.add_argument("--spec", required=True, help="ensemble spec JSON")
-    p.add_argument("--case-id", help="single case id")
-    p.add_argument("--cases", nargs="+", help="explicit case ids")
-    p.add_argument("--manifest", help="manifest CSV naming the case ids")
-    p.add_argument("--output", help="output file for --case-id")
-    p.add_argument("--output-dir", help="output directory for cohort runs")
+    cases = p.add_mutually_exclusive_group(required=True)
+    cases.add_argument("--case-id", help="single case id")
+    cases.add_argument("--cases", nargs="+", help="explicit case ids")
+    cases.add_argument("--manifest", help="manifest CSV naming the case ids")
+    outputs = p.add_mutually_exclusive_group(required=True)
+    outputs.add_argument("--output", help="output file for --case-id")
+    outputs.add_argument("--output-dir", help="output directory for --cases or --manifest")
     p.set_defaults(handler=cmd_ensemble)
 
     p = sub.add_parser(
@@ -565,9 +587,9 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         text = args.handler(args, cfg)
-        sys.stdout.write(text)
         if args.out:
             _write_text(args.out, text)
+        sys.stdout.write(text)
         return EXIT_OK
     except (FormatError, OSError) as exc:
         _emit_error(exc, EXIT_IO, json_errors)

@@ -26,7 +26,7 @@ Empty masks are handled by an explicit, report-visible policy:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 

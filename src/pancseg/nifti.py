@@ -95,7 +95,10 @@ def _affine_from_header(h: dict) -> np.ndarray:
         qfac = -1.0 if h["pixdim"][0] < 0 else 1.0
         scales = np.array([h["pixdim"][1], h["pixdim"][2], qfac * h["pixdim"][3]])
         aff = np.eye(4)
-        aff[:3, :3] = rot * scales[np.newaxis, :]
+        # a non-finite pixdim gives a non-finite affine here, which
+        # read_volume's finiteness check rejects as a FormatError
+        with np.errstate(invalid="ignore", over="ignore"):
+            aff[:3, :3] = rot * scales[np.newaxis, :]
         aff[:3, 3] = (h["qoffset_x"], h["qoffset_y"], h["qoffset_z"])
         return aff
     aff = np.diag([h["pixdim"][1], h["pixdim"][2], h["pixdim"][3], 1.0])

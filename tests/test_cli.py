@@ -5,6 +5,7 @@ import gzip
 import hashlib
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,21 @@ def test_resample_far_past_int64_clamps_to_the_last_voxel(tmp_path, capsys, labe
     )
     assert code == 0, err
     assert read_volume(dst, kind="labels").data.ravel().tolist() == [2]
+
+
+def test_in_place_resample_records_the_digest_of_the_file_it_read(tmp_path, capsys):
+    src = tmp_path / "a.nii.gz"
+    _write_labels(src, _ball(), spacing=(1.0, 1.0, 1.0))
+    digest_read = "sha256:" + hashlib.sha256(src.read_bytes()).hexdigest()
+    code, out, err = _run(
+        capsys,
+        "resample", "--input", str(src), "--output", str(src),
+        "--kind", "labels", "--spacing", "2", "2", "2",
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["provenance"]["inputs"] == {str(src): digest_read}
+    assert doc["outputs"][str(src)] != digest_read
 
 
 def test_resample_labels_kind(tmp_path, capsys):
@@ -338,6 +354,40 @@ def test_ensemble_case_id_requires_output(tmp_path, capsys, rng):
     assert "--output" in err
 
 
+ENSEMBLE_FLAG_MISUSES = {
+    "output_and_output_dir": ["--cases", "c1", "--output", "x.nii.gz", "--output-dir", "od"],
+    "case_id_and_cases": [
+        "--case-id", "c1", "--cases", "c2", "c3", "--output", "one.nii.gz", "--output-dir", "od2",
+    ],
+    "case_id_and_manifest": ["--case-id", "c1", "--manifest", "m.csv", "--output", "x.nii.gz"],
+    "no_case_flag": ["--output-dir", "od"],
+    "case_id_with_output_dir": ["--case-id", "c1", "--output-dir", "od"],
+    "cases_with_output": ["--cases", "c1", "--output", "x.nii.gz"],
+    "manifest_with_output": ["--manifest", "m.csv", "--output", "x.nii.gz"],
+    "repeated_case": ["--cases", "c1", "c1", "--output-dir", "od"],
+    "empty_case_id": ["--case-id", "", "--output", "x.nii.gz"],
+    "empty_case_in_cases": ["--cases", "c1", "", "--output-dir", "od"],
+}
+
+
+@pytest.mark.parametrize("misuse", sorted(ENSEMBLE_FLAG_MISUSES))
+def test_ensemble_flags_that_do_not_go_together_exit_one(
+    tmp_path, capsys, rng, monkeypatch, misuse
+):
+    _, spec_path, _ = _ensemble_fixture(tmp_path, rng, cases=("c1", "c2", "c3"))
+    (tmp_path / "m.csv").write_text("case_id,reference,prediction\nc1,r.nii.gz,p.nii.gz\n")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = _run(
+        capsys, "ensemble", "--spec", str(spec_path), *ENSEMBLE_FLAG_MISUSES[misuse],
+        "--json-errors",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["exit_code"] == 1
+    assert sorted(tmp_path.rglob("*")) == before  # nothing was written
+
+
 _GOOD_MEMBERS = [{"member_id": "a", "path": "a/{case}.nii.gz"}, {"member_id": "b", "path": "b"}]
 _CASES = [{"case_id": "c1", "reference": "refs/c1.nii.gz"}]
 
@@ -450,6 +500,21 @@ def test_eval_case_no_provenance_and_out_file(tmp_path, capsys):
     assert "provenance" not in doc
     assert doc["case"]["case_id"] == "c9"
     assert 0.0 < doc["case"]["dice"] < 1.0
+
+
+def test_failed_out_write_prints_no_document(tmp_path, capsys):
+    ref = tmp_path / "b.nii.gz"
+    _write_labels(ref, _ball())
+    out_dir = tmp_path / "adir"
+    out_dir.mkdir()
+    code, out, err = _run(
+        capsys,
+        "eval-case", "--ref", str(ref), "--pred", str(ref), "--no-provenance",
+        "--out", str(out_dir), "--json-errors",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["exit_code"] == 2
 
 
 def test_eval_case_grid_mismatch_is_a_validation_error(tmp_path, capsys):
@@ -897,6 +962,26 @@ def test_malformed_label_file_exits_two_with_json_error(tmp_path, capsys, defect
     doc = json.loads(err)
     assert doc["error"]["exit_code"] == 2
     assert doc["error"]["type"] == "FormatError"
+
+
+def test_infinite_qform_pixdim_is_one_json_error_and_no_warning(tmp_path, capsys):
+    # qform_code 1, sform_code 0: the qform affine multiplies the rotation by
+    # pixdim, and 0 * inf must not warn before the error object is written
+    ref = tmp_path / "ref.nii"
+    pred = tmp_path / "pred.nii"
+    arr = _ball(dims=(4, 4, 4), radius=1.2).astype(np.uint8)
+    ref.write_bytes(raw_nifti(arr, qform={}))
+    pred.write_bytes(raw_nifti(arr, pixdim=(float("inf"), 1.0, 1.0), qform={}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(
+            capsys, "eval-case", "--ref", str(ref), "--pred", str(pred), "--json-errors"
+        )
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "FormatError"
+    assert "affine has non-finite entries" in doc["error"]["message"]
 
 
 def test_config_layering_file_env_flags(tmp_path, capsys, monkeypatch):
