@@ -9,6 +9,8 @@ Conventions across all subcommands:
   digest of every input file, taken before any output is written, unless
   ``--no-provenance`` (eval-case, eval-cohort) is given.  Documents hold no
   timestamps, so reruns over identical inputs are byte-identical;
+- no two outputs of one run may be the same file (an output may replace an
+  input);
 - exit 0 on success, 1 on validation/config errors, 2 on I/O or format
   errors; ``--json-errors`` emits a machine-readable error object on stderr;
 - shared options resolve as config file < PANCSEG_* environment < flags.
@@ -27,7 +29,7 @@ from typing import Optional
 
 from . import __version__
 from .augment import apply_pipeline, load_preset, preset
-from .ensemble import EnsembleSpec, check_unique, combine, load_ensemble_spec, save_ensemble_spec
+from .ensemble import EnsembleSpec, check_ids, combine, load_ensemble_spec, save_ensemble_spec
 from .errors import ConfigError, FormatError, PancsegError
 from .geometry import IMAGE_ORDERS, LABEL_ORDERS, ResamplePlan, resample_image, resample_labels
 from .metrics import EMPTY_POLICIES, VOLUME_UNITS, BinaryMask, EvalConfig
@@ -60,7 +62,6 @@ from .volume import (
     parse_int,
     read_json_object,
     read_manifest,
-    resolve_relative,
 )
 
 EXIT_OK = 0
@@ -203,6 +204,20 @@ def _output_path(path: str | Path) -> Path:
     return path
 
 
+def _check_outputs(args, *paths) -> None:
+    """Raise ConfigError when two of a run's outputs, ``paths`` (None for
+    one not asked for) plus ``--out``, resolve to one file; commands call it
+    before they write anything."""
+    seen = {}
+    for path in (*paths, args.out):
+        if path is None:
+            continue
+        key = os.path.realpath(path)
+        if key in seen:
+            raise ConfigError(f"outputs {seen[key]} and {path} are the same file")
+        seen[key] = path
+
+
 def _write_text(path: str | Path, text: str) -> None:
     _output_path(path).write_text(text, encoding="utf-8")
 
@@ -219,7 +234,7 @@ def _rebased(path: str, base_dir, new_dir) -> str:
     same file from ``new_dir``; an absolute path stays as written."""
     if Path(path).is_absolute():
         return path
-    return os.path.relpath(resolve_relative(path, base_dir), new_dir)
+    return os.path.relpath(Path(base_dir) / path, new_dir)
 
 
 def _default_case_id(path: str | Path) -> str:
@@ -234,6 +249,7 @@ def _default_case_id(path: str | Path) -> str:
 
 
 def cmd_resample(args, cfg: RunConfig) -> str:
+    _check_outputs(args, args.output)
     volume = read_volume(args.input, kind=args.kind, label_set=None)
     plan = ResamplePlan.for_volume(
         volume,
@@ -261,6 +277,7 @@ def cmd_resample(args, cfg: RunConfig) -> str:
 
 
 def cmd_augment(args, cfg: RunConfig) -> str:
+    _check_outputs(args, args.out_image, args.out_labels)
     img = read_volume(args.image, kind="image")
     lab = read_volume(args.labels, kind="labels", label_set=None)
     if args.preset_file:
@@ -299,13 +316,12 @@ def cmd_ensemble(args, cfg: RunConfig) -> str:
         case_ids = [row.case_id for row in read_manifest(args.manifest)]
     else:
         case_ids = [args.case_id] if args.cases is None else args.cases
-        if "" in case_ids:
-            raise ConfigError("a case id must not be empty")
-        check_unique(case_ids, "case_id")
+        check_ids(case_ids, "case_id")
     if args.output is not None:
         out_paths = [Path(args.output)]
     else:
         out_paths = [Path(args.output_dir) / f"{c}.nii.gz" for c in case_ids]
+    _check_outputs(args, *out_paths)
 
     outputs = {}
     inputs = [spec_path] + ([args.manifest] if args.manifest is not None else [])
@@ -318,7 +334,7 @@ def cmd_ensemble(args, cfg: RunConfig) -> str:
     echo = {
         "command": "ensemble",
         "mode": spec.mode,
-        "members": [m.member_id for m in spec.sorted_members()],
+        "members": [m.member_id for m in spec.members],
     }
     return _document({"outputs": outputs}, echo, digests)
 
@@ -367,6 +383,9 @@ def cmd_select(args, cfg: RunConfig) -> str:
         raise ConfigError(f"--top must be >= 0, got {args.top}")
     if args.beam is not None and args.size_min != 1:
         raise ConfigError(f"--beam grows subsets from size 1; got --size-min {args.size_min}")
+    if args.beam is not None and args.budget is not None:
+        raise ConfigError("--budget bounds exhaustive search; --beam takes no budget")
+    _check_outputs(args, args.spec_out, args.report_out)
     pool = load_pool(args.pool)
     size_min = args.size_min
     size_max = args.size_max if args.size_max is not None else len(pool.members)
@@ -387,7 +406,7 @@ def cmd_select(args, cfg: RunConfig) -> str:
             size_max=size_max,
             weights=cfg.metric_weights,
             norm=cfg.norm,
-            budget=args.budget,
+            budget=DEFAULT_BUDGET if args.budget is None else args.budget,
             evaluator=evaluator,
         )
 
@@ -415,7 +434,7 @@ def cmd_select(args, cfg: RunConfig) -> str:
     }
     inputs = [args.pool] + ([pool.manifest] if pool.manifest else [])
     for case_id, ref_path in pool.cases:
-        inputs.append(resolve_relative(ref_path, evaluator.base_dir))
+        inputs.append(evaluator.base_dir / ref_path)
         inputs += [m.resolve_path(case_id, evaluator.base_dir) for m in pool.members]
     digests = _digest_inputs(args, inputs)
     winner = results[0]
@@ -423,7 +442,7 @@ def cmd_select(args, cfg: RunConfig) -> str:
         spec_path = _output_path(args.spec_out)
         members = tuple(
             replace(m, path=_rebased(m.path, evaluator.base_dir, spec_path.parent))
-            for m in pool.sorted_members()
+            for m in pool.members
             if m.member_id in winner.member_ids
         )
         save_ensemble_spec(EnsembleSpec(members=members, mode=pool.mode), spec_path)
@@ -537,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs=len(METRIC_NAMES),
         metavar=("W_DICE", "W_SDICE", "W_MASD", "W_HD95", "W_RMSE"),
     )
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, help=f"exhaustive search limit (default {DEFAULT_BUDGET})")
     p.add_argument("--beam", type=int, help="beam width (enables beam search)")
     p.add_argument("--top", type=int, default=10, help="ranking entries to emit")
     p.add_argument("--spec-out", help="write the winning ensemble spec here")

@@ -5,9 +5,9 @@ stored prediction: a 4D probability stack for ``prob_avg`` mode or a label
 volume for ``majority`` mode.  Combination is a pure reduction over files;
 there is no model inference and no test-time augmentation here.
 
-Members are always reduced in member_id order regardless of how the spec
-lists them, which makes both modes bit-exactly invariant under permutation
-of the member list.
+A spec holds its members in member_id order regardless of how they are
+listed, and fusion reduces them in that order, which makes both modes
+bit-exactly invariant under permutation of the member list.
 
 Fusion splits the grid by each member's consensus codes
 (``Volume.consensus_codes``, computed once per volume): a label map's code
@@ -52,7 +52,6 @@ from .volume import (
     parse_float,
     parse_int,
     read_json_object,
-    resolve_relative,
     unique_labels,
 )
 
@@ -89,62 +88,57 @@ class EnsembleMember:
                 f"member {self.member_id}: weight must be finite and > 0, got {self.weight}"
             )
 
-    def resolve_path(self, case_id: Optional[str] = None, base_dir: Optional[Path] = None) -> Path:
+    def resolve_path(self, case_id: str, base_dir: str | Path) -> Path:
         """Concrete prediction file for one case.
 
-        Paths may contain a ``{case}`` placeholder or point at a directory
-        holding ``<case_id>.nii.gz`` files; both require a case id.
+        A ``{case}`` placeholder in the path becomes ``case_id``; a relative
+        path resolves against ``base_dir``, the directory of the file that
+        names it; a path to a directory names its ``<case_id>.nii.gz``.
         """
-        text = self.path
-        if CASE_PLACEHOLDER in text:
-            if case_id is None:
-                raise ConfigError(
-                    f"member {self.member_id}: path template needs a case id"
-                )
-            text = text.replace(CASE_PLACEHOLDER, case_id)
-        path = resolve_relative(text, base_dir)
+        path = Path(base_dir) / self.path.replace(CASE_PLACEHOLDER, case_id)
         if path.is_dir():
-            if case_id is None:
-                raise ConfigError(f"member {self.member_id}: directory path needs a case id")
             path = path / f"{case_id}.nii.gz"
         return path
 
 
-def check_unique(ids: Iterable[str], what: str) -> None:
-    """Reject ids that occur more than once, naming each repeated one."""
-    dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+def check_ids(ids: Iterable[str], what: str) -> None:
+    """Reject an empty id, or ids that occur more than once, naming each
+    repeated one."""
+    counts = Counter(ids)
+    if "" in counts:
+        raise ConfigError(f"a {what} must not be empty")
+    dupes = sorted(i for i, n in counts.items() if n > 1)
     if dupes:
         raise ConfigError(f"duplicate {what}(s): {dupes}")
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
+    """Members, held in member_id order, and the fusion mode."""
+
     members: tuple[EnsembleMember, ...]
     mode: str = "prob_avg"
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "members", tuple(sorted(self.members, key=lambda m: m.member_id)))
         if not self.members:
             raise ConfigError("an ensemble needs at least one member")
         if self.mode not in ENSEMBLE_MODES:
             raise ConfigError(f"mode must be one of {ENSEMBLE_MODES}, got {self.mode!r}")
-        check_unique((m.member_id for m in self.members), "member_id")
-
-    def sorted_members(self) -> tuple[EnsembleMember, ...]:
-        return tuple(sorted(self.members, key=lambda m: m.member_id))
+        check_ids((m.member_id for m in self.members), "member_id")
 
 
 def read_member_file(path: Path, what: str) -> tuple[dict, tuple[EnsembleMember, ...]]:
-    """Decode a JSON object file and parse its ``members`` list (default empty).
+    """Decode a JSON object file and parse its required ``members`` list.
 
     Ensemble specs and candidate pools share this parser.  Every malformed
     input, from unreadable bytes to a mistyped member field, is a FormatError
     naming ``what`` and the file.
     """
     doc = read_json_object(path, what)
-    entries = doc.get("members", [])
+    entries = doc.get("members")
     if not isinstance(entries, list):
-        raise FormatError(f"{what} {path}: 'members' must be a list")
+        raise FormatError(f"{what} {path} must be an object with a 'members' list")
     members = []
     for i, entry in enumerate(entries):
         where = f"{what} {path}: member {i}"
@@ -180,8 +174,6 @@ def load_ensemble_spec(path: str | Path) -> EnsembleSpec:
     """Parse a JSON spec: {"mode": ..., "members": [{member fields}...]}."""
     path = Path(path)
     doc, members = read_member_file(path, "ensemble spec")
-    if "members" not in doc:
-        raise FormatError(f"ensemble spec {path} must be an object with a 'members' list")
     return EnsembleSpec(members=members, mode=doc.get("mode", "prob_avg"))
 
 
@@ -354,23 +346,17 @@ def combine_volumes(spec: EnsembleSpec, volumes: Mapping[str, Volume]) -> Volume
     many subsets of one pool from the same volumes pays for them once per
     member; a label map is its own code.
     """
-    ordered = spec.sorted_members()
-    missing = [m.member_id for m in ordered if m.member_id not in volumes]
+    missing = [m.member_id for m in spec.members if m.member_id not in volumes]
     if missing:
         raise ValidationError(f"no volume supplied for member(s) {missing}")
-    vols = [volumes[m.member_id] for m in ordered]
-    weights = [m.weight for m in ordered]
+    vols = [volumes[m.member_id] for m in spec.members]
+    weights = [m.weight for m in spec.members]
     if spec.mode == "prob_avg":
         return _fuse_probabilities(vols, weights)
     return majority_vote(vols, weights)
 
 
-def load_member_volume(
-    member: EnsembleMember,
-    mode: str,
-    case_id: Optional[str] = None,
-    base_dir: Optional[Path] = None,
-) -> Volume:
+def load_member_volume(member: EnsembleMember, mode: str, case_id: str, base_dir: str | Path) -> Volume:
     kind = "probabilities" if mode == "prob_avg" else "labels"
     path = member.resolve_path(case_id, base_dir)
     try:
@@ -379,14 +365,9 @@ def load_member_volume(
         raise FormatError(f"member {member.member_id}: {exc}") from exc
 
 
-def combine(
-    spec: EnsembleSpec,
-    case_id: Optional[str] = None,
-    base_dir: Optional[Path] = None,
-) -> Volume:
+def combine(spec: EnsembleSpec, case_id: str, base_dir: str | Path) -> Volume:
     """Load every member's prediction for one case and combine them."""
     volumes = {
-        m.member_id: load_member_volume(m, spec.mode, case_id, base_dir)
-        for m in spec.sorted_members()
+        m.member_id: load_member_volume(m, spec.mode, case_id, base_dir) for m in spec.members
     }
     return combine_volumes(spec, volumes)

@@ -35,7 +35,7 @@ from scipy import ndimage
 
 from .errors import ConfigError, EmptySurfaceError, ValidationError
 from .surfels import border_map, neighbour_codes, surfel_area_table
-from .volume import Volume, check_same_grid, check_spacing
+from .volume import DEFAULT_LABEL_SET, Volume, check_same_grid, check_spacing
 
 EMPTY_POLICIES = ("penalize", "exclude")
 VOLUME_UNITS = ("mm3", "ml")
@@ -46,10 +46,6 @@ HD_FRACTION = 0.95
 # instead of resting it on scipy's internal rounding (see edt)
 EDT_MARGIN_SIDES = 4
 EDT_TIE_GUARD = 1 + 1e-12
-# the widest label a read keeps (read_volume rejects files beyond int32); a
-# map keeps its file's integer dtype, and ``==`` compares an id that dtype
-# cannot hold by value, so it matches no voxel instead of wrapping
-LABEL_ID_MAX = int(np.iinfo(np.int32).max)
 
 # The per-case metrics in report order, each with its higher-is-better flag.
 # CaseMetrics holds each under its name and CohortReport its cohort mean under
@@ -83,8 +79,10 @@ class EvalConfig:
     volume_unit: str = "mm3"
 
     def __post_init__(self):
-        if not (0 <= self.label_id <= LABEL_ID_MAX):
-            raise ConfigError(f"label_id must be in [0, {LABEL_ID_MAX}], got {self.label_id}")
+        # every evaluated map lies in the declared set, so any other id would
+        # match no voxel and score every case as a perfect empty pair
+        if self.label_id not in DEFAULT_LABEL_SET:
+            raise ConfigError(f"label_id must be one of {DEFAULT_LABEL_SET}, got {self.label_id}")
         check_tolerance(self.tolerance_mm)
         if self.empty_policy not in EMPTY_POLICIES:
             raise ConfigError(f"empty_policy must be one of {EMPTY_POLICIES}")

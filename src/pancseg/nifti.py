@@ -245,6 +245,8 @@ def read_volume(
         raise FormatError(f"{path}: probability stacks must be 4D")
 
     slope, inter = h["scl_slope"], h["scl_inter"]
+    if not (np.isfinite(slope) and np.isfinite(inter)):
+        raise FormatError(f"{path}: scl_slope {slope} or scl_inter {inter} is not finite")
     scaled = slope not in (0.0, 1.0) or inter != 0.0
     if scaled and kind == "labels":
         raise FormatError(f"{path}: label volume carries intensity scaling")
@@ -286,8 +288,11 @@ def read_volume(
     # the one copy: byte swap, cast and RAS+ C-order layout
     data = _layout_copy(data, target)
     if scaled:
-        data *= np.float32(slope)
-        data += np.float32(inter)
+        # a finite scaling may still overflow float32; Volume rejects the
+        # non-finite voxels that leaves
+        with np.errstate(over="ignore"):
+            data *= np.float32(slope)
+            data += np.float32(inter)
 
     vol = Volume(data=data, spacing=spacing, origin=origin, kind=kind)
     if kind == "labels" and label_set is not None:

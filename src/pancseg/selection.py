@@ -26,7 +26,7 @@ import numpy as np
 from .errors import BudgetExceededError, ConfigError, FormatError, ValidationError
 from .ensemble import (
     EnsembleSpec,
-    check_unique,
+    check_ids,
     combine_volumes,
     load_member_volume,
     read_member_file,
@@ -42,7 +42,7 @@ from .metrics import (
     mean_field,
 )
 from .nifti import read_volume
-from .volume import Volume, read_manifest, resolve_relative
+from .volume import Volume, read_manifest
 
 NORMALIZATIONS = ("minmax", "rank")
 
@@ -64,7 +64,7 @@ class CandidatePool(EnsembleSpec):
     its subsets are judged on; ``EnsembleSpec`` checks the members and mode."""
 
     cases: tuple[tuple[str, str], ...]  # (case_id, reference path)
-    base_dir: Optional[str] = None
+    base_dir: str = "."  # relative member and reference paths resolve against it
     manifest: Optional[str] = None  # the manifest file the cases were read from
 
     def __post_init__(self):
@@ -74,7 +74,7 @@ class CandidatePool(EnsembleSpec):
         object.__setattr__(self, "cases", tuple((c, r) for c, r in self.cases))
         if not self.cases:
             raise ConfigError("a candidate pool needs at least one validation case")
-        check_unique((c for c, _ in self.cases), "case_id")
+        check_ids((c for c, _ in self.cases), "case_id")
 
 
 def load_pool(path: str | Path) -> CandidatePool:
@@ -107,7 +107,7 @@ def load_pool(path: str | Path) -> CandidatePool:
     elif "manifest" in doc:
         if not isinstance(doc["manifest"], str):
             raise FormatError(f"pool file {path}: 'manifest' must be a path string")
-        manifest = str(resolve_relative(doc["manifest"], base))
+        manifest = str(base / doc["manifest"])
         cases = [(row.case_id, row.reference) for row in read_manifest(manifest)]
     else:
         raise FormatError(f"pool file {path}: missing 'cases' or 'manifest'")
@@ -230,7 +230,7 @@ class SubsetEvaluator:
     def __init__(self, pool: CandidatePool, config: EvalConfig):
         self.pool = pool
         self.config = config
-        self.base_dir = Path(pool.base_dir) if pool.base_dir else None
+        self.base_dir = Path(pool.base_dir)
         self._references: dict[str, BinaryMask] = {}
         self._members: dict[tuple[str, str], Volume] = {}
         self._member_digests: dict[str, str] = {}
@@ -239,8 +239,7 @@ class SubsetEvaluator:
 
     def _reference(self, case_id: str, ref_path: str) -> BinaryMask:
         if case_id not in self._references:
-            path = resolve_relative(ref_path, self.base_dir)
-            volume = read_volume(path, kind="labels")
+            volume = read_volume(self.base_dir / ref_path, kind="labels")
             self._references[case_id] = BinaryMask.from_labels(volume, self.config.label_id)
         return self._references[case_id]
 
@@ -310,7 +309,7 @@ def _grow_subsets(evaluator, size_min, size_max, beam_width, weights, norm) -> l
     size_min - 1 members.  Each level evaluates the extensions of the kept
     subsets in sorted order and keeps the best beam_width of them (all when
     None) by composite score over everything evaluated so far."""
-    ids = sorted(m.member_id for m in evaluator.pool.members)
+    ids = [m.member_id for m in evaluator.pool.members]
     evaluated: dict[tuple[str, ...], CohortReport] = {}
 
     def ranked():

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -245,13 +245,6 @@ class ManifestRow:
 
 
 MANIFEST_COLUMNS = ("case_id", "reference", "prediction")
-
-
-def resolve_relative(path: str | Path, base_dir: Optional[str | Path]) -> Path:
-    """A path named inside a file: relative paths resolve against
-    ``base_dir``, the directory of that file (None leaves them as given)."""
-    path = Path(path)
-    return path if base_dir is None or path.is_absolute() else Path(base_dir) / path
 
 
 def parse_int(value) -> int:

@@ -403,6 +403,8 @@ MALFORMED_MEMBER_FILES = {
     "fold_boolean": {"members": [dict(_GOOD_MEMBERS[0], fold=True)], "cases": _CASES},
     "weight_boolean": {"members": [dict(_GOOD_MEMBERS[0], weight=True)], "cases": _CASES},
     "model_tag_not_a_string": {"members": [dict(_GOOD_MEMBERS[0], model_tag=5)], "cases": _CASES},
+    "no_members": {"cases": _CASES},
+    "members_not_a_list": {"members": {"a": "p"}, "cases": _CASES},
 }
 
 
@@ -424,6 +426,10 @@ MALFORMED_MEMBER_FILES = {
         ("select", "weight_boolean"),
         ("ensemble", "model_tag_not_a_string"),
         ("select", "model_tag_not_a_string"),
+        ("ensemble", "no_members"),
+        ("select", "no_members"),
+        ("ensemble", "members_not_a_list"),
+        ("select", "members_not_a_list"),
     ],
 )
 def test_malformed_member_file_exits_two_with_json_error(tmp_path, capsys, command, defect):
@@ -778,6 +784,32 @@ def test_select_budget_exhaustion_is_a_validation_error(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_select_beam_with_budget_is_a_config_error(tmp_path, capsys):
+    # the budget bounds exhaustive search only; beam search used to drop it
+    pool_path = _pool_fixture(tmp_path)
+    code, out, err = _run(
+        capsys, "select", "--pool", str(pool_path), "--beam", "1", "--budget", "1", "--json-errors"
+    )
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert "--budget" in doc["error"]["message"]
+
+
+def test_select_pool_with_an_empty_case_id_exits_one(tmp_path, capsys):
+    pool_path = _pool_fixture(tmp_path)
+    pool = json.loads(pool_path.read_text())
+    pool["cases"][0]["case_id"] = ""
+    pool_path.write_text(json.dumps(pool))
+    code, out, err = _run(capsys, "select", "--pool", str(pool_path), "--json-errors")
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert doc["error"]["message"] == "a case_id must not be empty"
+
+
 def test_select_missing_member_file_exits_two_naming_member_and_path(tmp_path, capsys):
     pool_path = _pool_fixture(tmp_path)
     missing = tmp_path / "off1" / "c1.nii.gz"
@@ -982,6 +1014,92 @@ def test_infinite_qform_pixdim_is_one_json_error_and_no_warning(tmp_path, capsys
     doc = json.loads(err)
     assert doc["error"]["type"] == "FormatError"
     assert "affine has non-finite entries" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "scaling, exit_code, error",
+    [
+        ((float("inf"), 0.0), 2, "FormatError"),
+        ((float("-inf"), 0.0), 2, "FormatError"),
+        ((float("nan"), 0.0), 2, "FormatError"),
+        ((2.0, float("inf")), 2, "FormatError"),
+        ((2.0, float("nan")), 2, "FormatError"),
+        ((1e38, 0.0), 1, "ValidationError"),  # finite, but overflows float32
+    ],
+    ids=["slope_inf", "slope_minus_inf", "slope_nan", "inter_inf", "inter_nan", "slope_1e38"],
+)
+def test_scl_scaling_is_one_json_error_and_no_warning(tmp_path, capsys, scaling, exit_code, error):
+    src = tmp_path / "img.nii"
+    src.write_bytes(raw_nifti(np.arange(64, dtype=np.int16).reshape(4, 4, 4), scaling=scaling))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(
+            capsys,
+            "resample", "--input", str(src), "--output", str(tmp_path / "r.nii.gz"),
+            "--spacing", "1", "1", "1", "--json-errors",
+        )
+    assert code == exit_code
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == error
+    assert not (tmp_path / "r.nii.gz").exists()
+
+
+def _collision_runs(tmp_path, rng):
+    """Per case, the argv of a run two of whose outputs name one file."""
+    img, lab = tmp_path / "img.nii.gz", tmp_path / "lab.nii.gz"
+    write_volume(image_volume(rng, (6, 6, 6), SPACING), img)
+    _write_labels(lab, _ball(dims=(6, 6, 6), radius=1.5))
+    _, spec_path, _ = _ensemble_fixture(tmp_path, rng)
+    pool_path = _pool_fixture(tmp_path)
+    same = str(tmp_path / "same.nii.gz")
+    return {
+        "augment_image_and_labels": [
+            "augment", "--image", str(img), "--labels", str(lab),
+            "--out-image", same, "--out-labels", same,
+        ],
+        "resample_output_and_out": [
+            "resample", "--input", str(img), "--output", same, "--out", same,
+            "--spacing", "2", "2", "2",
+        ],
+        "resample_output_and_dotted_out": [
+            "resample", "--input", str(img), "--output", same,
+            "--out", str(tmp_path / "." / "same.nii.gz"), "--spacing", "2", "2", "2",
+        ],
+        "ensemble_output_and_out": [
+            "ensemble", "--spec", str(spec_path), "--case-id", "c1", "--output", same, "--out", same,
+        ],
+        "ensemble_cases_naming_one_file": [
+            "ensemble", "--spec", str(spec_path), "--cases", "c1", "x/../c1",
+            "--output-dir", str(tmp_path / "od"),
+        ],
+        "select_spec_out_and_report_out": [
+            "select", "--pool", str(pool_path), "--spec-out", same, "--report-out", same,
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        "augment_image_and_labels",
+        "resample_output_and_out",
+        "resample_output_and_dotted_out",
+        "ensemble_output_and_out",
+        "ensemble_cases_naming_one_file",
+        "select_spec_out_and_report_out",
+    ],
+)
+def test_two_outputs_naming_one_file_exit_one_before_any_write(tmp_path, capsys, rng, run):
+    argv = _collision_runs(tmp_path, rng)[run]
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = _run(capsys, *argv, "--json-errors")
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert "same file" in doc["error"]["message"]
+    assert sorted(tmp_path.rglob("*")) == before  # nothing was written
 
 
 def test_config_layering_file_env_flags(tmp_path, capsys, monkeypatch):
@@ -1197,6 +1315,7 @@ def test_scoring_options_are_checked_before_any_read(tmp_path, capsys, monkeypat
         ("flag", "-1"),
         ("flag", "99999999999999999999"),
         ("flag", "2147483648"),
+        ("flag", "3"),  # outside the label set, which every evaluated map lies in
         ("env", "-1"),
         ("config_file", "99999999999999999999"),
     ],
@@ -1224,24 +1343,29 @@ def test_label_id_no_label_map_can_hold_is_a_config_error(
     assert "label_id" in doc["error"]["message"]
 
 
-def test_largest_int32_label_id_is_accepted(tmp_path, capsys):
+def _label_error(capsys, *argv):
+    code, out, err = _run(capsys, *argv, "--json-errors")
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert "label_id" in doc["error"]["message"]
+
+
+def test_largest_int32_label_id_is_a_config_error(tmp_path, capsys):
+    # no accepted map can hold it, so it used to score a perfect both_empty pair
     ref = tmp_path / "ref.nii.gz"
     _write_labels(ref, _ball(dims=(6, 6, 6), radius=1.5))
-    code, out, _ = _run(
-        capsys, "eval-case", "--ref", str(ref), "--pred", str(ref), "--label", "2147483647"
-    )
-    assert code == 0
-    assert json.loads(out)["case"]["flags"] == ["both_empty"]
+    _label_error(capsys, "eval-case", "--ref", str(ref), "--pred", str(ref), "--label", "2147483647")
 
 
-def test_label_id_beyond_a_uint8_map_matches_no_voxel(tmp_path, capsys):
-    # 258 mod 256 is the tumor label 2 that the map holds
+def test_label_id_beyond_a_uint8_map_is_a_config_error(tmp_path, capsys):
+    # 258 mod 256 is the tumor label 2 that the map holds; the id is rejected
+    # before any map is read
     ref = tmp_path / "ref.nii"
     ref.write_bytes(raw_nifti(_ball(dims=(6, 6, 6), radius=1.5).astype(np.uint8)))
     assert read_volume(ref, kind="labels").data.dtype == np.uint8
-    code, out, _ = _run(capsys, "eval-case", "--ref", str(ref), "--pred", str(ref), "--label", "258")
-    assert code == 0
-    assert json.loads(out)["case"]["flags"] == ["both_empty"]
+    _label_error(capsys, "eval-case", "--ref", str(ref), "--pred", str(ref), "--label", "258")
 
 
 # (dtype, byte order) of one label map's files; reads keep the narrow integer
@@ -1334,7 +1458,7 @@ def test_select_top_must_not_be_negative(tmp_path, capsys):
 # values in turn for file, environment and flag; neighbours differ so each
 # layer visibly overrides the one below.
 OPTION_TABLE = {
-    "label_id": (["eval-case", "--ref", "r", "--pred", "p"], "--label", (1, 3, 4)),
+    "label_id": (["eval-case", "--ref", "r", "--pred", "p"], "--label", (1, 0, 2)),
     "tolerance_mm": (["eval-case", "--ref", "r", "--pred", "p"], "--tolerance", (3.5, 0.25, 7.0)),
     "empty_policy": (
         ["eval-case", "--ref", "r", "--pred", "p"], "--empty-policy",

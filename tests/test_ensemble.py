@@ -52,32 +52,25 @@ def test_member_validation():
 
 def test_member_path_resolution(tmp_path):
     templated = EnsembleMember("m", "preds/{case}.nii.gz")
-    assert templated.resolve_path("case_3").as_posix() == "preds/case_3.nii.gz"
-    assert (
-        templated.resolve_path("case_3", base_dir=tmp_path)
-        == tmp_path / "preds" / "case_3.nii.gz"
-    )
-    with pytest.raises(ConfigError):
-        templated.resolve_path()
+    assert templated.resolve_path("case_3", ".").as_posix() == "preds/case_3.nii.gz"
+    assert templated.resolve_path("case_3", tmp_path) == tmp_path / "preds" / "case_3.nii.gz"
 
     pred_dir = tmp_path / "member_a"
     pred_dir.mkdir()
     directory = EnsembleMember("m", str(pred_dir))
-    assert directory.resolve_path("case_9") == pred_dir / "case_9.nii.gz"
-    with pytest.raises(ConfigError):
-        directory.resolve_path()
+    assert directory.resolve_path("case_9", ".") == pred_dir / "case_9.nii.gz"
 
     plain = EnsembleMember("m", "one_file.nii.gz")
-    assert plain.resolve_path().as_posix() == "one_file.nii.gz"
+    assert plain.resolve_path("c", ".").as_posix() == "one_file.nii.gz"
     absolute = EnsembleMember("m", "/abs/file.nii.gz")
-    assert absolute.resolve_path(base_dir=tmp_path).as_posix() == "/abs/file.nii.gz"
+    assert absolute.resolve_path("c", tmp_path).as_posix() == "/abs/file.nii.gz"
 
 
 def test_spec_validation():
     a = EnsembleMember("a", "pa")
     b = EnsembleMember("b", "pb")
     spec = EnsembleSpec(members=(b, a))
-    assert [m.member_id for m in spec.sorted_members()] == ["a", "b"]
+    assert [m.member_id for m in spec.members] == ["a", "b"]
     with pytest.raises(ConfigError):
         EnsembleSpec(members=())
     with pytest.raises(ConfigError):
@@ -111,6 +104,24 @@ def test_spec_file_round_trip(tmp_path):
     unnamed.write_text(json.dumps({"members": [{"path": "p"}]}))
     with pytest.raises(FormatError):
         load_ensemble_spec(unnamed)
+
+
+def test_spec_file_members_are_held_fused_and_saved_in_member_id_order(tmp_path, rng):
+    stacks = {}
+    for member_id in ("z", "a"):
+        stacks[member_id] = probability_volume(rng, (4, 4, 4), (1, 1, 1))
+        write_volume(stacks[member_id], tmp_path / f"{member_id}.nii.gz")
+    listed = [{"member_id": m, "path": f"{m}.nii.gz", "weight": w} for m, w in (("z", 3.0), ("a", 1.0))]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"members": listed}))
+    spec = load_ensemble_spec(path)
+    assert [m.member_id for m in spec.members] == ["a", "z"]
+    fused = combine(spec, "c", tmp_path)
+    want = argmax_labels(average_probabilities([stacks["a"], stacks["z"]], [1.0, 3.0]))
+    assert np.array_equal(fused.data, want.data)
+    save_ensemble_spec(spec, tmp_path / "saved.json")
+    saved = json.loads((tmp_path / "saved.json").read_text())
+    assert [m["member_id"] for m in saved["members"]] == ["a", "z"]
 
 
 def test_average_probabilities_hand_case():
@@ -293,10 +304,10 @@ def test_load_member_volume_kind_follows_mode(tmp_path, rng):
     path = tmp_path / "m.nii.gz"
     write_volume(labels, path)
     member = EnsembleMember("m", str(path))
-    vol = load_member_volume(member, "majority")
+    vol = load_member_volume(member, "majority", "c", tmp_path)
     assert vol.kind == "labels"
     with pytest.raises(FormatError, match="member m"):
-        load_member_volume(member, "prob_avg")  # 3D file cannot be probabilities
+        load_member_volume(member, "prob_avg", "c", tmp_path)  # 3D file cannot be probabilities
 
 
 @pytest.mark.parametrize(

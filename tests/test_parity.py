@@ -333,7 +333,7 @@ def ref_majority_vote(label_members, weights=None) -> Volume:
 
 
 def ref_combine_volumes(spec, volumes) -> Volume:
-    ordered = spec.sorted_members()
+    ordered = sorted(spec.members, key=lambda m: m.member_id)
     missing = [m.member_id for m in ordered if m.member_id not in volumes]
     if missing:
         raise ValidationError(f"no volume supplied for member(s) {missing}")
@@ -1050,7 +1050,7 @@ def _label_map(rng, dims, tumor_fill):
     seed=st.integers(0, 2**32 - 1),
     dims=MASK_DIMS,
     fills=st.tuples(FILLS, FILLS),
-    label_id=st.sampled_from([1, 2, 7]),  # 7 is held by neither map
+    label_id=st.sampled_from([0, 1, 2]),
     empty_policy=st.sampled_from(EMPTY_POLICIES),
     tolerance=st.sampled_from([0.0, 1.0, 5.0]),
     spacing=MASK_SPACINGS,
@@ -1060,7 +1060,7 @@ def _label_map(rng, dims, tumor_fill):
 @example(0, (4, 3, 2), (0.3, 0.0), 2, "exclude", 5.0, (0.78125, 0.78125, 2.5))
 @example(0, (4, 3, 2), (0.0, 0.3), 2, "penalize", 5.0, (1.0, 1.5, 3.0))
 @example(0, (4, 3, 2), (0.0, 0.3), 2, "exclude", 5.0, (1.0, 1.5, 3.0))
-@example(0, (4, 3, 2), (0.3, 0.3), 7, "exclude", 5.0, (1.0, 1.5, 3.0))
+@example(0, (4, 3, 2), (0.0, 0.0), 2, "exclude", 5.0, (1.0, 1.5, 3.0))  # no tumor in either map
 def test_evaluate_case_on_masks_matches_the_label_volume_form(
     seed, dims, fills, label_id, empty_policy, tolerance, spacing
 ):
