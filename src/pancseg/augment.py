@@ -26,6 +26,7 @@ from .errors import ConfigError, FormatError, ValidationError
 from .geometry import (
     IMAGE_ORDERS,
     LABEL_ORDERS,
+    PointSampler,
     float_result,
     resample_separable,
     sample_labels,
@@ -255,9 +256,7 @@ def spatial_transform(img: Volume, lab: Volume, rotation, scale, preset: Augment
     coords = _spatial_coords(img.dims, img.spacing, rotation, scale)
 
     img_out = sample_points(img.data, coords, preset.image_order)
-    lab_out = sample_labels(
-        lab.data, preset.label_order, lambda d, o: sample_points(d, coords, o), lab.dims
-    )
+    lab_out = sample_labels(lab.data, preset.label_order, PointSampler(coords))
     return img.with_data(float_result(img_out, img.data.dtype)), lab.with_data(lab_out)
 
 

@@ -14,6 +14,8 @@ Conventions, fixed so that independent implementations can agree exactly:
 - Label maps resample either nearest (order 0) or by trilinear interpolation
   of one-hot indicators with argmax decoding, ties to the lowest label id
   (order 1).  Either way the output label set is a subset of the input's.
+  At order 1 a point whose taps all hold one label takes that label, which
+  is what the argmax gives it, so only the other points are scored.
 - Order 0 gathers and keeps the dtype; orders 1 and 3 compute in float64 and
   hand back float64 for float64 input, float32 for any other dtype.
 
@@ -21,7 +23,9 @@ Grids and point maps share one home per rule: ``interp_taps`` (taps and
 weights), ``sample_labels`` (label rule) and ``float_result`` (result dtype).
 One separable resampler, ``resample_separable``, serves both plan resampling
 (centre ratio ``target_spacing / source_spacing`` per axis) and the low-res
-simulation in ``augment`` (ratio ``source_dims / target_dims``).
+simulation in ``augment`` (ratio ``source_dims / target_dims``).  Point maps
+are sampled by ``sample_points`` in blocks of ``POINT_BLOCK`` points, so its
+temporaries stay cache-sized whatever the number of points.
 """
 from __future__ import annotations
 
@@ -41,6 +45,10 @@ LABEL_ORDERS = (0, 1)
 # mistyped spacing fails as a ConfigError before anything is allocated
 # instead of as a MemoryError or a numpy size error.
 MAX_TARGET_VOXELS = 2**30
+
+# Points per block of sample_points: 128 KiB per float64 temporary, small
+# enough to stay in cache (blocks of 32 k points and more are slower).
+POINT_BLOCK = 1 << 14
 
 
 def target_grid(source_dims, source_spacing, target_spacing) -> tuple[int, int, int]:
@@ -153,34 +161,73 @@ def interp_taps(c: np.ndarray, n: int, order: int):
     return np.clip(taps, 0, n - 1), weights
 
 
-def resample_separable(data: np.ndarray, target_dims, ratios, order: int) -> np.ndarray:
+def _centres(part: slice, ratio: float) -> np.ndarray:
+    """Source coordinates ``(j + 0.5) * ratio - 0.5`` of output indices ``part``."""
+    return (np.arange(part.start, part.stop, dtype=np.float64) + 0.5) * ratio - 0.5
+
+
+def resample_separable(data: np.ndarray, target_dims, ratios, order: int, window=None) -> np.ndarray:
     """Resample a 3D array onto ``target_dims``, one axis at a time.
 
     Output index ``j`` on axis ``ax`` samples source coordinate
     ``(j + 0.5) * ratios[ax] - 0.5`` with the kernels and edge clamping of
     ``interp_taps``.  Order 0 is a pure gather and keeps the dtype; orders 1
-    and 3 compute in float64.
+    and 3 compute in float64.  ``window``, one slice of output indices per
+    axis, computes that box of the output only; each voxel has the bits it
+    has in the whole output, as it depends on its own taps alone.  Only the
+    source box that the taps reach is read.
     """
-    out = data if order == 0 else data.astype(np.float64, copy=False)
-    for ax in range(3):
-        c = (np.arange(target_dims[ax], dtype=np.float64) + 0.5) * ratios[ax] - 0.5
-        taps, weights = interp_taps(c, out.shape[ax], order)
+    box = window or tuple(slice(0, n) for n in target_dims)
+    taps = [interp_taps(_centres(part, r), n, order) for part, r, n in zip(box, ratios, data.shape)]
+    reach = tuple(slice(int(t.min()), int(t.max()) + 1) for t, _ in taps)
+    out = data[reach]
+    if order != 0:
+        out = out.astype(np.float64, copy=False)
+    for ax, ((t, weights), part) in enumerate(zip(taps, reach)):
+        t = t - part.start
         if order == 0:
-            out = np.take(out, taps[0], axis=ax)
+            out = np.take(out, t[0], axis=ax)
             continue
         acc = None
         wshape = [1, 1, 1]
-        wshape[ax] = len(c)
-        for k in range(taps.shape[0]):
-            term = np.take(out, taps[k], axis=ax) * weights[k].reshape(wshape)
+        wshape[ax] = t.shape[1]
+        for k in range(t.shape[0]):
+            term = np.take(out, t[k], axis=ax) * weights[k].reshape(wshape)
             acc = term if acc is None else acc + term
         out = acc
     return out
 
 
-def _apply_plan(data: np.ndarray, plan: ResamplePlan, order: int) -> np.ndarray:
-    ratios = [t / s for s, t in zip(plan.source_spacing, plan.target_spacing)]
-    return resample_separable(data, plan.target_dims, ratios, order)
+@dataclass(frozen=True)
+class GridSampler:
+    """The output grid of ``resample_separable`` as a sampler for
+    ``sample_labels``: ``target_dims`` at centre ratios ``ratios``."""
+
+    target_dims: tuple
+    ratios: tuple
+
+    def __call__(self, data: np.ndarray, order: int, window=None) -> np.ndarray:
+        return resample_separable(data, self.target_dims, self.ratios, order, window)
+
+    def tap_bounds(self, data: np.ndarray):
+        """Per output voxel, the lowest and highest of its 8 order-1 taps:
+        min and max are separable, so one axis at a time over 2 taps."""
+        lo = hi = data
+        for ax, (n, r) in enumerate(zip(self.target_dims, self.ratios)):
+            (t0, t1), _ = interp_taps(_centres(slice(0, n), r), data.shape[ax], 1)
+            lo = np.minimum(np.take(lo, t0, axis=ax), np.take(lo, t1, axis=ax))
+            hi = np.maximum(np.take(hi, t0, axis=ax), np.take(hi, t1, axis=ax))
+        return lo, hi
+
+    def restrict(self, where: np.ndarray):
+        """The bbox of the output voxels in ``where``, and a sampler of it."""
+        box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(where))
+        return box, lambda data, order: self(data, order, box)
+
+
+def _plan_sampler(plan: ResamplePlan) -> GridSampler:
+    ratios = tuple(t / s for s, t in zip(plan.source_spacing, plan.target_spacing))
+    return GridSampler(plan.target_dims, ratios)
 
 
 def float_result(out: np.ndarray, source_dtype) -> np.ndarray:
@@ -189,16 +236,31 @@ def float_result(out: np.ndarray, source_dtype) -> np.ndarray:
     return out if out.dtype == source_dtype else out.astype(np.float32)
 
 
-def sample_labels(data: np.ndarray, order: int, sample, shape) -> np.ndarray:
+def sample_labels(data: np.ndarray, order: int, sampler) -> np.ndarray:
     """The label rule of every sampler: order 0 gathers the labels; order 1
     samples each one-hot indicator trilinearly and decodes by argmax, ties to
-    the lowest label.  ``sample(array, order)`` maps one array onto the
-    output points, of shape ``shape``."""
+    the lowest label.
+
+    At order 1 a point whose 8 taps all hold one label L takes L without
+    scoring: the weights are >= 0 and each axis's pair sums to more than 0, so
+    L scores above 0 and every other label exactly +0.0.  The indicators are
+    sampled only where the taps disagree.  ``sampler(array, order)`` maps one
+    array onto the output points; ``sampler.tap_bounds(data)`` gives each
+    point's lowest and highest tap label; ``sampler.restrict(where)`` gives an
+    index covering the points in ``where`` and a sampler of just those.
+    """
     if order == 0:
-        return sample(data, 0)
-    return label_argmax(
-        unique_labels(data), lambda v: sample((data == v).astype(np.float64), 1), shape
-    )
+        return sampler(data, 0)
+    out, hi = sampler.tap_bounds(data)
+    unsettled = out != hi
+    if unsettled.any():
+        index, sub = sampler.restrict(unsettled)
+        out[index] = label_argmax(
+            unique_labels(data),
+            lambda v: sub((data == v).astype(np.float64), 1),
+            out[index].shape,
+        )
+    return out
 
 
 def _on_target_grid(volume: Volume, plan: ResamplePlan, out: np.ndarray) -> Volume:
@@ -226,7 +288,7 @@ def resample_image(volume: Volume, plan: ResamplePlan) -> Volume:
     check_same_grid(
         (volume.dims, volume.spacing), (plan.source_dims, plan.source_spacing), "volume and plan"
     )
-    out = _apply_plan(volume.data, plan, plan.image_order)
+    out = _plan_sampler(plan)(volume.data, plan.image_order)
     if plan.image_order == 3 and plan.clamp_cubic:
         out = np.clip(out, float(volume.data.min()), float(volume.data.max()))
     return _on_target_grid(volume, plan, float_result(out, volume.data.dtype))
@@ -239,10 +301,25 @@ def resample_labels(volume: Volume, plan: ResamplePlan) -> Volume:
     check_same_grid(
         (volume.dims, volume.spacing), (plan.source_dims, plan.source_spacing), "volume and plan"
     )
-    out = sample_labels(
-        volume.data, plan.label_order, lambda d, o: _apply_plan(d, plan, o), plan.target_dims
-    )
+    out = sample_labels(volume.data, plan.label_order, _plan_sampler(plan))
     return _on_target_grid(volume, plan, out)
+
+
+def _point_taps(src: np.ndarray, shape, coords: np.ndarray, order: int):
+    """(block, weight, values) for every tap of every block of up to
+    ``POINT_BLOCK`` points of ``coords`` (3, N), taps in (a, b, k) order:
+    ``values`` is gathered from the flat ``src`` at the linear index
+    ``(i * ny + j) * nz + k``."""
+    _, ny, nz = shape
+    for start in range(0, coords.shape[1], POINT_BLOCK):
+        block = slice(start, start + POINT_BLOCK)
+        (t0, w0), (t1, w1), (t2, w2) = (interp_taps(c[block], n, order) for c, n in zip(coords, shape))
+        for a in range(len(t0)):
+            for b in range(len(t1)):
+                wab = w0[a] * w1[b]
+                row = (t0[a] * ny + t1[b]) * nz
+                for k in range(len(t2)):
+                    yield block, wab * w2[k], np.take(src, row + t2[k])
 
 
 def sample_points(data: np.ndarray, coords: np.ndarray, order: int) -> np.ndarray:
@@ -253,21 +330,51 @@ def sample_points(data: np.ndarray, coords: np.ndarray, order: int) -> np.ndarra
     resample and a point sample at the grid centers agree to rounding error.
     Order 0 preserves dtype; higher orders return float64.
 
-    Each tap is one ``np.take`` from the flattened array at the linear index
-    ``(i * ny + j) * nz + k``; order 0 is the single unweighted tap.
+    Points go in blocks of ``POINT_BLOCK``, each with its own taps, so every
+    temporary is block-sized.  Each tap is one ``np.take`` from the flattened
+    array; order 0 is the single unweighted tap.  Each point's value is
+    independent of the blocking.
     """
     coords = np.asarray(coords, dtype=np.float64)
-    _, ny, nz = data.shape
-    (t0, w0), (t1, w1), (t2, w2) = (interp_taps(c, n, order) for c, n in zip(coords, data.shape))
+    flat = coords.reshape(3, -1)
     if order == 0:
-        return np.take(data.reshape(-1), (t0[0] * ny + t1[0]) * nz + t2[0])
-    src = data.astype(np.float64, copy=False).reshape(-1)
-    # accumulate from +0.0 in (a, b, k) order, so a zero region stays +0.0
-    out = np.zeros(coords.shape[1:], dtype=np.float64)
-    for a in range(len(t0)):
-        for b in range(len(t1)):
-            wab = w0[a] * w1[b]
-            row = (t0[a] * ny + t1[b]) * nz
-            for k in range(len(t2)):
-                out += (wab * w2[k]) * np.take(src, row + t2[k])
-    return out
+        src, out = data.reshape(-1), np.empty(flat.shape[1], dtype=data.dtype)
+    else:
+        # accumulate from +0.0 in (a, b, k) order, so a zero region stays +0.0
+        src, out = data.astype(np.float64, copy=False).reshape(-1), np.zeros(flat.shape[1])
+    for block, weight, values in _point_taps(src, data.shape, flat, order):
+        if order == 0:
+            out[block] = values
+        else:
+            values *= weight
+            out[block] += values
+    return out.reshape(coords.shape[1:])
+
+
+@dataclass(frozen=True)
+class PointSampler:
+    """A point map ``coords`` of shape (3,) + S as a sampler for
+    ``sample_labels``."""
+
+    coords: np.ndarray
+
+    def __call__(self, data: np.ndarray, order: int) -> np.ndarray:
+        return sample_points(data, self.coords, order)
+
+    def tap_bounds(self, data: np.ndarray):
+        """Per point, the lowest and highest of its 8 order-1 tap labels,
+        block by block."""
+        shape = self.coords.shape[1:]
+        limits = np.iinfo(data.dtype)
+        lo = np.full(shape, limits.max, dtype=data.dtype)
+        hi = np.full(shape, limits.min, dtype=data.dtype)
+        flat_lo, flat_hi = lo.reshape(-1), hi.reshape(-1)
+        for block, _, values in _point_taps(data.reshape(-1), data.shape, self.coords.reshape(3, -1), 1):
+            np.minimum(flat_lo[block], values, out=flat_lo[block])
+            np.maximum(flat_hi[block], values, out=flat_hi[block])
+        return lo, hi
+
+    def restrict(self, where: np.ndarray):
+        """The points in ``where``, and a sampler of just those."""
+        index = np.nonzero(where)
+        return index, PointSampler(self.coords[(slice(None),) + index])

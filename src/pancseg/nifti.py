@@ -13,7 +13,9 @@ An integer label map keeps the file's dtype, in native byte order; only
 uint32, int64 and uint64 files, whose values can exceed int32, are range
 checked and become int32, as do float-coded maps after ``rint``.  The label
 set is checked once, on the Volume's own data, after ``Volume`` has
-rejected negative labels.  Writing always emits an RAS+ diagonal sform.
+rejected negative labels.  Writing always emits an RAS+ diagonal sform and
+makes one copy too: the stored dtype, little-endian and Fortran order, laid
+out by the same ``_layout_copy`` as the C order of the transposed array.
 """
 from __future__ import annotations
 
@@ -138,14 +140,15 @@ def _ras_reorientation(affine: np.ndarray):
 def _layout_copy(view: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """``np.array(view, dtype=dtype, order="C")``, byte for byte.
 
-    The plain copy walks the output in C order.  For a reoriented file view
-    that walk reads the source at large strides (z planes 2^18 bytes apart
-    in a 512x512 uint8 map) that map to the same cache sets, and each cache
-    line is fetched again long after it was first used.  So the copy goes in
-    slabs along the first axis that is neither the view's fastest (smallest
-    |stride|) nor its last: each slab is copied in source order into a
-    temporary of about SLAB_BYTES, then cast and laid out from there, so the
-    strided walk stays in cache.
+    Reads pass the reoriented file view; writes pass the transposed volume,
+    whose C order is the file's Fortran order.  The plain copy walks the
+    output in C order.  For either view that walk reads the source at large
+    strides (z planes 2^18 bytes apart in a 512x512 uint8 map) that map to
+    the same cache sets, and each cache line is fetched again long after it
+    was first used.  So the copy goes in slabs along the first axis that is
+    neither the view's fastest (smallest |stride|) nor its last: each slab
+    is copied in source order into a temporary of about SLAB_BYTES, then
+    cast and laid out from there, so the strided walk stays in cache.
     """
     strides = [abs(s) for s in view.strides]
     fast = strides.index(min(strides))
@@ -247,7 +250,8 @@ def read_volume(
     slope, inter = h["scl_slope"], h["scl_inter"]
     if not (np.isfinite(slope) and np.isfinite(inter)):
         raise FormatError(f"{path}: scl_slope {slope} or scl_inter {inter} is not finite")
-    scaled = slope not in (0.0, 1.0) or inter != 0.0
+    # NIfTI-1: a zero slope means the voxels are stored unscaled
+    scaled = slope != 0.0 and (slope != 1.0 or inter != 0.0)
     if scaled and kind == "labels":
         raise FormatError(f"{path}: label volume carries intensity scaling")
 
@@ -333,12 +337,12 @@ def write_volume(volume: Volume, path: str | Path) -> None:
             "range of the NIfTI-1 header"
         )
     data = volume.data
+    dtype = data.dtype
     if volume.kind == "labels":
-        data = data.astype(_label_storage_dtype(data), copy=False)
-    elif data.dtype == np.float16:
-        data = data.astype(np.float32)
-    code = _dtype_code(data.dtype)
-    data = data.astype(data.dtype.newbyteorder("<"), copy=False)
+        dtype = _label_storage_dtype(data)
+    elif dtype == np.float16:
+        dtype = np.dtype(np.float32)
+    code = _dtype_code(dtype)
 
     shape = data.shape
     ndim = len(shape)
@@ -349,7 +353,7 @@ def write_volume(volume: Volume, path: str | Path) -> None:
     hdr = bytearray(HEADER_SIZE)
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
     struct.pack_into("<8h", hdr, 40, *dim)
-    struct.pack_into("<2h", hdr, 70, code, data.dtype.itemsize * 8)
+    struct.pack_into("<2h", hdr, 70, code, dtype.itemsize * 8)
     pixdim = [1.0] + list(volume.spacing) + [1.0] * 4
     struct.pack_into("<8f", hdr, 76, *pixdim)
     struct.pack_into("<f", hdr, 108, float(VOX_OFFSET))
@@ -363,12 +367,16 @@ def write_volume(volume: Volume, path: str | Path) -> None:
     struct.pack_into("<4f", hdr, 312, 0.0, 0.0, sz, oz)
     hdr[344:348] = MAGIC_SINGLE
 
-    payload = bytes(hdr) + b"\x00\x00\x00\x00" + data.tobytes(order="F")
-    if path.suffix == ".gz":
-        with open(path, "wb") as fh:
+    hdr += b"\x00\x00\x00\x00"  # no extensions
+    # the one copy: cast, little-endian and Fortran order, as the C order of
+    # the transposed view
+    body = _layout_copy(data.T, dtype.newbyteorder("<"))
+    with open(path, "wb") as fh:
+        if path.suffix == ".gz":
             # blank filename + zero mtime keep identical volumes byte-identical
             with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
-                gz.write(payload)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(payload)
+                gz.write(hdr)
+                gz.write(body)
+        else:
+            fh.write(hdr)
+            fh.write(body)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pancseg.errors import ConfigError, GridMismatchError, ValidationError
 from pancseg.geometry import (
     MAX_TARGET_VOXELS,
+    POINT_BLOCK,
     ResamplePlan,
     interp_taps,
     resample_image,
@@ -277,3 +280,18 @@ def test_resampled_origin_keeps_corner_fixed(rng):
     plan = ResamplePlan.for_volume(vol, (1.0, 2.0, 1.5), image_order=1)
     out = resample_image(vol, plan)
     assert out.origin == pytest.approx((10.0 - 1.0 + 0.5, -5.0 - 0.5 + 1.0, 0.5 - 1.5 + 0.75))
+
+
+def test_sample_points_memory_is_the_output_plus_a_few_blocks():
+    # 2 M points at order 3: a full-size float64 temporary is 16 MiB, 128
+    # blocks; the taps, weights and products of one block stay below 96
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(20, 20, 20))
+    coords = np.stack([rng.uniform(-1.0, 20.0, size=1 << 21) for _ in range(3)])
+    tracemalloc.start()
+    try:
+        out = sample_points(data, coords, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 96 * POINT_BLOCK * 8

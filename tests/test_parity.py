@@ -18,7 +18,12 @@ of the ``correlate`` form ``ref_neighbour_codes`` that the shifted-slice sum of
 that the slab-staged ``nifti._layout_copy`` replaced; and of the
 ``sum(axis=-1)`` form ``ref_check_probabilities`` that the column adds of
 ``volume.class_sums`` replaced; and of the label-volume ``ref_evaluate_case``
-that the mask-taking ``metrics.evaluate_case`` replaced.  They stay here as the reference the
+that the mask-taking ``metrics.evaluate_case`` replaced; of the label rule
+``ref_sample_labels``, which scores every output point, that the
+tap-consensus ``sample_labels`` replaced; and of the ``tobytes(order="F")``
+writer ``ref_write_volume`` that the layout-copy ``write_volume`` replaced.
+``ref_sample_points`` is also the reference of the blocked ``sample_points``.
+They stay here as the reference the
 shared code must match bit for bit, including on forced ties and unequal
 weights, and error for error.
 
@@ -33,8 +38,11 @@ domains the feature transform is given.
 """
 from __future__ import annotations
 
+import gzip
 import itertools
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,11 +67,15 @@ from pancseg.ensemble import (
     majority_vote,
 )
 from pancseg.errors import GridMismatchError, PancsegError, ValidationError
+from pancseg import geometry
 from pancseg.geometry import (
+    POINT_BLOCK,
+    PointSampler,
     ResamplePlan,
     interp_taps,
     resample_image,
     resample_labels,
+    sample_labels,
     sample_points,
 )
 from pancseg import metrics
@@ -84,7 +96,16 @@ from pancseg.metrics import (
     tumor_volume,
 )
 from pancseg import nifti
-from pancseg.nifti import _DTYPE_BY_CODE, read_volume, write_volume
+from pancseg.nifti import (
+    _DTYPE_BY_CODE,
+    HEADER_SIZE,
+    MAGIC_SINGLE,
+    VOX_OFFSET,
+    _dtype_code,
+    _label_storage_dtype,
+    read_volume,
+    write_volume,
+)
 from pancseg.selection import CandidatePool, SubsetEvaluator, beam_search_subsets, search_subsets
 from pancseg.surfels import CODE_KERNEL, neighbour_codes, surfel_area_table
 from pancseg.volume import (
@@ -187,6 +208,18 @@ def ref_sample_points(data: np.ndarray, coords: np.ndarray, order: int) -> np.nd
             for k in range(n_taps):
                 out += (wab * weights[2][k]) * src[ia, ib, taps[2][k]]
     return out
+
+
+def ref_sample_labels(data: np.ndarray, order: int, sample, shape) -> np.ndarray:
+    """The label rule of every sampler: order 0 gathers the labels; order 1
+    samples each one-hot indicator trilinearly and decodes by argmax, ties to
+    the lowest label.  ``sample(array, order)`` maps one array onto the
+    output points, of shape ``shape``."""
+    if order == 0:
+        return sample(data, 0)
+    return label_argmax(
+        unique_labels(data), lambda v: sample((data == v).astype(np.float64), 1), shape
+    )
 
 
 def ref_spatial_image(img: Volume, coords: np.ndarray, order: int) -> np.ndarray:
@@ -409,6 +442,48 @@ def ref_layout_copy(view: np.ndarray, dtype) -> np.ndarray:
     return np.array(view, dtype=dtype, order="C")
 
 
+def ref_write_volume(volume: Volume, path) -> None:
+    path = Path(path)
+    data = volume.data
+    if volume.kind == "labels":
+        data = data.astype(_label_storage_dtype(data), copy=False)
+    elif data.dtype == np.float16:
+        data = data.astype(np.float32)
+    code = _dtype_code(data.dtype)
+    data = data.astype(data.dtype.newbyteorder("<"), copy=False)
+
+    shape = data.shape
+    ndim = len(shape)
+    dim = [ndim] + [int(s) for s in shape] + [1] * (7 - ndim)
+
+    hdr = bytearray(HEADER_SIZE)
+    struct.pack_into("<i", hdr, 0, HEADER_SIZE)
+    struct.pack_into("<8h", hdr, 40, *dim)
+    struct.pack_into("<2h", hdr, 70, code, data.dtype.itemsize * 8)
+    pixdim = [1.0] + list(volume.spacing) + [1.0] * 4
+    struct.pack_into("<8f", hdr, 76, *pixdim)
+    struct.pack_into("<f", hdr, 108, float(VOX_OFFSET))
+    struct.pack_into("<2f", hdr, 112, 1.0, 0.0)
+    struct.pack_into("<B", hdr, 123, 2 | 8)  # mm, seconds
+    struct.pack_into("<2h", hdr, 252, 0, 1)  # qform off, sform aligned
+    sx, sy, sz = volume.spacing
+    ox, oy, oz = volume.origin
+    struct.pack_into("<4f", hdr, 280, sx, 0.0, 0.0, ox)
+    struct.pack_into("<4f", hdr, 296, 0.0, sy, 0.0, oy)
+    struct.pack_into("<4f", hdr, 312, 0.0, 0.0, sz, oz)
+    hdr[344:348] = MAGIC_SINGLE
+
+    payload = bytes(hdr) + b"\x00\x00\x00\x00" + data.tobytes(order="F")
+    if path.suffix == ".gz":
+        with open(path, "wb") as fh:
+            # blank filename + zero mtime keep identical volumes byte-identical
+            with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
+                gz.write(payload)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(payload)
+
+
 def ref_check_probabilities(data: np.ndarray) -> None:
     if not np.issubdtype(data.dtype, np.floating):
         raise ValidationError("probability stack must have float dtype")
@@ -541,6 +616,103 @@ def test_sample_points_matches_reference(rng, order):
             img_out, _ = spatial_transform(img, lab, rotation, scale, pre)
             coords = _spatial_coords(dims, spacing, rotation, scale)
             _same(img_out.data, ref_spatial_image(img, coords, order))
+
+
+BLOCK_COUNTS = [1, POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 1, 3 * POINT_BLOCK + 7]
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+@pytest.mark.parametrize("n_points", BLOCK_COUNTS)
+def test_blocked_sample_points_matches_reference(rng, order, n_points):
+    dims = (9, 7, 5)
+    maps = {
+        "fractional": np.stack([rng.uniform(-0.5, d - 0.5, size=n_points) for d in dims]),
+        # integer coordinates: every tap but one per axis has weight 0
+        "integer": np.stack([rng.integers(0, d, size=n_points) for d in dims]).astype(np.float64),
+        # well past every edge, so the taps clamp
+        "clamped": np.stack([rng.uniform(-4.0, d + 3.0, size=n_points) for d in dims]),
+    }
+    for dtype in (np.int16, np.float32, np.float64):
+        data = rng.uniform(-100, 100, size=dims).astype(dtype)
+        data[:3] = 0
+        for coords in maps.values():
+            _same(sample_points(data, coords, order), ref_sample_points(data, coords, order))
+
+
+def _label_paths(data, coords, plan):
+    """(new, reference) label maps of order 1 on the point path at ``coords``
+    and on the grid path of ``plan``."""
+    volume = Volume(data, plan.source_spacing, kind="labels")
+    return [
+        (
+            sample_labels(data, 1, PointSampler(coords)),
+            ref_sample_labels(data, 1, lambda d, o: ref_sample_points(d, coords, o), coords.shape[1:]),
+        ),
+        (
+            resample_labels(volume, plan).data,
+            ref_sample_labels(data, 1, lambda d, o: ref_resample_grid_interp(d, plan, o), plan.target_dims),
+        ),
+    ]
+
+
+def test_label_consensus_ties_go_to_the_lowest_label():
+    # a checkerboard of labels 1 and 2: a point at a voxel corner has 4 taps
+    # of each, a point halfway along one axis 1 tap of each, equally weighted
+    idx = np.indices((6, 6, 6)).sum(axis=0)
+    data = (1 + idx % 2).astype(np.int32)
+    corners = np.stack(np.meshgrid(*[np.arange(5) + 0.5] * 3, indexing="ij"))
+    edges = np.stack(np.meshgrid(np.arange(5) + 0.5, np.arange(6.0), np.arange(6.0), indexing="ij"))
+    # source spacing 1 to target 2: every output centre lies at a voxel corner
+    plan = ResamplePlan((6, 6, 6), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0), label_order=1)
+    for coords in (corners, edges):
+        for new, ref in _label_paths(data, coords, plan):
+            _same(new, ref)
+            assert (ref == 1).all()
+
+
+@pytest.mark.parametrize("fill", [0, 2])
+def test_label_consensus_on_a_single_label_map(fill):
+    data = np.full((5, 4, 3), fill, dtype=np.uint8)
+    coords = _spatial_coords((5, 4, 3), (1.0, 1.0, 1.0), (0.3, -0.2, 0.4), (1.2, 0.8, 1.0))
+    plan = ResamplePlan((5, 4, 3), (1.0, 1.0, 2.0), (0.7, 1.3, 1.1), label_order=1)
+    for new, ref in _label_paths(data, coords, plan):
+        _same(new, ref)
+        assert (ref == fill).all()
+
+
+def test_label_consensus_on_a_label_set_with_a_gap(rng):
+    data = rng.choice(np.array([0, 2], dtype=np.int16), size=(8, 7, 6))
+    data[2:6, 2:5, 1:5] = 2
+    coords = _spatial_coords((8, 7, 6), (1.0, 1.2, 2.0), (0.2, 0.1, -0.3), (1.1, 0.9, 1.3))
+    for target in TARGETS:
+        plan = ResamplePlan((8, 7, 6), (1.0, 1.2, 2.0), target, label_order=1)
+        for new, ref in _label_paths(data, coords, plan):
+            _same(new, ref)
+            assert set(np.unique(new)) <= {0, 2}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(1, 8), st.integers(1, 7), st.integers(1, 5)),
+    n_values=st.integers(1, 4),
+    block=st.integers(1, 3),
+    source=st.sampled_from(SPACINGS),
+    target=st.sampled_from(TARGETS),
+    point_block=st.sampled_from([1, 7, POINT_BLOCK]),
+    dtype=st.sampled_from([np.uint8, np.int16, np.int32]),
+)
+def test_label_consensus_matches_one_hot_argmax(
+    seed, dims, n_values, block, source, target, point_block, dtype
+):
+    rng = np.random.default_rng(seed)
+    data = _labels(rng, dims, n_values, block).astype(dtype)
+    coords = _spatial_coords(dims, source, rng.uniform(-0.6, 0.6, size=3), rng.uniform(0.7, 1.4, size=3))
+    plan = ResamplePlan(dims, source, target, label_order=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "POINT_BLOCK", point_block)
+        for new, ref in _label_paths(data, coords, plan):
+            _same(new, ref)
 
 
 @pytest.mark.parametrize("factor", [1.0, 1.3, 1.5, 2.0, 3.7])
@@ -1220,6 +1392,46 @@ def test_layout_copy_matches_the_plain_copy(monkeypatch, perm, flips):
                 for budget in SLAB_BUDGETS:
                     monkeypatch.setattr(nifti, "SLAB_BYTES", budget)
                     _same_copy(nifti._layout_copy(source, target), want)
+
+
+def _write_cases(rng):
+    """Volumes of every stored dtype, 3D and 4D, in C order and as sliced,
+    transposed and flipped views."""
+    image = rng.normal(size=(9, 6, 5)) * 100
+    labels = rng.integers(0, 3, size=(9, 6, 5))
+    volumes = [
+        Volume(labels.astype(np.int32), (1.0, 1.5, 2.0), kind="labels"),  # stored uint8
+        Volume(labels.astype(np.int32) * 1000, (1.0, 1.5, 2.0), kind="labels"),  # int16
+        Volume(labels.astype(np.int32) * 100000, (1.0, 1.5, 2.0), kind="labels"),  # int32
+        Volume(labels.astype(np.uint8), (1.0, 1.5, 2.0), kind="labels"),
+        Volume(image.astype(np.float32), (0.8, 0.8, 2.5), (-3.0, 4.0, 1.5)),
+        Volume(image, (0.8, 0.8, 2.5)),
+        Volume(image.astype(np.float16), (0.8, 0.8, 2.5)),
+        Volume(image.astype(np.int16), (0.8, 0.8, 2.5)),
+        probability_volume(rng, (4, 5, 3), (1.0, 1.0, 1.0)),
+        Volume(rng.dirichlet(np.ones(3), size=(4, 5, 3)), (1.0, 1.0, 1.0), kind="probabilities"),
+    ]
+    views = []
+    for vol in volumes:
+        spatial = (2, 1, 0) + tuple(range(3, vol.data.ndim))
+        for data in (
+            vol.data[1:, ::2, ::-1],
+            vol.data.transpose(spatial),
+            np.asfortranarray(vol.data),
+        ):
+            views.append(Volume(data, vol.spacing, vol.origin, kind=vol.kind))
+    return volumes + views
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_write_volume_matches_the_fortran_order_writer(tmp_path, monkeypatch, rng, suffix):
+    for i, vol in enumerate(_write_cases(rng)):
+        ref_write_volume(vol, tmp_path / f"ref{i}{suffix}")
+        want = (tmp_path / f"ref{i}{suffix}").read_bytes()
+        for budget in SLAB_BUDGETS:
+            monkeypatch.setattr(nifti, "SLAB_BYTES", budget)
+            write_volume(vol, tmp_path / f"new{i}{suffix}")
+            assert (tmp_path / f"new{i}{suffix}").read_bytes() == want
 
 
 def _read_outcome(path, kind):

@@ -291,6 +291,25 @@ def test_intensity_scaling_rejected_for_labels(tmp_path):
         read_volume(path, kind="labels")
 
 
+def test_zero_slope_means_no_scaling(tmp_path, capsys):
+    # NIfTI-1: scl_slope 0 leaves the stored values as they are, whatever
+    # scl_inter holds, for images and label maps alike
+    data = np.arange(8, dtype=np.int16).reshape(2, 2, 2) % 3
+    path = tmp_path / "zero_slope.nii"
+    path.write_bytes(raw_nifti(data, scaling=(0.0, 5.0)))
+    image = read_volume(path, kind="image")
+    assert image.data.dtype == np.int16
+    assert np.array_equal(image.data, data)
+    labels = read_volume(path, kind="labels")
+    assert np.array_equal(labels.data, data)
+    out = tmp_path / "copy.nii.gz"
+    argv = ["resample", "--input", str(path), "--output", str(out), "--kind", "labels",
+            "--spacing", "1", "1", "1", "--label-order", "0"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert np.array_equal(read_volume(out, kind="labels").data, data)
+
+
 def test_trailing_singleton_axis_squeezes_for_images(tmp_path, rng):
     probs = Volume(np.ones((3, 4, 5, 1), dtype=np.float32), (1, 1, 1), kind="probabilities")
     path = tmp_path / "fourd.nii"
