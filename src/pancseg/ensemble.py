@@ -20,7 +20,10 @@ per-voxel arithmetic (float64 accumulation in member order, division by the
 weight sum, renormalization, probability validation and argmax; or the
 weighted vote), and are scattered back.  When more than half the voxels are
 active, the gather would cost more than it saves, and every voxel goes
-through that arithmetic in place instead.
+through that arithmetic in place instead.  Every pass walks the members in
+their shared memory order (a label map read from a file stays in the
+file's order), and the fused map is laid out in that order too; every
+step is per voxel, so the order changes no label.
 
 The split is exact for finite positive weights with a finite sum, which the
 weight checks enforce.  Active voxels run the same elementwise arithmetic as
@@ -43,7 +46,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, FormatError, GridMismatchError, ValidationError
-from .nifti import read_volume
+from .nifti import c_order, read_volume
 from .volume import (
     Volume,
     check_probabilities,
@@ -269,27 +272,49 @@ def argmax_labels(p: Volume) -> Volume:
     return Volume(data=labels, spacing=p.spacing, origin=p.origin, kind="labels")
 
 
+def _memory_frame(arrays: Sequence[np.ndarray]):
+    """``arrays``, of one shape, as C-contiguous views in one frame, and the
+    map that takes an array in that frame back to their axes.
+
+    The frame undoes the first array's flips and orders its axes by stride,
+    so maps that share a file's memory order are used where they lie.  When
+    any array is not C-contiguous in that frame, the frame is the arrays' own
+    axes and those not in C order are laid out.
+    """
+    first = arrays[0]
+    flips = tuple(slice(None, None, -1 if s < 0 else None) for s in first.strides)
+    axes = sorted(range(first.ndim), key=lambda ax: -abs(first.strides[ax]))
+    framed = [a[flips].transpose(axes) for a in arrays]
+    if all(f.flags.c_contiguous for f in framed):
+        back = tuple(np.argsort(axes))
+        return framed, lambda out: out.transpose(back)[flips]
+    return [c_order(a) for a in arrays], lambda out: out
+
+
 def _fuse_active(members: Sequence[Volume], fuse_rows, dtype) -> Volume:
     """The fused label map on the members' grid, of ``dtype`` (which holds
-    every label the members can fuse to) in C order: settled voxels take the
-    shared ``consensus_codes``; the flat indices of the active ones go to
-    ``fuse_rows``, which returns their labels.  When most voxels are active,
-    ``fuse_rows(None)`` fuses every voxel instead, which is as exact: settled
-    voxels fuse to their code.
+    every label the members can fuse to), laid out like the members'
+    ``consensus_codes`` (see ``_memory_frame``): settled voxels take the shared
+    code.  ``fuse_rows(codes, active)`` gets the members' codes flattened in
+    that layout and the flat indices of the active voxels, and returns their
+    labels.  When most voxels are active, ``active`` is None and every voxel
+    is fused instead, which is as exact: settled voxels fuse to their code.
     """
-    first = members[0].consensus_codes
+    codes, back = _memory_frame([m.consensus_codes for m in members])
+    first = codes[0]
     settled = first >= 0
-    for m in members[1:]:
-        settled &= m.consensus_codes == first
+    for c in codes[1:]:
+        settled &= c == first
     # a fresh C-order copy, so the flat view below writes into ``out`` itself;
     # only active voxels can hold a code of -1, and they are overwritten
     out = np.array(first, dtype=dtype, order="C")
     active = np.flatnonzero(~settled)
+    flat = [c.reshape(-1) for c in codes]
     if 2 * active.size > out.size:
-        out.reshape(-1)[:] = fuse_rows(None)
+        out.reshape(-1)[:] = fuse_rows(flat, None)
     elif active.size:
-        out.reshape(-1)[active] = fuse_rows(active)
-    return Volume(data=out, spacing=members[0].spacing, origin=members[0].origin, kind="labels")
+        out.reshape(-1)[active] = fuse_rows(flat, active)
+    return Volume(data=back(out), spacing=members[0].spacing, origin=members[0].origin, kind="labels")
 
 
 def _fuse_probabilities(stacks: Sequence[Volume], weights: Sequence[float]) -> Volume:
@@ -297,9 +322,11 @@ def _fuse_probabilities(stacks: Sequence[Volume], weights: Sequence[float]) -> V
     the active voxels."""
     stacks, weights = _probability_members(stacks, weights)
     n_classes = stacks[0].n_classes
+    # a stack's consensus codes are in C order, so its C-order rows line up
+    # with their flat indices
     flat = [v.data.reshape(-1, n_classes) for v in stacks]
 
-    def fuse_rows(active):
+    def fuse_rows(codes, active):
         rows = flat if active is None else (np.take(f, active, axis=0) for f in flat)
         acc = _average_rows(rows, weights)
         check_probabilities(acc)
@@ -317,10 +344,10 @@ def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[fl
         raise ValidationError("majority_vote expects label volumes")
     weights = _member_weights(weights, len(label_members))
     _check_grids(label_members)
-    flat = [v.data.reshape(-1) for v in label_members]
 
-    def vote_rows(active):
-        rows = flat if active is None else [np.take(f, active) for f in flat]
+    def vote_rows(codes, active):
+        # a label map's consensus codes are its labels
+        rows = codes if active is None else [np.take(c, active) for c in codes]
 
         def votes(value):
             acc = weights[0] * (rows[0] == value)

@@ -20,7 +20,9 @@ Conventions, fixed so that independent implementations can agree exactly:
   hand back float64 for float64 input, float32 for any other dtype.
 
 Grids and point maps share one home per rule: ``interp_taps`` (taps and
-weights), ``sample_labels`` (label rule) and ``float_result`` (result dtype).
+weights; ``linear_taps`` gives its order-1 taps alone, for the label rule's
+tap bounds), ``sample_labels`` (label rule) and ``float_result`` (result
+dtype).  A label map is laid out in C order before either path samples it.
 One separable resampler, ``resample_separable``, serves both plan resampling
 (centre ratio ``target_spacing / source_spacing`` per axis) and the low-res
 simulation in ``augment`` (ratio ``source_dims / target_dims``).  Point maps
@@ -35,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
+from .nifti import c_order
 from .volume import Volume, check_same_grid, label_argmax, same_grid, unique_labels
 
 IMAGE_ORDERS = (0, 1, 3)
@@ -161,6 +164,12 @@ def interp_taps(c: np.ndarray, n: int, order: int):
     return np.clip(taps, 0, n - 1), weights
 
 
+def linear_taps(c: np.ndarray, n: int) -> np.ndarray:
+    """The taps of ``interp_taps(c, n, 1)``, without its weights."""
+    base = np.floor(np.clip(np.asarray(c, dtype=np.float64), -(2.0**53), 2.0**53)).astype(np.int64)
+    return np.clip(np.stack([base, base + 1]), 0, n - 1)
+
+
 def _centres(part: slice, ratio: float) -> np.ndarray:
     """Source coordinates ``(j + 0.5) * ratio - 0.5`` of output indices ``part``."""
     return (np.arange(part.start, part.stop, dtype=np.float64) + 0.5) * ratio - 0.5
@@ -214,7 +223,7 @@ class GridSampler:
         min and max are separable, so one axis at a time over 2 taps."""
         lo = hi = data
         for ax, (n, r) in enumerate(zip(self.target_dims, self.ratios)):
-            (t0, t1), _ = interp_taps(_centres(slice(0, n), r), data.shape[ax], 1)
+            t0, t1 = linear_taps(_centres(slice(0, n), r), data.shape[ax])
             lo = np.minimum(np.take(lo, t0, axis=ax), np.take(lo, t1, axis=ax))
             hi = np.maximum(np.take(hi, t0, axis=ax), np.take(hi, t1, axis=ax))
         return lo, hi
@@ -249,6 +258,7 @@ def sample_labels(data: np.ndarray, order: int, sampler) -> np.ndarray:
     point's lowest and highest tap label; ``sampler.restrict(where)`` gives an
     index covering the points in ``where`` and a sampler of just those.
     """
+    data = c_order(data)  # both samplers flatten or gather it in C order
     if order == 0:
         return sampler(data, 0)
     out, hi = sampler.tap_bounds(data)
@@ -363,16 +373,20 @@ class PointSampler:
 
     def tap_bounds(self, data: np.ndarray):
         """Per point, the lowest and highest of its 8 order-1 tap labels,
-        block by block."""
+        block by block; the taps are gathered without their weights."""
+        coords = self.coords.reshape(3, -1)
+        src, (_, ny, nz) = data.reshape(-1), data.shape
+        lo = np.empty(coords.shape[1], dtype=data.dtype)
+        hi = np.empty_like(lo)
+        for start in range(0, coords.shape[1], POINT_BLOCK):
+            block = slice(start, start + POINT_BLOCK)
+            t0, t1, t2 = (linear_taps(c[block], n) for c, n in zip(coords, data.shape))
+            index = (t0[:, None, None] * ny + t1[None, :, None]) * nz + t2[None, None, :]
+            values = np.take(src, index).reshape(8, -1)
+            lo[block] = values.min(axis=0)
+            hi[block] = values.max(axis=0)
         shape = self.coords.shape[1:]
-        limits = np.iinfo(data.dtype)
-        lo = np.full(shape, limits.max, dtype=data.dtype)
-        hi = np.full(shape, limits.min, dtype=data.dtype)
-        flat_lo, flat_hi = lo.reshape(-1), hi.reshape(-1)
-        for block, _, values in _point_taps(data.reshape(-1), data.shape, self.coords.reshape(3, -1), 1):
-            np.minimum(flat_lo[block], values, out=flat_lo[block])
-            np.maximum(flat_hi[block], values, out=flat_hi[block])
-        return lo, hi
+        return lo.reshape(shape), hi.reshape(shape)
 
     def restrict(self, where: np.ndarray):
         """The points in ``where``, and a sampler of just those."""

@@ -34,6 +34,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, EmptySurfaceError, ValidationError
+from .nifti import c_order
 from .surfels import border_map, neighbour_codes, surfel_area_table
 from .volume import DEFAULT_LABEL_SET, Volume, check_same_grid, check_spacing
 
@@ -248,7 +249,9 @@ def _crop_with_pad(bits: np.ndarray, lo, hi) -> np.ndarray:
     # one zero voxel of padding at the high side; neighbour_codes reads zeros
     # beyond the low side
     out = np.zeros([h - l + 2 for l, h in zip(lo, hi)], dtype=np.uint8)
-    out[:-1, :-1, :-1] = bits[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1]
+    # a mask in a file's memory order is laid out first: copied straight into
+    # C order, it would be read at large strides
+    out[:-1, :-1, :-1] = c_order(bits[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1])
     return out
 
 

@@ -5,21 +5,31 @@ single-file images (magic ``n+1``), 3D scalar grids plus 4D stacks whose
 fourth axis is the class channel, and the common scalar datatypes.  On read
 the volume is reorientated to RAS+ by axis permutation and flips derived from
 the dominant direction of each affine column (sform preferred, then qform,
-then a plain pixdim diagonal).  Reads make one layout copy: the reoriented
-view of the file buffer is byte-swapped, cast and laid out in C order, in
-slabs along an axis that is neither the view's fastest nor its last, each
-staged in source order through a small temporary (see ``_layout_copy``).
-An integer label map keeps the file's dtype, in native byte order; only
-uint32, int64 and uint64 files, whose values can exceed int32, are range
-checked and become int32, as do float-coded maps after ``rint``.  The label
-set is checked once, on the Volume's own data, after ``Volume`` has
-rejected negative labels.  Writing always emits an RAS+ diagonal sform and
+then a plain pixdim diagonal).
+
+A read fills one buffer: a ``.nii`` file's bytes, or a gzip stream inflated
+into one array of exactly the header and data section, its size fixed by
+the header before anything is allocated (see ``_read_data``).  An image or
+probability stack is then laid out once: the reoriented view of the buffer
+is byte-swapped, cast and laid out in C order, in slabs along an axis that
+is neither the view's fastest nor its last, each staged in source order
+through a small temporary (see ``_layout_copy``).  A label map is not laid
+out: it stays the reoriented view of the buffer, in the file's memory
+order, and is copied in that order only to swap its bytes or cast it.  Its
+consumers that copy or flatten it in C order lay it out first through
+``c_order``.  An integer label map keeps the file's dtype, in native byte
+order; only uint32, int64 and uint64 files, whose values can exceed int32,
+are range checked and become int32, as do float-coded maps after ``rint``.
+The label set is checked once, on the Volume's own data, after ``Volume``
+has rejected negative labels.  Writing always emits an RAS+ diagonal sform and
 makes one copy too: the stored dtype, little-endian and Fortran order, laid
 out by the same ``_layout_copy`` as the C order of the transposed array.
 """
 from __future__ import annotations
 
 import gzip
+import itertools
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -33,6 +43,16 @@ HEADER_SIZE = 348
 VOX_OFFSET = 352  # header + 4-byte extension flag
 MAGIC_SINGLE = b"n+1\x00"
 MAX_DIM = 32767  # dim[] is int16 in the header
+GZIP_MAGIC = b"\x1f\x8b"
+
+# Bytes of inflated output per zlib call, and of compressed input fed per
+# call: besides the file and its buffer, a gzip read holds a few output
+# chunks at a time, however long the stream runs on past the data section.
+INFLATE_CHUNK = 1 << 20
+COMPRESSED_CHUNK = 1 << 16
+# Deflate's largest ratio: a 258-byte match coded in 2 bits is 1032:1, so a
+# stream inflates to at most this many times its compressed size.
+DEFLATE_MAX_RATIO = 1032
 
 _DTYPE_BY_CODE = {
     2: np.uint8,
@@ -59,18 +79,112 @@ def _dtype_code(dtype: np.dtype) -> int:
     return _CODE_BY_DTYPE[key]
 
 
-def _read_maybe_gzip(path: Path) -> bytes:
-    """The file's bytes, inflated when they start with the gzip magic."""
+def _inflate(raw: bytes, path: Path):
+    """The inflated bytes of the gzip stream ``raw``, in chunks of at most
+    INFLATE_CHUNK bytes, read as ``gzip.decompress`` reads it: member after
+    member, skipping zero padding after each.  zlib checks each member's CRC
+    and length while it inflates, and it is fed COMPRESSED_CHUNK bytes at a
+    time, so its copy of the unconsumed input stays small.  A stream defect
+    raises FormatError when the chunks reach it.
+    """
+    try:
+        while raw:
+            if raw[:2] != GZIP_MAGIC:
+                raise FormatError(f"{path}: corrupt gzip stream: not a gzipped file ({raw[:2]!r})")
+            member = zlib.decompressobj(wbits=31)
+            view, pos = memoryview(raw), 0
+            while not member.eof:
+                data = member.unconsumed_tail
+                if not data:
+                    data = view[pos : pos + COMPRESSED_CHUNK]
+                    pos += len(data)
+                chunk = member.decompress(data, INFLATE_CHUNK)
+                if not (chunk or data):
+                    raise FormatError(
+                        f"{path}: corrupt gzip stream: compressed file ended before the "
+                        "end-of-stream marker was reached"
+                    )
+                if chunk:
+                    yield chunk
+            raw = raw[pos - len(member.unused_data) :].lstrip(b"\x00")
+    except zlib.error as exc:  # corrupt deflate data, bad CRC or length
+        raise FormatError(f"{path}: corrupt gzip stream: {exc}") from exc
+
+
+def _fill(buf: np.ndarray, chunks) -> int:
+    """Copy ``chunks`` into the uint8 ``buf`` until it is full, and go on
+    through the rest only to check them: the total length of the chunks."""
+    total = 0
+    for chunk in chunks:
+        n = min(len(chunk), len(buf) - total)
+        if n > 0:
+            buf[total : total + n] = np.frombuffer(chunk, np.uint8, n)
+        total += len(chunk)
+    return total
+
+
+def _data_layout(h: dict, path: Path):
+    """The data section a header declares: its dims, file dtype, offset, and
+    the bytes a file needs to hold it."""
+    ndim = h["dim"][0]
+    if ndim not in (3, 4):
+        raise FormatError(f"{path}: expected a 3D or 4D volume, got dim[0]={ndim}")
+    dims = [int(d) for d in h["dim"][1 : 1 + ndim]]
+    if any(d < 1 for d in dims):
+        raise FormatError(f"{path}: non-positive dimension in {dims}")
+
+    if h["datatype"] not in _DTYPE_BY_CODE:
+        raise FormatError(f"{path}: unsupported datatype code {h['datatype']}")
+    dtype = np.dtype(_DTYPE_BY_CODE[h["datatype"]]).newbyteorder(h["endian"])
+
+    if not np.isfinite(h["vox_offset"]):
+        raise FormatError(f"{path}: vox_offset {h['vox_offset']} is not finite")
+    offset = int(round(h["vox_offset"]))
+    if offset < HEADER_SIZE:
+        raise FormatError(f"{path}: vox_offset {offset} overlaps the header")
+    return dims, dtype, offset, offset + math.prod(dims) * dtype.itemsize
+
+
+def _read_data(path: Path):
+    """The header of the file at ``path``, its data layout, and a buffer
+    that holds at least its header and data section.
+
+    A ``.nii`` file is its bytes.  A gzip file is inflated up to its header
+    first; once the header fixes the size, the rest goes into one
+    preallocated uint8 buffer of exactly the header and data section, and
+    any tail is inflated in chunks and dropped (see ``_inflate``).  As if
+    the whole stream were inflated first, a stream defect wins over a
+    header defect, and a stream that ends early is a truncated data
+    section.  So is a header that declares more than deflate can give from
+    this file: the stream is only counted, and nothing is allocated for it.
+    """
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    if raw[:2] != b"\x1f\x8b":
-        return raw
-    try:
-        return gzip.decompress(raw)
-    except (EOFError, OSError, zlib.error) as exc:  # truncated, bad CRC, corrupt deflate
-        raise FormatError(f"{path}: corrupt gzip stream: {exc}") from exc
+    if raw[:2] != GZIP_MAGIC:
+        h = _read_header(raw)
+        dims, dtype, offset, need = _data_layout(h, path)
+        buf, size = raw, len(raw)
+    else:
+        chunks = _inflate(raw, path)
+        head = b""
+        for chunk in chunks:
+            head += chunk
+            if len(head) >= HEADER_SIZE:
+                break
+        try:
+            h = _read_header(head)
+            dims, dtype, offset, need = _data_layout(h, path)
+        except FormatError:
+            for _ in chunks:  # a stream defect wins over a header defect
+                pass
+            raise
+        buf = np.empty(need if need <= DEFLATE_MAX_RATIO * len(raw) else 0, np.uint8)
+        size = _fill(buf, itertools.chain([head], chunks))
+    if size < need:
+        raise FormatError(f"{path}: truncated data section ({size} < {need} bytes)")
+    return h, dims, dtype, offset, buf
 
 
 def _quaternion_rotation(b: float, c: float, d: float) -> np.ndarray:
@@ -162,6 +276,22 @@ def _layout_copy(view: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return out
 
 
+def c_order(array: np.ndarray) -> np.ndarray:
+    """``array`` when its last axis is its fastest, so that a C-order walk
+    reads it row by row; else its ``_layout_copy`` in C order.  For the
+    consumers of a label map in its file's memory order that copy or
+    flatten it in C order."""
+    strides = [abs(s) for s in array.strides]
+    return array if strides[-1] == min(strides) else _layout_copy(array, array.dtype)
+
+
+def laid_out_like(array: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A copy of ``array`` in the memory order of ``like``: its
+    ``_layout_copy`` in the axis order in which ``like`` is C order."""
+    axes = np.argsort([-abs(s) for s in like.strides], kind="stable")
+    return _layout_copy(array.transpose(axes), array.dtype).transpose(np.argsort(axes))
+
+
 def _read_header(raw: bytes) -> dict:
     if len(raw) < HEADER_SIZE:
         raise FormatError(f"file too small for a NIfTI-1 header ({len(raw)} bytes)")
@@ -210,29 +340,10 @@ def read_volume(
     stacks keep their trailing class axis.
     """
     path = Path(path)
-    raw = _read_maybe_gzip(path)
-    h = _read_header(raw)
-    ndim = h["dim"][0]
-    if ndim not in (3, 4):
-        raise FormatError(f"{path}: expected a 3D or 4D volume, got dim[0]={ndim}")
-    dims = [int(d) for d in h["dim"][1 : 1 + ndim]]
-    if any(d < 1 for d in dims):
-        raise FormatError(f"{path}: non-positive dimension in {dims}")
-
-    if h["datatype"] not in _DTYPE_BY_CODE:
-        raise FormatError(f"{path}: unsupported datatype code {h['datatype']}")
-    dtype = np.dtype(_DTYPE_BY_CODE[h["datatype"]]).newbyteorder(h["endian"])
-
-    if not np.isfinite(h["vox_offset"]):
-        raise FormatError(f"{path}: vox_offset {h['vox_offset']} is not finite")
-    offset = int(round(h["vox_offset"]))
-    if offset < HEADER_SIZE:
-        raise FormatError(f"{path}: vox_offset {offset} overlaps the header")
-    count = int(np.prod(dims))
-    need = offset + count * dtype.itemsize
-    if len(raw) < need:
-        raise FormatError(f"{path}: truncated data section ({len(raw)} < {need} bytes)")
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(dims, order="F")
+    h, dims, dtype, offset, buf = _read_data(path)
+    ndim = len(dims)
+    data = np.frombuffer(buf, dtype=dtype, count=math.prod(dims), offset=offset)
+    data = data.reshape(dims, order="F")
 
     if ndim == 4:
         if kind == "probabilities":
@@ -287,10 +398,14 @@ def read_volume(
             if lo < _INT32.min or hi > _INT32.max:
                 raise FormatError(f"{path}: label values {lo}..{hi} exceed the int32 range")
             target = np.dtype(np.int32)
-    elif scaled:
-        target = np.dtype(np.float32)
-    # the one copy: byte swap, cast and RAS+ C-order layout
-    data = _layout_copy(data, target)
+        # a label map stays in the file's memory order: a view of the read
+        # buffer, copied only to swap its bytes or cast it
+        data = data.astype(target, order="K", copy=False)
+    else:
+        if scaled:
+            target = np.dtype(np.float32)
+        # the one copy: byte swap, cast and RAS+ C-order layout
+        data = _layout_copy(data, target)
     if scaled:
         # a finite scaling may still overflow float32; Volume rejects the
         # non-finite voxels that leaves

@@ -5,6 +5,7 @@ import gzip
 import hashlib
 import json
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -994,6 +995,29 @@ def test_malformed_label_file_exits_two_with_json_error(tmp_path, capsys, defect
     doc = json.loads(err)
     assert doc["error"]["exit_code"] == 2
     assert doc["error"]["type"] == "FormatError"
+
+
+def test_a_header_declaring_more_than_its_stream_holds_exits_two_without_allocating(
+    tmp_path, capsys
+):
+    ref, pred = tmp_path / "ref.nii.gz", tmp_path / "pred.nii.gz"
+    _write_labels(ref, _ball())
+    raw = bytearray(gzip.decompress(ref.read_bytes()))
+    struct.pack_into("<3h", raw, 42, 512, 512, 512)  # 134 MB from a file of 200 bytes
+    pred.write_bytes(gzip.compress(bytes(raw), mtime=0))
+    tracemalloc.start()
+    try:
+        code, out, err = _run(
+            capsys, "eval-case", "--ref", str(ref), "--pred", str(pred), "--json-errors"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert (error["type"], error["exit_code"]) == ("FormatError", 2)
+    assert "truncated data section" in error["message"]
+    assert peak < (8 << 20)
 
 
 def test_infinite_qform_pixdim_is_one_json_error_and_no_warning(tmp_path, capsys):

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import gzip
 import itertools
+import json
 import math
 import struct
 from pathlib import Path
@@ -57,6 +58,8 @@ from pancseg.augment import (
     simulate_low_res,
     spatial_transform,
 )
+from pancseg import cli
+from pancseg import ensemble as ensemble_module
 from pancseg.cli import main
 from pancseg import selection
 from pancseg.ensemble import (
@@ -796,7 +799,7 @@ def _probability_members(rng, dims, n_members, n_classes, dtype, agree, kinds):
     return members
 
 
-LAYOUTS = ("C", "F", "spatial-transposed")
+LAYOUTS = ("C", "F", "spatial-transposed", "spatial-cycled")
 
 
 def _relaid(data, layout):
@@ -806,6 +809,10 @@ def _relaid(data, layout):
     if layout == "spatial-transposed":
         axes = (2, 1, 0) + tuple(range(3, data.ndim))
         return np.ascontiguousarray(data.transpose(axes)).transpose(axes)
+    if layout == "spatial-cycled":  # an axis order that is not its own inverse
+        axes, back = (1, 2, 0), (2, 0, 1)
+        rest = tuple(range(3, data.ndim))
+        return np.ascontiguousarray(data.transpose(axes + rest)).transpose(back + rest)
     return data
 
 
@@ -1520,3 +1527,109 @@ def test_class_sums_match_numpy_sum_bit_for_bit(data):
     want_error = _check_outcome(ref_check_probabilities, data)
     assert _check_outcome(check_probabilities, data) == want_error
 
+
+
+# ------------------------------------------------ label maps in file order
+
+ALL_STAGES = {
+    "name": "all-stages",
+    "image_order": 3,
+    "label_order": 1,
+    "transforms": [
+        {"name": "spatial", "probability": 1.0, "rotation_rad": [-0.5, 0.5], "scale": [0.7, 1.4]},
+        {"name": "blur", "probability": 1.0, "sigma_mm": [0.5, 1.5]},
+        {"name": "lowres", "probability": 1.0, "factor": [1.0, 2.0]},
+        {"name": "noise", "probability": 1.0, "sigma": [0.0, 0.1]},
+    ],
+}
+FILE_ORIENTATIONS = [
+    ((0, 1, 2), (False, False, False)),  # the Fortran order of every file write_volume makes
+    ((2, 0, 1), (False, True, False)),
+    ((1, 2, 0), (True, False, True)),
+]
+
+
+def _write_oriented(path, ras, perm, flips):
+    """A file in orientation ``(perm, flips)`` that reads back as ``ras``."""
+    for w in range(3):
+        if flips[w]:
+            ras = np.flip(ras, axis=w)
+    voxels = np.transpose(ras, tuple(np.argsort(perm)) + tuple(range(3, ras.ndim)))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    raw = raw_nifti(np.ascontiguousarray(voxels), srows=orientation_srows(perm, flips))
+    path.write_bytes(gzip.compress(raw, mtime=0))
+
+
+def _noisy_labels(rng, base, share):
+    out = base.copy()
+    noisy = rng.random(base.shape) < share
+    out[noisy] = rng.integers(0, 3, size=int(noisy.sum()))
+    return out.astype(np.uint8)
+
+
+def _c_order_reads(patch):
+    """Read label maps as C-order copies everywhere the CLI reads."""
+
+    def read(*args, **kwargs):
+        vol = read_volume(*args, **kwargs)
+        return vol.with_data(np.ascontiguousarray(vol.data))
+
+    for module in (cli, ensemble_module, selection):
+        patch.setattr(module, "read_volume", read)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["same_layout", "mixed_layouts"])
+@pytest.mark.parametrize("perm, flips", FILE_ORIENTATIONS)
+def test_file_order_label_maps_give_the_bytes_of_c_order_copies(
+    tmp_path, monkeypatch, capsys, perm, flips, mixed
+):
+    rng = np.random.default_rng(sum(perm) + 7 * sum(flips) + mixed)
+    grid = np.indices((15, 12, 9)).astype(float)
+    dist = np.sqrt(((grid - np.array([7.0, 5.5, 4.0])[:, None, None, None]) ** 2).sum(axis=0))
+    base = np.where(dist < 2.5, 2, np.where(dist < 4.5, 1, 0))
+    inputs = tmp_path / "inputs"
+    layouts = [FILE_ORIENTATIONS[i % 3] if mixed else (perm, flips) for i in range(4)]
+    for case in ("c1", "c2"):
+        _write_oriented(inputs / f"refs/{case}.nii.gz", _noisy_labels(rng, base, 0.02), perm, flips)
+        for i in range(4):
+            labels = _noisy_labels(rng, base, 0.2)
+            _write_oriented(inputs / f"m{i}/{case}.nii.gz", labels, *layouts[i])
+            soft = 0.75 * np.eye(3)[labels] + 0.25 * np.eye(3)[_noisy_labels(rng, base, 0.5)]
+            _write_oriented(inputs / f"p{i}/{case}.nii.gz", soft.astype(np.float32), *layouts[i])
+    image = (base * 100.0 + rng.normal(size=base.shape) * 10).astype(np.float32)
+    _write_oriented(inputs / "image.nii.gz", image, perm, flips)
+    (inputs / "augment.json").write_text(json.dumps(ALL_STAGES))
+    for mode, folder in (("majority", "m"), ("prob_avg", "p")):
+        members = [{"member_id": f"{folder}{i}", "path": f"{folder}{i}/{{case}}.nii.gz"} for i in range(4)]
+        cases = [{"case_id": c, "reference": f"refs/{c}.nii.gz"} for c in ("c1", "c2")]
+        (inputs / f"{mode}.json").write_text(json.dumps({"mode": mode, "members": members, "cases": cases}))
+    assert not read_volume(inputs / "refs/c1.nii.gz", kind="labels").data.flags.c_contiguous
+
+    ref, m0 = str(inputs / "refs/c1.nii.gz"), str(inputs / "m0/c1.nii.gz")
+    commands = [
+        ["eval-case", "--ref", ref, "--pred", m0],
+        ["select", "--pool", str(inputs / "majority.json")],
+        ["select", "--pool", str(inputs / "prob_avg.json")],
+        ["ensemble", "--spec", str(inputs / "majority.json"), "--case-id", "c1", "--output", "fused.nii.gz"],
+        ["resample", "--input", m0, "--output", "r1.nii.gz", "--kind", "labels", "--spacing", "1", "1", "1"],
+        ["resample", "--input", m0, "--output", "r0.nii.gz", "--kind", "labels", "--spacing", "1", "1", "1",
+         "--label-order", "0"],
+        ["augment", "--image", str(inputs / "image.nii.gz"), "--labels", ref, "--preset-file",
+         str(inputs / "augment.json"), "--seed", "5", "--out-image", "ai.nii.gz", "--out-labels", "al.nii.gz"],
+    ]
+    runs = []
+    for side in ("file_order", "c_order"):
+        work = tmp_path / side
+        work.mkdir()
+        with monkeypatch.context() as patch:
+            patch.chdir(work)
+            if side == "c_order":
+                _c_order_reads(patch)
+            outcomes = []
+            for argv in commands:
+                code = main(argv + ["--json-errors"])
+                captured = capsys.readouterr()
+                outcomes.append((code, captured.out, captured.err))
+        assert all(code == 0 for code, _, _ in outcomes), outcomes
+        runs.append((outcomes, {f.name: f.read_bytes() for f in sorted(work.iterdir())}))
+    assert runs[0] == runs[1]

@@ -3,6 +3,8 @@ from __future__ import annotations
 import gzip
 import json
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -419,10 +421,43 @@ def _reference_decode(raw, dtype, shape, perm, flips, kind):
     return np.ascontiguousarray(data)
 
 
+def _recording_reads(reads: list):
+    """A stand-in for ``nifti._read_data`` that keeps what each read returns:
+    the header, the data layout and the read buffer."""
+    real = nifti._read_data
+
+    def read_data(path):
+        out = real(path)
+        reads.append(out)
+        return out
+
+    return read_data
+
+
+def _check_label_layout(data, file_dtype, buffer, file_view=None):
+    """The label map contract: read-only, in the memory order of the
+    reoriented file view, and a view of the read buffer itself when no cast
+    is needed (else one dense copy in that order)."""
+    assert not data.flags.writeable
+    buffer = np.frombuffer(buffer, np.uint8)  # a .nii file's buffer is its bytes
+    if file_view is not None:
+        order = np.argsort(np.abs(file_view.strides), kind="stable")
+        assert list(np.argsort(np.abs(data.strides), kind="stable")) == list(order)
+    if data.dtype == file_dtype:
+        assert np.shares_memory(data, buffer)
+        if file_view is not None:
+            assert data.strides == file_view.strides
+    else:
+        assert not np.shares_memory(data, buffer)
+        assert np.shares_memory(data.ravel(order="K"), data)
+
+
 @pytest.mark.parametrize("code", sorted(_DTYPE_BY_CODE))
 @pytest.mark.parametrize("endian", ["<", ">"])
 @pytest.mark.parametrize("perm, flips", _ORIENTATIONS)
-def test_single_copy_read_matches_reference_decode(tmp_path, rng, code, endian, perm, flips):
+def test_single_copy_read_matches_reference_decode(
+    tmp_path, monkeypatch, rng, code, endian, perm, flips
+):
     dtype = np.dtype(_DTYPE_BY_CODE[code])
     cases = [("labels", rng.integers(0, 3, size=(4, 3, 5)).astype(dtype))]
     if dtype.kind == "f":
@@ -435,16 +470,25 @@ def test_single_copy_read_matches_reference_decode(tmp_path, rng, code, endian, 
         raw = raw_nifti(data, endian=endian, srows=orientation_srows(perm, flips))
         path = tmp_path / f"{kind}.nii"
         path.write_bytes(raw)
+        reads = []
+        monkeypatch.setattr(nifti, "_read_data", _recording_reads(reads))
         vol = read_volume(path, kind=kind, label_set=None)
-        expected = _reference_decode(
-            raw, dtype.newbyteorder(endian), data.shape, perm, flips, kind
-        )
+        file_dtype = dtype.newbyteorder(endian)
+        expected = _reference_decode(raw, file_dtype, data.shape, perm, flips, kind)
         assert vol.data.dtype == expected.dtype
         assert vol.data.dtype.isnative
         assert vol.data.shape == expected.shape
         assert np.array_equal(vol.data, expected)
-        assert vol.data.flags.c_contiguous
-        assert not vol.data.flags.writeable
+        if kind == "labels":
+            file_view = np.frombuffer(raw, file_dtype, data.size, 352).reshape(data.shape, order="F")
+            file_view = np.transpose(file_view, perm)
+            for w in range(3):
+                if flips[w]:
+                    file_view = np.flip(file_view, axis=w)
+            _check_label_layout(vol.data, file_dtype, reads[0][-1], file_view)
+        else:
+            assert vol.data.flags.c_contiguous
+            assert not vol.data.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -559,14 +603,21 @@ def test_header_mutations_give_a_volume_or_a_format_error(tmp_path_factory, muta
     path = tmp_path_factory.mktemp("fuzz") / "mutated.nii"
     path.write_bytes(bytes(raw))
     for kind in ("image", "labels"):
+        reads = []
         try:
-            vol = read_volume(path, kind=kind, label_set=None)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(nifti, "_read_data", _recording_reads(reads))
+                vol = read_volume(path, kind=kind, label_set=None)
         except FormatError:
             continue
         assert isinstance(vol, Volume)
         assert all(0 < s < np.inf for s in vol.spacing)
         assert np.isfinite(vol.origin).all()
-        assert vol.data.flags.c_contiguous and not vol.data.flags.writeable
+        if kind == "labels":
+            _, _, file_dtype, _, buffer = reads[0]
+            _check_label_layout(vol.data, file_dtype, buffer)
+        else:
+            assert vol.data.flags.c_contiguous and not vol.data.flags.writeable
 
 
 def test_big_endian_files_read_identically(tmp_path, rng):
@@ -724,6 +775,111 @@ def test_damaged_gzip_is_a_format_error(tmp_path, rng, defect):
     path = tmp_path / "lab.nii.gz"
     write_volume(Volume(data, (1, 1, 1), kind="labels"), path)
     path.write_bytes(damaged_gzip(path.read_bytes(), defect))
+    with pytest.raises(FormatError, match="corrupt gzip stream"):
+        read_volume(path, kind="labels")
+
+
+def _gzip_with_tail(raw: bytes, tail: int) -> bytes:
+    """``raw`` followed by ``tail`` zero bytes, in one gzip member."""
+    deflate = zlib.compressobj(6, zlib.DEFLATED, 31)
+    parts = [deflate.compress(raw)]
+    zeros = bytes(1 << 20)
+    for start in range(0, tail, len(zeros)):
+        parts.append(deflate.compress(zeros[: tail - start]))
+    return b"".join(parts) + deflate.flush()
+
+
+def _traced_peak(read):
+    """``read()`` and the peak of memory allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return read(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_tail_after_the_data_section_reads_at_constant_memory(tmp_path):
+    data = np.arange(64, dtype=np.uint8).reshape(4, 4, 4) % 3
+    peaks = []
+    for tail in (8 << 20, 64 << 20):
+        path = tmp_path / f"tail{tail}.nii.gz"
+        path.write_bytes(_gzip_with_tail(raw_nifti(data), tail))
+        vol, peak = _traced_peak(lambda: read_volume(path, kind="labels"))
+        assert np.array_equal(vol.data, data)
+        peaks.append(peak)
+    assert peaks[1] < peaks[0] + (1 << 20)  # the tail grew by 63 MiB
+
+
+@pytest.mark.parametrize("dims", [(512, 512, 512), (32767, 32767, 32767)])
+def test_a_header_declaring_more_than_its_stream_can_hold_allocates_nothing(tmp_path, dims):
+    raw = bytearray(raw_nifti(np.zeros((4, 4, 4), dtype=np.uint8)))
+    struct.pack_into("<3h", raw, 42, *dims)
+    path = tmp_path / "huge.nii.gz"
+    path.write_bytes(gzip.compress(bytes(raw), mtime=0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"truncated data section \(416 < \d+ bytes\)"):
+            read_volume(path, kind="labels")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 << 20)
+
+
+@pytest.mark.parametrize("cut", [100, 352 + 37])  # inside the header; inside the data
+@pytest.mark.parametrize("padding", [b"", b"\x00" * 5], ids=["no_padding", "zero_padding"])
+def test_a_file_of_two_gzip_members_reads_as_one(tmp_path, rng, cut, padding):
+    data = rng.integers(0, 3, size=(8, 6, 5)).astype(np.int16)
+    raw = raw_nifti(data, srows=orientation_srows((1, 2, 0), (True, False, False)))
+    one, two = tmp_path / "one.nii.gz", tmp_path / "two.nii.gz"
+    one.write_bytes(gzip.compress(raw, mtime=0))
+    members = gzip.compress(raw[:cut], mtime=0) + padding + gzip.compress(raw[cut:], mtime=0)
+    two.write_bytes(members + padding)
+    a, b = read_volume(one, kind="labels"), read_volume(two, kind="labels")
+    assert np.array_equal(a.data, b.data) and a.data.strides == b.data.strides
+    assert (a.spacing, a.origin) == (b.spacing, b.origin)
+
+
+def _with_flags(stream: bytes, flags: int, extra: bytes = b"") -> bytes:
+    """A gzip member with ``flags`` set in its header and ``extra`` bytes
+    after the fixed 10-byte header (the header CRC that FHCRC announces)."""
+    return stream[:3] + bytes([stream[3] | flags]) + stream[4:10] + extra + stream[10:]
+
+
+def _corrupt_in_tail(raw: bytes) -> bytes:
+    stream = bytearray(_gzip_with_tail(raw, 1 << 16))
+    stream[-6] ^= 0xFF  # the CRC, checked after the data section is filled
+    return bytes(stream)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _corrupt_in_tail,
+        lambda raw: gzip.compress(raw, mtime=0) + b"garbage",
+        lambda raw: gzip.compress(raw, mtime=0)[:-4],
+        # a stream defect wins over a header defect, as when the whole stream
+        # was inflated before the header was read
+        lambda raw: damaged_gzip(gzip.compress(b"\x00" * 348 + raw, mtime=0), "truncated"),
+        lambda raw: damaged_gzip(gzip.compress(raw[:200], mtime=0), "corrupted"),
+        # RFC 1952 header defects that gzip.decompress let pass
+        lambda raw: _with_flags(gzip.compress(raw, mtime=0), 0x02, b"\x00\x00"),
+        lambda raw: _with_flags(gzip.compress(raw, mtime=0), 0x80),
+    ],
+    ids=[
+        "crc_in_tail",
+        "garbage_after_member",
+        "no_length",
+        "bad_header_truncated",
+        "short_corrupted",
+        "header_crc_mismatch",
+        "reserved_flag_bits",
+    ],
+)
+def test_stream_defects_anywhere_are_gzip_format_errors(tmp_path, damage):
+    data = np.arange(60, dtype=np.uint8).reshape(3, 4, 5) % 3
+    path = tmp_path / "damaged.nii.gz"
+    path.write_bytes(damage(raw_nifti(data)))
     with pytest.raises(FormatError, match="corrupt gzip stream"):
         read_volume(path, kind="labels")
 
