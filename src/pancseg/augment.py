@@ -251,7 +251,7 @@ def spatial_transform(img: Volume, lab: Volume, rotation, scale, preset: Augment
     """
     for s in scale:
         _check_floor("spatial", "scale", s)
-    check_same_grid((img.dims, img.spacing), (lab.dims, lab.spacing), "image and label")
+    check_same_grid(img.grid, lab.grid, "image and label")
 
     coords = _spatial_coords(img.dims, img.spacing, rotation, scale)
 

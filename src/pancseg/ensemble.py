@@ -201,7 +201,7 @@ def save_ensemble_spec(spec: EnsembleSpec, path: str | Path) -> None:
 def _check_grids(volumes: Sequence[Volume]):
     first = volumes[0]
     for v in volumes[1:]:
-        check_same_grid((first.dims, first.spacing), (v.dims, v.spacing), "member")
+        check_same_grid(first.grid, v.grid, "member")
 
 
 def _member_weights(weights: Optional[Sequence[float]], n: int) -> list[float]:
@@ -249,12 +249,7 @@ def _average_rows(rows: Iterable[np.ndarray], weights: Sequence[float]) -> np.nd
 def average_probabilities(stacks: Sequence[Volume], weights: Optional[Sequence[float]] = None) -> Volume:
     """Weighted per-voxel, per-class mean of probability stacks, renormalized."""
     stacks, weights = _probability_members(stacks, weights)
-    return Volume(
-        data=_average_rows([v.data for v in stacks], weights),
-        spacing=stacks[0].spacing,
-        origin=stacks[0].origin,
-        kind="probabilities",
-    )
+    return stacks[0].with_data(_average_rows([v.data for v in stacks], weights))
 
 
 def _class_label_dtype(n_classes: int) -> np.dtype:
@@ -269,7 +264,7 @@ def argmax_labels(p: Volume) -> Volume:
     if p.kind != "probabilities":
         raise ValidationError(f"argmax_labels expects a probability stack, got {p.kind}")
     labels = np.argmax(p.data, axis=-1).astype(_class_label_dtype(p.n_classes))
-    return Volume(data=labels, spacing=p.spacing, origin=p.origin, kind="labels")
+    return p.with_data(labels, kind="labels")
 
 
 def _memory_frame(arrays: Sequence[np.ndarray]):
@@ -314,7 +309,7 @@ def _fuse_active(members: Sequence[Volume], fuse_rows, dtype) -> Volume:
         out.reshape(-1)[:] = fuse_rows(flat, None)
     elif active.size:
         out.reshape(-1)[active] = fuse_rows(flat, active)
-    return Volume(data=back(out), spacing=members[0].spacing, origin=members[0].origin, kind="labels")
+    return members[0].with_data(back(out), kind="labels")
 
 
 def _fuse_probabilities(stacks: Sequence[Volume], weights: Sequence[float]) -> Volume:

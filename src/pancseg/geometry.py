@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 from .nifti import c_order
-from .volume import Volume, check_same_grid, label_argmax, same_grid, unique_labels
+from .volume import Grid, Volume, check_same_grid, label_argmax, same_grid, unique_labels
 
 IMAGE_ORDERS = (0, 1, 3)
 LABEL_ORDERS = (0, 1)
@@ -122,7 +122,7 @@ class ResamplePlan:
         return cls(
             source_dims=volume.dims,
             source_spacing=volume.spacing,
-            target_spacing=tuple(float(s) for s in target_spacing),
+            target_spacing=target_spacing,
             image_order=image_order,
             label_order=label_order,
             clamp_cubic=clamp_cubic,
@@ -130,7 +130,7 @@ class ResamplePlan:
 
     def is_identity(self) -> bool:
         return same_grid(
-            (self.source_dims, self.source_spacing), (self.target_dims, self.target_spacing)
+            Grid(self.source_dims, self.source_spacing), Grid(self.target_dims, self.target_spacing)
         )
 
 
@@ -274,16 +274,9 @@ def sample_labels(data: np.ndarray, order: int, sampler) -> np.ndarray:
 
 
 def _on_target_grid(volume: Volume, plan: ResamplePlan, out: np.ndarray) -> Volume:
-    origin = tuple(
-        o - 0.5 * s + 0.5 * t
-        for o, s, t in zip(volume.origin, plan.source_spacing, plan.target_spacing)
-    )
-    return Volume(
-        data=out,
-        spacing=plan.target_spacing,
-        origin=origin,
-        kind=volume.kind,
-    )
+    per_axis = zip(volume.origin, plan.source_spacing, plan.target_spacing)
+    origin = [o - 0.5 * s + 0.5 * t for o, s, t in per_axis]
+    return Volume(out, plan.target_spacing, origin, kind=volume.kind)
 
 
 def resample_image(volume: Volume, plan: ResamplePlan) -> Volume:
@@ -295,9 +288,7 @@ def resample_image(volume: Volume, plan: ResamplePlan) -> Volume:
     """
     if volume.kind != "image":
         raise GridMismatchError(f"resample_image expects an image volume, got {volume.kind}")
-    check_same_grid(
-        (volume.dims, volume.spacing), (plan.source_dims, plan.source_spacing), "volume and plan"
-    )
+    check_same_grid(volume.grid, Grid(plan.source_dims, plan.source_spacing), "volume and plan")
     out = _plan_sampler(plan)(volume.data, plan.image_order)
     if plan.image_order == 3 and plan.clamp_cubic:
         out = np.clip(out, float(volume.data.min()), float(volume.data.max()))
@@ -308,9 +299,7 @@ def resample_labels(volume: Volume, plan: ResamplePlan) -> Volume:
     """Resample a label map; output labels always come from the input set."""
     if volume.kind != "labels":
         raise GridMismatchError(f"resample_labels expects a label volume, got {volume.kind}")
-    check_same_grid(
-        (volume.dims, volume.spacing), (plan.source_dims, plan.source_spacing), "volume and plan"
-    )
+    check_same_grid(volume.grid, Grid(plan.source_dims, plan.source_spacing), "volume and plan")
     out = sample_labels(volume.data, plan.label_order, _plan_sampler(plan))
     return _on_target_grid(volume, plan, out)
 

@@ -26,7 +26,7 @@ Empty masks are handled by an explicit, report-visible policy:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -36,7 +36,7 @@ from scipy import ndimage
 from .errors import ConfigError, EmptySurfaceError, ValidationError
 from .nifti import c_order
 from .surfels import border_map, neighbour_codes, surfel_area_table
-from .volume import DEFAULT_LABEL_SET, Volume, check_same_grid, check_spacing
+from .volume import DEFAULT_LABEL_SET, Grid, Volume, check_same_grid
 
 EMPTY_POLICIES = ("penalize", "exclude")
 VOLUME_UNITS = ("mm3", "ml")
@@ -97,6 +97,7 @@ class BinaryMask:
 
     bits: np.ndarray
     spacing: tuple[float, float, float]
+    grid: Grid = field(init=False, repr=False)
 
     def __post_init__(self):
         bits = np.asarray(self.bits)
@@ -106,8 +107,8 @@ class BinaryMask:
             raise ValidationError(f"mask must be 3D, got shape {bits.shape}")
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        check_spacing(self.spacing)
+        object.__setattr__(self, "grid", Grid(bits.shape, self.spacing))
+        object.__setattr__(self, "spacing", self.grid.spacing)
 
     @classmethod
     def from_labels(cls, volume: Volume, label_id: int) -> "BinaryMask":
@@ -117,7 +118,7 @@ class BinaryMask:
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return tuple(int(d) for d in self.bits.shape)
+        return self.grid.dims
 
     @cached_property
     def voxels(self) -> int:
@@ -135,7 +136,7 @@ class BinaryMask:
 
 def dice(ref: BinaryMask, pred: BinaryMask) -> tuple[float, tuple[str, ...]]:
     """Volumetric overlap 2|A∩B| / (|A|+|B|), with emptiness flags."""
-    check_same_grid((ref.dims, ref.spacing), (pred.dims, pred.spacing), "mask")
+    check_same_grid(ref.grid, pred.grid, "mask")
     total = ref.voxels + pred.voxels
     if total == 0:
         return 1.0, ("both_empty",)
@@ -262,7 +263,7 @@ def surface_distances(ref: BinaryMask, pred: BinaryMask) -> SurfaceDistances:
     the dual grids align; a mask with no voxels contributes no surfels and
     the opposing directed distances are +inf.
     """
-    check_same_grid((ref.dims, ref.spacing), (pred.dims, pred.spacing), "mask")
+    check_same_grid(ref.grid, pred.grid, "mask")
     bbox = _union_bbox(ref.bits | pred.bits)
     if bbox is None:
         raise EmptySurfaceError("both masks are empty; no surface exists")
@@ -354,7 +355,7 @@ def evaluate_case(
     case_id: str = "case",
 ) -> CaseMetrics:
     """All five per-case metric fields for one reference/prediction mask pair."""
-    check_same_grid((ref.dims, ref.spacing), (pred.dims, pred.spacing), "label volume")
+    check_same_grid(ref.grid, pred.grid, "label volume")
     vol_ref = tumor_volume(ref)
     vol_pred = tumor_volume(pred)
     dice_value, flags = dice(ref, pred)

@@ -46,9 +46,10 @@ MAX_DIM = 32767  # dim[] is int16 in the header
 GZIP_MAGIC = b"\x1f\x8b"
 
 # Bytes of inflated output per zlib call, and of compressed input fed per
-# call: besides the file and its buffer, a gzip read holds a few output
-# chunks at a time, however long the stream runs on past the data section.
-INFLATE_CHUNK = 1 << 20
+# call.  However long the stream runs on past the data section, a gzip read
+# holds about four output chunks besides the file and its buffer: the
+# header's, the previous one, and the one zlib joins from blocks, twice.
+INFLATE_CHUNK = 1 << 18
 COMPRESSED_CHUNK = 1 << 16
 # Deflate's largest ratio: a 258-byte match coded in 2 bits is 1032:1, so a
 # stream inflates to at most this many times its compressed size.
@@ -381,8 +382,8 @@ def read_volume(
         if flips[w]:
             data = np.flip(data, axis=w)
             corner[perm[w]] = dims[perm[w]] - 1
-    spacing = tuple(float(np.linalg.norm(affine[:3, perm[w]])) for w in range(3))
-    origin = tuple(float(v) for v in (affine[:3, :3] @ corner + affine[:3, 3]))
+    spacing = [np.linalg.norm(affine[:3, perm[w]]) for w in range(3)]
+    origin = affine[:3, :3] @ corner + affine[:3, 3]
 
     target = dtype.newbyteorder("=")
     if kind == "labels":

@@ -1,16 +1,17 @@
-"""In-memory volume and manifest-row types.
+"""In-memory grid, volume and manifest-row types.
 
 The canonical in-memory layout is a numpy array indexed ``[x, y, z]`` (plus a
 trailing class axis for probability stacks) with axis 0 increasing to the
 anatomical Right, axis 1 to Anterior and axis 2 to Superior (RAS+).  Spacing
 and origin are in millimetres; ``origin`` is the physical position of the
-centre of voxel ``(0, 0, 0)``.
+centre of voxel ``(0, 0, 0)``.  A ``Grid`` holds dims, spacing and origin,
+alone normalizes and validates them, and is what every grid check compares.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -88,25 +89,38 @@ def label_argmax(values: np.ndarray, score, shape) -> np.ndarray:
     return out
 
 
-def check_spacing(spacing: tuple) -> None:
-    """Raise ValidationError unless ``spacing`` is 3 positive finite reals."""
-    if len(spacing) != 3 or not all(0 < s < np.inf for s in spacing):
-        raise ValidationError(f"spacing must be 3 positive finite reals, got {spacing}")
+@dataclass(frozen=True)
+class Grid:
+    """The voxel grid of a volume or mask: dims, spacing and origin (mm)."""
+
+    dims: tuple[int, int, int]
+    spacing: tuple[float, float, float]
+    origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
+        object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
+        if len(self.spacing) != 3 or not all(0 < s < np.inf for s in self.spacing):
+            raise ValidationError(f"spacing must be 3 positive finite reals, got {self.spacing}")
+        if len(self.origin) != 3 or not np.isfinite(self.origin).all():
+            raise ValidationError(f"origin must be 3 finite reals, got {self.origin}")
 
 
-def same_grid(a, b) -> bool:
-    """True when two ``(dims, spacing)`` grids have equal dims and spacings
-    equal to within ``GRID_RTOL`` relative."""
-    (dims_a, spacing_a), (dims_b, spacing_b) = a, b
-    return tuple(dims_a) == tuple(dims_b) and not any(
-        abs(x - y) > GRID_RTOL * max(abs(x), abs(y)) for x, y in zip(spacing_a, spacing_b)
+def same_grid(a: Grid, b: Grid) -> bool:
+    """True when two grids have equal dims and spacings equal to within
+    ``GRID_RTOL`` relative.  Origins are not compared."""
+    return a.dims == b.dims and not any(
+        abs(x - y) > GRID_RTOL * max(abs(x), abs(y)) for x, y in zip(a.spacing, b.spacing)
     )
 
 
-def check_same_grid(a, b, what: str) -> None:
-    """Raise GridMismatchError unless the ``(dims, spacing)`` grids agree."""
+def check_same_grid(a: Grid, b: Grid, what: str) -> None:
+    """Raise GridMismatchError unless the grids agree (see ``same_grid``)."""
     if not same_grid(a, b):
-        raise GridMismatchError(f"{what} grids differ: {a[0]}@{a[1]} vs {b[0]}@{b[1]}")
+        raise GridMismatchError(
+            f"{what} grids differ: {a.dims}@{a.spacing} vs {b.dims}@{b.spacing}"
+        )
 
 
 def class_sums(data: np.ndarray) -> np.ndarray:
@@ -153,12 +167,11 @@ class Volume:
     spacing: tuple[float, float, float]
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
     kind: str = "image"
+    grid: Grid = field(init=False, repr=False)
 
     def __post_init__(self):
         data = np.asarray(self.data)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         if self.kind not in VOLUME_KINDS:
             raise ValidationError(f"unknown volume kind {self.kind!r}")
         expected_ndim = 4 if self.kind == "probabilities" else 3
@@ -168,9 +181,9 @@ class Volume:
             )
         if any(d < 1 for d in data.shape):
             raise ValidationError(f"dims must all be >= 1, got {data.shape}")
-        check_spacing(self.spacing)
-        if len(self.origin) != 3 or not np.isfinite(self.origin).all():
-            raise ValidationError(f"origin must be 3 finite reals, got {self.origin}")
+        object.__setattr__(self, "grid", Grid(data.shape[:3], self.spacing, self.origin))
+        object.__setattr__(self, "spacing", self.grid.spacing)
+        object.__setattr__(self, "origin", self.grid.origin)
         self._validate_values(data)
         data.setflags(write=False)
 
@@ -189,7 +202,7 @@ class Volume:
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return tuple(int(d) for d in self.data.shape[:3])
+        return self.grid.dims
 
     @property
     def n_classes(self) -> int:
@@ -197,9 +210,9 @@ class Volume:
             raise ValidationError("n_classes is only defined for probability stacks")
         return int(self.data.shape[3])
 
-    def with_data(self, data: np.ndarray) -> "Volume":
-        """New volume of the same kind on the same grid with replacement voxel data."""
-        return Volume(data=data, spacing=self.spacing, origin=self.origin, kind=self.kind)
+    def with_data(self, data: np.ndarray, kind: str | None = None) -> "Volume":
+        """New voxel data on this grid, of this kind unless ``kind`` is given."""
+        return Volume(data=data, spacing=self.spacing, origin=self.origin, kind=kind or self.kind)
 
     @cached_property
     def consensus_codes(self) -> np.ndarray:

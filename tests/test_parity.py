@@ -113,6 +113,7 @@ from pancseg.selection import CandidatePool, SubsetEvaluator, beam_search_subset
 from pancseg.surfels import CODE_KERNEL, neighbour_codes, surfel_area_table
 from pancseg.volume import (
     PROB_SUM_TOL,
+    Grid,
     Volume,
     check_probabilities,
     check_same_grid,
@@ -293,7 +294,7 @@ def ref_vote_dtype(label_members) -> np.dtype:
 def ref_check_grids(volumes):
     first = volumes[0]
     for v in volumes[1:]:
-        check_same_grid((first.dims, first.spacing), (v.dims, v.spacing), "member")
+        check_same_grid(first.grid, v.grid, "member")
 
 
 def ref_average_probabilities(stacks, weights=None) -> Volume:
@@ -401,7 +402,7 @@ def ref_edt(mask: BinaryMask) -> np.ndarray:
 def ref_evaluate_case(ref, pred, config=EvalConfig(), case_id="case") -> CaseMetrics:
     if ref.kind != "labels" or pred.kind != "labels":
         raise ValidationError("evaluate_case expects two label volumes")
-    check_same_grid((ref.dims, ref.spacing), (pred.dims, pred.spacing), "label volume")
+    check_same_grid(ref.grid, pred.grid, "label volume")
     ref_mask = BinaryMask.from_labels(ref, config.label_id)
     pred_mask = BinaryMask.from_labels(pred, config.label_id)
 
@@ -1283,44 +1284,70 @@ def test_every_grid_check_shares_one_tolerance(rng, rel, accepted):
     labels = np.where(bits, np.int32(2), np.int32(0))
 
     checks = {
-        "same_grid": lambda: same_grid((dims, spacing), (dims, other)),
+        "same_grid": lambda: same_grid(Grid(dims, spacing), Grid(dims, other)),
         "ResamplePlan.is_identity": lambda: ResamplePlan(dims, spacing, other).is_identity(),
     }
     for name, check in checks.items():
         assert check() is accepted, name
 
+    def differ(what, a, b):  # the text --json-errors prints
+        return f"{what} grids differ: {dims}@{a} vs {dims}@{b}"
+
     calls = {
-        "dice": lambda: dice(BinaryMask(bits, spacing), BinaryMask(bits, other)),
-        "surface_distances": lambda: surface_distances(
-            BinaryMask(bits, spacing), BinaryMask(bits, other)
+        "dice": (
+            lambda: dice(BinaryMask(bits, spacing), BinaryMask(bits, other)),
+            differ("mask", spacing, other),
         ),
-        "evaluate_case": lambda: evaluate_case(BinaryMask(bits, spacing), BinaryMask(bits, other)),
-        "resample_image": lambda: resample_image(
-            image_volume(rng, dims, other), ResamplePlan(dims, spacing, (1.0, 1.0, 1.0))
+        "surface_distances": (
+            lambda: surface_distances(BinaryMask(bits, spacing), BinaryMask(bits, other)),
+            differ("mask", spacing, other),
         ),
-        "resample_labels": lambda: resample_labels(
-            Volume(labels, other, kind="labels"), ResamplePlan(dims, spacing, (1.0, 1.0, 1.0))
+        "evaluate_case": (
+            lambda: evaluate_case(BinaryMask(bits, spacing), BinaryMask(bits, other)),
+            differ("label volume", spacing, other),
         ),
-        "spatial_transform": lambda: spatial_transform(
-            image_volume(rng, dims, spacing),
-            Volume(labels, other, kind="labels"),
-            (0.0, 0.0, 0.0),
-            (1.0, 1.0, 1.0),
-            AugmentPreset(name="da5"),
+        "resample_image": (
+            lambda: resample_image(
+                image_volume(rng, dims, other), ResamplePlan(dims, spacing, (1.0, 1.0, 1.0))
+            ),
+            differ("volume and plan", other, spacing),
         ),
-        "average_probabilities": lambda: average_probabilities(
-            [probability_volume(rng, dims, spacing), probability_volume(rng, dims, other)]
+        "resample_labels": (
+            lambda: resample_labels(
+                Volume(labels, other, kind="labels"), ResamplePlan(dims, spacing, (1.0, 1.0, 1.0))
+            ),
+            differ("volume and plan", other, spacing),
         ),
-        "majority_vote": lambda: majority_vote(
-            [Volume(labels, spacing, kind="labels"), Volume(labels, other, kind="labels")]
+        "spatial_transform": (
+            lambda: spatial_transform(
+                image_volume(rng, dims, spacing),
+                Volume(labels, other, kind="labels"),
+                (0.0, 0.0, 0.0),
+                (1.0, 1.0, 1.0),
+                AugmentPreset(name="da5"),
+            ),
+            differ("image and label", spacing, other),
+        ),
+        "average_probabilities": (
+            lambda: average_probabilities(
+                [probability_volume(rng, dims, spacing), probability_volume(rng, dims, other)]
+            ),
+            differ("member", spacing, other),
+        ),
+        "majority_vote": (
+            lambda: majority_vote(
+                [Volume(labels, spacing, kind="labels"), Volume(labels, other, kind="labels")]
+            ),
+            differ("member", spacing, other),
         ),
     }
-    for name, call in calls.items():
+    for name, (call, message) in calls.items():
         if accepted:
             call()
         else:
-            with pytest.raises(GridMismatchError):
+            with pytest.raises(GridMismatchError) as info:
                 call()
+            assert str(info.value) == message, name
 
 
 # ------------------------------------------------------- removed options
