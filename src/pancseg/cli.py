@@ -341,7 +341,7 @@ def cmd_ensemble(args, cfg: RunConfig) -> str:
 
 def _evaluate_files(ref_path, pred_path, config: EvalConfig, case_id: str):
     """Read and mask both label maps, then score them; each map is dropped
-    once its mask exists."""
+    once its mask, a crop of the tumor's box, exists."""
     ref, pred = (
         BinaryMask.from_labels(read_volume(path, kind="labels"), config.label_id)
         for path in (ref_path, pred_path)

@@ -2,7 +2,11 @@
 
 Every metric function, ``evaluate_case`` included, takes ``BinaryMask``s; a
 label map becomes its tumor mask through ``BinaryMask.from_labels(volume,
-config.label_id)``, the one masking rule.
+config.label_id)``, the one masking rule.  A mask is a tight crop: its grid,
+the offset of its bounding box and the box's bits.  ``from_labels`` builds
+it in one pass over the map in slabs of about ``SLAB_BYTES``, so no
+full-grid bool array exists; voxel counts and Dice's overlap read the crops,
+and the surface metrics' union box is the union of the two boxes.
 
 Tumor Dice, Surface Dice at tolerance, MASD and HD95 are computed with
 area-weighted surfel semantics: surface elements live on the dual grid
@@ -26,7 +30,7 @@ Empty masks are handled by an explicit, report-visible policy:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -34,9 +38,8 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, EmptySurfaceError, ValidationError
-from .nifti import c_order
 from .surfels import border_map, neighbour_codes, surfel_area_table
-from .volume import DEFAULT_LABEL_SET, Grid, Volume, check_same_grid
+from .volume import DEFAULT_LABEL_SET, SLAB_BYTES, Grid, Volume, check_same_grid
 
 EMPTY_POLICIES = ("penalize", "exclude")
 VOLUME_UNITS = ("mm3", "ml")
@@ -91,42 +94,150 @@ class EvalConfig:
             raise ConfigError(f"volume_unit must be one of {VOLUME_UNITS}")
 
 
-@dataclass(frozen=True)
+def _slices(lo, hi) -> tuple[slice, ...]:
+    return tuple(slice(int(l), int(h)) for l, h in zip(lo, hi))
+
+
+def _slowest_axis(array: np.ndarray) -> int:
+    return int(np.argmax([abs(s) for s in array.strides]))
+
+
+def _bbox(bits: np.ndarray):
+    """The box ``(lo, hi)``, ``hi`` exclusive, of the true voxels of a 3D
+    bool array, or None when there are none.  One pass ORs the planes across
+    the slowest-stride axis; that axis is then read inside the plane's box."""
+    axis = _slowest_axis(bits)
+    others = tuple(a for a in range(3) if a != axis)
+    plane = bits.any(axis=axis)
+    lo, hi = np.zeros(3, dtype=np.intp), np.array(bits.shape)
+    for k, a in enumerate(others):  # plane axis k is grid axis a
+        hit = np.flatnonzero(plane.any(axis=1 - k))
+        if not len(hit):
+            return None
+        lo[a], hi[a] = hit[0], hit[-1] + 1
+    hit = np.flatnonzero(bits[_slices(lo, hi)].any(axis=others))
+    lo[axis], hi[axis] = hit[0], hit[-1] + 1
+    return lo, hi
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class BinaryMask:
-    """A boolean voxel mask with physical spacing."""
+    """A boolean voxel mask on a ``Grid``, held as a tight crop.
 
-    bits: np.ndarray
-    spacing: tuple[float, float, float]
-    grid: Grid = field(init=False, repr=False)
+    ``crop`` is the read-only, C-order bool array of the mask's bounding box,
+    whose low corner is voxel ``offset`` of the grid; an empty mask has no
+    crop (None) and offset (0, 0, 0).  ``BinaryMask(bits, spacing)`` trims a
+    full-grid array to its box once; ``from_labels`` builds the crop without
+    a full-grid array.  ``window`` and ``bits`` rebuild a box or the whole
+    grid for the callers that ask for one.
+    """
 
-    def __post_init__(self):
-        bits = np.asarray(self.bits)
+    grid: Grid
+    offset: tuple[int, int, int]
+    crop: Optional[np.ndarray]
+
+    def __init__(self, bits, spacing):
+        bits = np.asarray(bits)
         if bits.dtype != np.bool_:
             bits = bits.astype(bool)
         if bits.ndim != 3:
             raise ValidationError(f"mask must be 3D, got shape {bits.shape}")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "grid", Grid(bits.shape, self.spacing))
-        object.__setattr__(self, "spacing", self.grid.spacing)
+        grid = Grid(bits.shape, spacing)
+        box = _bbox(bits)
+        if box is None:
+            self._hold(grid, (0, 0, 0), None)
+        else:
+            self._hold(grid, box[0], bits[_slices(*box)])
+
+    def _hold(self, grid: Grid, offset, crop: Optional[np.ndarray]) -> None:
+        if crop is not None:
+            crop = np.ascontiguousarray(crop)
+            crop.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "offset", tuple(int(o) for o in offset))
+        object.__setattr__(self, "crop", crop)
 
     @classmethod
     def from_labels(cls, volume: Volume, label_id: int) -> "BinaryMask":
+        """The ``label_id`` voxels of a label map, on the map's grid.
+
+        One pass compares the map with ``label_id`` in slabs of about
+        ``SLAB_BYTES`` along its slowest-stride axis, each a contiguous block
+        of a map in its file's memory order, and keeps only each slab's own
+        box, in C order; the boxes then fill the crop.
+        """
         if volume.kind != "labels":
             raise ValidationError(f"expected a label volume, got {volume.kind}")
-        return cls(bits=volume.data == label_id, spacing=volume.spacing)
+        data = volume.data
+        axis = _slowest_axis(data)
+        width = max(1, SLAB_BYTES * data.shape[axis] // data.nbytes)
+        index = [slice(None)] * 3
+        index[axis] = slice(0, width)
+        # one slab buffer, laid out like the map's slabs
+        buffer = np.empty_like(data[tuple(index)], dtype=bool)
+        pieces = []
+        for start in range(0, data.shape[axis], width):
+            index[axis] = slice(start, start + width)
+            view = data[tuple(index)]
+            index[axis] = slice(0, view.shape[axis])
+            slab = np.equal(view, label_id, out=buffer[tuple(index)])
+            box = _bbox(slab)
+            if box is not None:
+                corner = box[0].copy()
+                corner[axis] += start
+                pieces.append((corner, slab[_slices(*box)].copy()))
+        mask = cls.__new__(cls)
+        if not pieces:
+            mask._hold(volume.grid, (0, 0, 0), None)
+            return mask
+        lo = np.min([c for c, _ in pieces], axis=0)
+        hi = np.max([c + p.shape for c, p in pieces], axis=0)
+        crop = np.zeros(hi - lo, dtype=bool)
+        for corner, piece in pieces:
+            crop[_slices(corner - lo, corner - lo + piece.shape)] = piece
+        mask._hold(volume.grid, lo, crop)
+        return mask
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.grid.dims
 
+    @property
+    def spacing(self) -> tuple[float, float, float]:
+        return self.grid.spacing
+
+    @property
+    def end(self) -> tuple[int, int, int]:
+        """One past the crop's high corner (the offset when empty)."""
+        shape = (0, 0, 0) if self.crop is None else self.crop.shape
+        return tuple(o + n for o, n in zip(self.offset, shape))
+
+    def window(self, lo, hi) -> np.ndarray:
+        """The mask's bits on grid voxels ``lo`` to ``hi`` (exclusive), false
+        outside the crop: a view of the crop when it holds the whole box."""
+        start = np.subtract(lo, self.offset)
+        stop = np.subtract(hi, self.offset)
+        if self.crop is not None and (start >= 0).all() and (stop <= self.crop.shape).all():
+            return self.crop[_slices(start, stop)]
+        out = np.zeros(stop - start, dtype=bool)
+        if self.crop is not None:
+            a, b = np.maximum(start, 0), np.minimum(stop, self.crop.shape)
+            if (a < b).all():
+                out[_slices(a - start, b - start)] = self.crop[_slices(a, b)]
+        return out
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The full-grid bool array, rebuilt on every call."""
+        return self.window((0, 0, 0), self.dims)
+
     @cached_property
     def voxels(self) -> int:
         """The number of true voxels, counted once."""
-        return int(np.count_nonzero(self.bits))
+        return 0 if self.crop is None else int(np.count_nonzero(self.crop))
 
     def is_empty(self) -> bool:
-        return self.voxels == 0
+        return self.crop is None
 
     def physical_diagonal_mm(self) -> float:
         """Length of the grid diagonal in mm (used as the surface penalty)."""
@@ -144,7 +255,11 @@ def dice(ref: BinaryMask, pred: BinaryMask) -> tuple[float, tuple[str, ...]]:
         return 0.0, ("ref_empty",)
     if pred.is_empty():
         return 0.0, ("pred_empty",)
-    inter = int(np.count_nonzero(ref.bits & pred.bits))
+    # only the overlap of the two crops can hold shared voxels; it lies in
+    # both, so its windows are views, empty when the boxes are disjoint
+    lo = np.maximum(ref.offset, pred.offset)
+    hi = np.minimum(ref.end, pred.end)
+    inter = int(np.count_nonzero(ref.window(lo, hi) & pred.window(lo, hi)))
     return 2.0 * inter / total, ()
 
 
@@ -178,7 +293,7 @@ def edt(mask: BinaryMask, where: Optional[np.ndarray] = None) -> np.ndarray:
         lo = np.maximum(pts.min(axis=1) - reach, 0)
         hi = np.minimum(pts.max(axis=1) + reach + 1, dims)
         margin_mm *= 2
-        bits = mask.bits[tuple(slice(l, h) for l, h in zip(lo, hi))]
+        bits = mask.window(lo, hi)
         whole = bits.shape == mask.dims
         if not (whole or bits.any()):  # no feature: scipy returns no valid index
             continue
@@ -233,29 +348,6 @@ class SurfaceDistances:
         return float(self.areas_pred.sum())
 
 
-def _union_bbox(bits: np.ndarray):
-    # one full pass projects onto the first two axes; the third axis is read
-    # inside their bounds only
-    plane = bits.any(axis=2)
-    rows = np.nonzero(plane.any(axis=1))[0]
-    if len(rows) == 0:
-        return None
-    cols = np.nonzero(plane.any(axis=0))[0]
-    x0, x1, y0, y1 = int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])
-    depth = np.nonzero(bits[x0 : x1 + 1, y0 : y1 + 1].any(axis=(0, 1)))[0]
-    return [x0, y0, int(depth[0])], [x1, y1, int(depth[-1])]
-
-
-def _crop_with_pad(bits: np.ndarray, lo, hi) -> np.ndarray:
-    # one zero voxel of padding at the high side; neighbour_codes reads zeros
-    # beyond the low side
-    out = np.zeros([h - l + 2 for l, h in zip(lo, hi)], dtype=np.uint8)
-    # a mask in a file's memory order is laid out first: copied straight into
-    # C order, it would be read at large strides
-    out[:-1, :-1, :-1] = c_order(bits[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1])
-    return out
-
-
 def surface_distances(ref: BinaryMask, pred: BinaryMask) -> SurfaceDistances:
     """Extract both masks' surfels and the directed distances between them.
 
@@ -264,12 +356,15 @@ def surface_distances(ref: BinaryMask, pred: BinaryMask) -> SurfaceDistances:
     the opposing directed distances are +inf.
     """
     check_same_grid(ref.grid, pred.grid, "mask")
-    bbox = _union_bbox(ref.bits | pred.bits)
-    if bbox is None:
+    boxes = [(m.offset, m.end) for m in (ref, pred) if not m.is_empty()]
+    if not boxes:
         raise EmptySurfaceError("both masks are empty; no surface exists")
-    lo, hi = bbox
-    crop_ref = _crop_with_pad(ref.bits, lo, hi)
-    crop_pred = _crop_with_pad(pred.bits, lo, hi)
+    lo = np.min([b[0] for b in boxes], axis=0)
+    hi = np.max([b[1] for b in boxes], axis=0) + 1
+    # one false voxel of padding at the high side; neighbour_codes reads
+    # zeros beyond the low side
+    crop_ref = ref.window(lo, hi).view(np.uint8)
+    crop_pred = pred.window(lo, hi).view(np.uint8)
 
     codes_ref = neighbour_codes(crop_ref)
     codes_pred = neighbour_codes(crop_pred)

@@ -286,13 +286,6 @@ def c_order(array: np.ndarray) -> np.ndarray:
     return array if strides[-1] == min(strides) else _layout_copy(array, array.dtype)
 
 
-def laid_out_like(array: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """A copy of ``array`` in the memory order of ``like``: its
-    ``_layout_copy`` in the axis order in which ``like`` is C order."""
-    axes = np.argsort([-abs(s) for s in like.strides], kind="stable")
-    return _layout_copy(array.transpose(axes), array.dtype).transpose(np.argsort(axes))
-
-
 def _read_header(raw: bytes) -> dict:
     if len(raw) < HEADER_SIZE:
         raise FormatError(f"file too small for a NIfTI-1 header ({len(raw)} bytes)")

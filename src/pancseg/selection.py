@@ -41,7 +41,7 @@ from .metrics import (
     evaluate_case,
     mean_field,
 )
-from .nifti import laid_out_like, read_volume
+from .nifti import read_volume
 from .volume import Volume, read_manifest
 
 NORMALIZATIONS = ("minmax", "rank")
@@ -237,15 +237,11 @@ class SubsetEvaluator:
         self._reports: dict[tuple[str, ...], CohortReport] = {}
         self._members_by_id = {m.member_id: m for m in pool.members}
 
-    def _reference(self, case_id: str, ref_path: str, like: np.ndarray) -> BinaryMask:
-        """The case's reference mask, read once and laid out once like
-        ``like``, the case's first fused mask: the fused masks of a pool share
-        one memory order, and ``&`` and ``|`` across two orders are many times
-        slower."""
+    def _reference(self, case_id: str, ref_path: str) -> BinaryMask:
+        """The case's reference mask, read and masked once."""
         if case_id not in self._references:
             volume = read_volume(self.base_dir / ref_path, kind="labels")
-            mask = BinaryMask.from_labels(volume, self.config.label_id)
-            self._references[case_id] = BinaryMask(laid_out_like(mask.bits, like), mask.spacing)
+            self._references[case_id] = BinaryMask.from_labels(volume, self.config.label_id)
         return self._references[case_id]
 
     def _member(self, member_id: str, case_id: str) -> Volume:
@@ -283,7 +279,7 @@ class SubsetEvaluator:
             volumes = {mid: self._member(mid, case_id) for mid in member_ids}
             combined = combine_volumes(spec, volumes)
             pred = BinaryMask.from_labels(combined, self.config.label_id)
-            ref = self._reference(case_id, ref_path, pred.bits)
+            ref = self._reference(case_id, ref_path)
             cases.append(evaluate_case(ref, pred, self.config, case_id=case_id))
         report = aggregate_cohort(cases, self.config)
         self._reports[member_ids] = report

@@ -38,7 +38,8 @@ GRID_RTOL = 1e-5
 LABEL_SCAN_MAX_SPAN = 32
 
 # Bytes per block of a blockwise pass (``nifti._layout_copy``'s staged slabs,
-# ``unique_labels``' presence tests): small enough to stay in cache.
+# ``unique_labels``' presence tests, ``BinaryMask.from_labels``' slabs): small
+# enough to stay in cache.
 SLAB_BYTES = 1 << 20
 
 

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from pancseg import metrics
 
 from pancseg.errors import (
     ConfigError,
@@ -75,6 +80,117 @@ def test_binary_mask_basics(rng):
         BinaryMask(np.zeros((2, 2)), (1, 1, 1))
     grid = BinaryMask(np.zeros((4, 5, 6), dtype=bool), (0.5, 2.0, 3.0))
     assert grid.physical_diagonal_mm() == pytest.approx(np.sqrt(2.0**2 + 10.0**2 + 18.0**2))
+
+
+def _check_crop(mask, bits):
+    """``mask`` holds ``bits`` as their tight box, in C order, read-only."""
+    hit = np.nonzero(bits)
+    assert mask.dims == bits.shape
+    assert mask.voxels == np.count_nonzero(bits)
+    assert np.array_equal(mask.bits, bits)
+    if not len(hit[0]):
+        assert mask.is_empty() and mask.crop is None and mask.offset == (0, 0, 0)
+        return
+    lo = tuple(int(h.min()) for h in hit)
+    hi = tuple(int(h.max()) + 1 for h in hit)
+    assert (mask.offset, mask.end) == (lo, hi)
+    assert mask.crop.flags.c_contiguous and not mask.crop.flags.writeable
+    assert np.array_equal(mask.crop, bits[tuple(slice(a, b) for a, b in zip(lo, hi))])
+
+
+def _crop_cases(dims=(7, 8, 5)):
+    """An empty mask, a single corner voxel, one small blob inside the grid,
+    and that blob stretched to each of the six grid faces."""
+    yield "empty", np.zeros(dims, dtype=bool)
+    single = np.zeros(dims, dtype=bool)
+    single[6, 0, 4] = True
+    yield "single", single
+    inner = np.zeros(dims, dtype=bool)
+    inner[2:4, 3:5, 1:3] = True
+    yield "inner", inner
+    for axis in range(3):
+        for side, name in ((0, "low"), (dims[axis] - 1, "high")):
+            bits = inner.copy()
+            index = [slice(2, 4), slice(3, 5), slice(1, 3)]
+            index[axis] = side
+            bits[tuple(index)] = True
+            yield f"{name}{axis}", bits
+
+
+CROP_CASES = dict(_crop_cases())
+
+
+@pytest.mark.parametrize("name", list(CROP_CASES))
+def test_mask_crop_is_the_tight_box(name):
+    bits = CROP_CASES[name]
+    spacing = (0.5, 1.0, 2.5)
+    _check_crop(BinaryMask(bits, spacing), bits)
+    for data in (bits.astype(np.uint8) * 2, np.asfortranarray(bits.astype(np.int16)) * 2):
+        _check_crop(BinaryMask.from_labels(Volume(data, spacing, kind="labels"), 2), bits)
+
+
+@pytest.mark.parametrize("slab_bytes", [1, 24, 100, 1 << 20])
+def test_mask_spanning_slab_boundaries_is_one_crop(monkeypatch, rng, slab_bytes):
+    monkeypatch.setattr(metrics, "SLAB_BYTES", slab_bytes)
+    data = np.zeros((13, 6, 5), dtype=np.uint8)
+    data[1:4, 1:3, 2] = 2  # first slabs
+    data[9:12, 4:6, 0:4] = 2  # last slabs, with empty slabs between
+    data[5, 0, 4] = 1
+    noisy = data.copy()
+    noisy[rng.random(data.shape) < 0.2] = 2
+    for labels in (data, noisy):
+        for label_id in (0, 1, 2):
+            mask = BinaryMask.from_labels(Volume(labels, (1.0, 1.0, 1.0), kind="labels"), label_id)
+            _check_crop(mask, labels == label_id)
+
+
+def _file_views(data):
+    """Views holding ``data``'s values in other memory orders, as a reoriented
+    file view does: Fortran order, permuted axes, flipped axes, and both."""
+    yield "fortran", np.asfortranarray(data)
+    yield "permuted", np.ascontiguousarray(data.transpose(2, 0, 1)).transpose(1, 2, 0)
+    yield "flipped", np.flip(np.flip(data, (0, 2)).copy(), (0, 2))
+    both = np.ascontiguousarray(np.flip(data, 1).transpose(1, 2, 0))
+    yield "permuted_flipped", np.flip(both.transpose(2, 0, 1), 1)
+
+
+@pytest.mark.parametrize("slab_bytes", [16, 1 << 20])
+def test_file_views_give_the_crop_of_their_c_order_copy(monkeypatch, rng, slab_bytes):
+    monkeypatch.setattr(metrics, "SLAB_BYTES", slab_bytes)
+    data = np.zeros((11, 9, 7), dtype=np.uint8)
+    data[3:8, 2:6, 1:5] = 2
+    data[rng.random(data.shape) < 0.03] = 2
+    data[rng.random(data.shape) < 0.3] = 1
+    want = BinaryMask.from_labels(Volume(data, (1.0, 2.0, 3.0), kind="labels"), 2)
+    for name, view in _file_views(data):
+        assert np.array_equal(view, data) and not view.flags.c_contiguous, name
+        got = BinaryMask.from_labels(Volume(view, (1.0, 2.0, 3.0), kind="labels"), 2)
+        assert (got.offset, got.end) == (want.offset, want.end), name
+        assert got.crop.flags.c_contiguous and np.array_equal(got.crop, want.crop), name
+
+
+def test_mask_carries_the_label_map_grid():
+    data = np.zeros((4, 5, 6), dtype=np.uint8)
+    data[1, 2, 3] = 2
+    labels = Volume(data, (0.5, 2.0, 3.0), origin=(10.0, -4.5, 7.25), kind="labels")
+    for label_id in (1, 2):  # an empty mask too
+        assert BinaryMask.from_labels(labels, label_id).grid == labels.grid
+
+
+def test_masking_holds_the_crop_and_a_slab_not_the_grid():
+    data = np.zeros((256, 256, 64), dtype=np.uint8)
+    data[100:105, 30:35, 40:45] = 2  # a 5^3 tumor in a 4 MiB map
+    labels = Volume(data, (0.78, 0.78, 2.5), kind="labels")
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        mask = BinaryMask.from_labels(labels, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (mask.offset, mask.crop.shape, mask.voxels) == ((100, 30, 40), (5, 5, 5), 125)
+    assert peak < mask.crop.nbytes + 2 * metrics.SLAB_BYTES < data.size  # a full-grid bool is data.size
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int8])

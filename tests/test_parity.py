@@ -20,8 +20,11 @@ that the slab-staged ``nifti._layout_copy`` replaced; and of the
 ``volume.class_sums`` replaced; and of the label-volume ``ref_evaluate_case``
 that the mask-taking ``metrics.evaluate_case`` replaced; of the label rule
 ``ref_sample_labels``, which scores every output point, that the
-tap-consensus ``sample_labels`` replaced; and of the ``tobytes(order="F")``
-writer ``ref_write_volume`` that the layout-copy ``write_volume`` replaced.
+tap-consensus ``sample_labels`` replaced; of the ``tobytes(order="F")``
+writer ``ref_write_volume`` that the layout-copy ``write_volume`` replaced;
+and of the full-grid mask path ``ref_full_grid_case`` (counts, overlap,
+union box and padded crops on full-grid bool arrays) that the cropped
+``BinaryMask`` replaced.
 ``ref_sample_points`` is also the reference of the blocked ``sample_points``.
 They stay here as the reference the
 shared code must match bit for bit, including on forced ties and unequal
@@ -110,7 +113,7 @@ from pancseg.nifti import (
     write_volume,
 )
 from pancseg.selection import CandidatePool, SubsetEvaluator, beam_search_subsets, search_subsets
-from pancseg.surfels import CODE_KERNEL, neighbour_codes, surfel_area_table
+from pancseg.surfels import CODE_KERNEL, border_map, neighbour_codes, surfel_area_table
 from pancseg.volume import (
     PROB_SUM_TOL,
     Grid,
@@ -426,6 +429,88 @@ def ref_evaluate_case(ref, pred, config=EvalConfig(), case_id="case") -> CaseMet
         masd_mm = masd(sd)
         hd95_mm = hd95(sd)
 
+    return CaseMetrics(
+        case_id=case_id,
+        dice=dice_value,
+        surface_dice_5mm=sdice,
+        masd_mm=masd_mm,
+        hd95_mm=hd95_mm,
+        volume_ref_mm3=vol_ref,
+        volume_pred_mm3=vol_pred,
+        flags=flags,
+    )
+
+
+def ref_union_bbox(bits: np.ndarray):
+    plane = bits.any(axis=2)
+    rows = np.nonzero(plane.any(axis=1))[0]
+    if len(rows) == 0:
+        return None
+    cols = np.nonzero(plane.any(axis=0))[0]
+    x0, x1, y0, y1 = int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])
+    depth = np.nonzero(bits[x0 : x1 + 1, y0 : y1 + 1].any(axis=(0, 1)))[0]
+    return [x0, y0, int(depth[0])], [x1, y1, int(depth[-1])]
+
+
+def ref_crop_with_pad(bits: np.ndarray, lo, hi) -> np.ndarray:
+    out = np.zeros([h - l + 2 for l, h in zip(lo, hi)], dtype=np.uint8)
+    out[:-1, :-1, :-1] = bits[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1]
+    return out
+
+
+def ref_surface_distances(ref_bits, pred_bits, spacing) -> SurfaceDistances:
+    lo, hi = ref_union_bbox(ref_bits | pred_bits)
+    crop_ref = ref_crop_with_pad(ref_bits, lo, hi)
+    crop_pred = ref_crop_with_pad(pred_bits, lo, hi)
+    codes_ref = neighbour_codes(crop_ref)
+    codes_pred = neighbour_codes(crop_pred)
+    borders_ref = border_map(codes_ref)
+    borders_pred = border_map(codes_pred)
+    area_table = surfel_area_table(spacing)
+    areas_ref = area_table[codes_ref[borders_ref]]
+    areas_pred = area_table[codes_pred[borders_pred]]
+    dist_pred_to_ref = ndimage.distance_transform_edt(~borders_ref, sampling=spacing)[borders_pred]
+    dist_ref_to_pred = ndimage.distance_transform_edt(~borders_pred, sampling=spacing)[borders_ref]
+    order_ref = np.argsort(dist_ref_to_pred, kind="stable")
+    order_pred = np.argsort(dist_pred_to_ref, kind="stable")
+    return SurfaceDistances(
+        areas_ref=areas_ref[order_ref],
+        areas_pred=areas_pred[order_pred],
+        dist_ref_to_pred=dist_ref_to_pred[order_ref],
+        dist_pred_to_ref=dist_pred_to_ref[order_pred],
+    )
+
+
+def ref_full_grid_case(ref_bits, pred_bits, spacing, config=EvalConfig(), case_id="case"):
+    sx, sy, sz = spacing
+    vol_ref = float(np.count_nonzero(ref_bits)) * sx * sy * sz
+    vol_pred = float(np.count_nonzero(pred_bits)) * sx * sy * sz
+    n_ref, n_pred = int(np.count_nonzero(ref_bits)), int(np.count_nonzero(pred_bits))
+    flags = ()
+    if n_ref + n_pred == 0:
+        dice_value, flags = 1.0, ("both_empty",)
+    elif n_ref == 0:
+        dice_value, flags = 0.0, ("ref_empty",)
+    elif n_pred == 0:
+        dice_value, flags = 0.0, ("pred_empty",)
+    else:
+        dice_value = 2.0 * int(np.count_nonzero(ref_bits & pred_bits)) / (n_ref + n_pred)
+
+    if "both_empty" in flags:
+        sdice, masd_mm, hd95_mm = 1.0, 0.0, 0.0
+    elif flags:  # exactly one side empty
+        if config.empty_policy == "penalize":
+            ext = [d * s for d, s in zip(ref_bits.shape, spacing)]
+            diag = float(np.sqrt(sum(e * e for e in ext)))
+            sdice, masd_mm, hd95_mm = 0.0, diag, diag
+            flags = flags + ("penalized",)
+        else:
+            sdice = masd_mm = hd95_mm = None
+    else:
+        sd = ref_surface_distances(ref_bits, pred_bits, spacing)
+        sdice = surface_dice(sd, config.tolerance_mm)
+        masd_mm = masd(sd)
+        hd95_mm = hd95(sd)
     return CaseMetrics(
         case_id=case_id,
         dice=dice_value,
@@ -1249,6 +1334,35 @@ def test_evaluate_case_on_masks_matches_the_label_volume_form(
     config = EvalConfig(label_id=label_id, tolerance_mm=tolerance, empty_policy=empty_policy)
     want = ref_evaluate_case(ref, pred, config, case_id="c7")
     masks = (BinaryMask.from_labels(v, label_id) for v in (ref, pred))
+    assert evaluate_case(*masks, config, case_id="c7") == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=MASK_DIMS,
+    fills=st.tuples(FILLS, FILLS),
+    label_id=st.sampled_from([0, 1, 2]),
+    empty_policy=st.sampled_from(EMPTY_POLICIES),
+    tolerance=st.sampled_from([0.0, 1.0, 5.0]),
+    spacing=MASK_SPACINGS,
+    order=st.sampled_from("CF"),
+    slab_bytes=st.sampled_from([1, 40, 1 << 20]),
+)
+@example(0, (4, 3, 2), (0.0, 0.0), 2, "penalize", 5.0, (1.0, 1.5, 3.0), "C", 1)  # both empty
+@example(0, (4, 3, 2), (0.3, 0.0), 2, "penalize", 5.0, (1.0, 1.5, 3.0), "F", 1)
+@example(0, (4, 3, 2), (0.0, 0.3), 2, "exclude", 5.0, (1.0, 1.5, 3.0), "C", 40)
+@example(0, (9, 8, 7), (0.03, 0.03), 2, "penalize", 5.0, (0.78125, 0.78125, 2.5), "F", 40)
+def test_evaluate_case_on_crops_matches_the_full_grid_reference(
+    seed, dims, fills, label_id, empty_policy, tolerance, spacing, order, slab_bytes
+):
+    rng = np.random.default_rng(seed)
+    maps = [np.asarray(_label_map(rng, dims, f), order=order) for f in fills]
+    config = EvalConfig(label_id=label_id, tolerance_mm=tolerance, empty_policy=empty_policy)
+    want = ref_full_grid_case(*(m == label_id for m in maps), spacing, config, case_id="c7")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "SLAB_BYTES", slab_bytes)
+        masks = [BinaryMask.from_labels(Volume(m, spacing, kind="labels"), label_id) for m in maps]
     assert evaluate_case(*masks, config, case_id="c7") == want
 
 
