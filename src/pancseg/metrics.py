@@ -147,11 +147,12 @@ class BinaryMask:
         if box is None:
             self._hold(grid, (0, 0, 0), None)
         else:
-            self._hold(grid, box[0], bits[_slices(*box)])
+            # a copy: the box of a caller's array may be a view of it
+            self._hold(grid, box[0], bits[_slices(*box)].copy())
 
     def _hold(self, grid: Grid, offset, crop: Optional[np.ndarray]) -> None:
+        # crop: a fresh C-order array that no caller holds, frozen here
         if crop is not None:
-            crop = np.ascontiguousarray(crop)
             crop.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "offset", tuple(int(o) for o in offset))
@@ -164,7 +165,9 @@ class BinaryMask:
         One pass compares the map with ``label_id`` in slabs of about
         ``SLAB_BYTES`` along its slowest-stride axis, each a contiguous block
         of a map in its file's memory order, and keeps only each slab's own
-        box, in C order; the boxes then fill the crop.
+        box, in C order; the boxes then fill the crop.  Comparing the map
+        once more over the union of the slab boxes would need no pieces, but
+        it reads the box's voxels a second time and is slower.
         """
         if volume.kind != "labels":
             raise ValidationError(f"expected a label volume, got {volume.kind}")
@@ -256,10 +259,13 @@ def dice(ref: BinaryMask, pred: BinaryMask) -> tuple[float, tuple[str, ...]]:
     if pred.is_empty():
         return 0.0, ("pred_empty",)
     # only the overlap of the two crops can hold shared voxels; it lies in
-    # both, so its windows are views, empty when the boxes are disjoint
+    # both, so its windows are views.  Boxes apart on some axis have none,
+    # and there hi < lo, which no window may be given.
     lo = np.maximum(ref.offset, pred.offset)
     hi = np.minimum(ref.end, pred.end)
-    inter = int(np.count_nonzero(ref.window(lo, hi) & pred.window(lo, hi)))
+    inter = 0
+    if (lo < hi).all():
+        inter = int(np.count_nonzero(ref.window(lo, hi) & pred.window(lo, hi)))
     return 2.0 * inter / total, ()
 
 

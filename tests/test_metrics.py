@@ -169,6 +169,19 @@ def test_file_views_give_the_crop_of_their_c_order_copy(monkeypatch, rng, slab_b
         assert got.crop.flags.c_contiguous and np.array_equal(got.crop, want.crop), name
 
 
+@pytest.mark.parametrize("name", ["whole", "full_fast_axes"])
+def test_mask_does_not_alias_the_callers_array(name):
+    bits = np.zeros((4, 3, 2), dtype=bool)
+    if name == "whole":
+        bits[[0, -1], [0, -1], [0, -1]] = True  # the box is the array
+    else:
+        bits[1:3] = True  # a C-contiguous box
+    mask = BinaryMask(bits, (1, 1, 1))
+    want = bits.copy()
+    bits[...] = ~bits
+    assert np.array_equal(mask.bits, want) and mask.voxels == np.count_nonzero(want)
+
+
 def test_mask_carries_the_label_map_grid():
     data = np.zeros((4, 5, 6), dtype=np.uint8)
     data[1, 2, 3] = 2
@@ -213,6 +226,15 @@ def test_dice_hand_cases():
     value, flags = dice(BinaryMask(a, (1, 1, 1)), BinaryMask(b, (1, 1, 1)))
     assert value == pytest.approx(2 * 1 / 5)
     assert flags == ()
+
+    # boxes apart on an axis: the overlap box has hi < lo there
+    near = np.zeros((8, 1, 1), dtype=bool)
+    far = np.zeros((8, 1, 1), dtype=bool)
+    near[0:2] = True
+    far[4:8] = True
+    for pair in ((near, far), (far, near)):
+        value, flags = dice(*(BinaryMask(m, (1, 1, 1)) for m in pair))
+        assert value == 0.0 and flags == ()
 
     empty = BinaryMask(np.zeros((4, 1, 1), dtype=bool), (1, 1, 1))
     value, flags = dice(empty, empty)

@@ -412,19 +412,27 @@ def ref_evaluate_case(ref, pred, config=EvalConfig(), case_id="case") -> CaseMet
     vol_ref = tumor_volume(ref_mask)
     vol_pred = tumor_volume(pred_mask)
     dice_value, flags = dice(ref_mask, pred_mask)
+    return ref_case_metrics(
+        vol_ref, vol_pred, dice_value, flags, lambda: surface_distances(ref_mask, pred_mask),
+        ref.dims, ref.spacing, config, case_id,
+    )
 
+
+def ref_case_metrics(vol_ref, vol_pred, dice_value, flags, surface, dims, spacing, config, case_id):
+    """The empty-mask policy and the CaseMetrics both references assemble;
+    ``surface()`` gives the SurfaceDistances when neither mask is empty."""
     if "both_empty" in flags:
         sdice, masd_mm, hd95_mm = 1.0, 0.0, 0.0
     elif flags:  # exactly one side empty
         if config.empty_policy == "penalize":
-            ext = [d * s for d, s in zip(ref.dims, ref.spacing)]  # Volume.physical_diagonal_mm
+            ext = [d * s for d, s in zip(dims, spacing)]  # Volume.physical_diagonal_mm
             diag = float(np.sqrt(sum(e * e for e in ext)))
             sdice, masd_mm, hd95_mm = 0.0, diag, diag
             flags = flags + ("penalized",)
         else:
             sdice = masd_mm = hd95_mm = None
     else:
-        sd = surface_distances(ref_mask, pred_mask)
+        sd = surface()
         sdice = surface_dice(sd, config.tolerance_mm)
         masd_mm = masd(sd)
         hd95_mm = hd95(sd)
@@ -495,31 +503,9 @@ def ref_full_grid_case(ref_bits, pred_bits, spacing, config=EvalConfig(), case_i
         dice_value, flags = 0.0, ("pred_empty",)
     else:
         dice_value = 2.0 * int(np.count_nonzero(ref_bits & pred_bits)) / (n_ref + n_pred)
-
-    if "both_empty" in flags:
-        sdice, masd_mm, hd95_mm = 1.0, 0.0, 0.0
-    elif flags:  # exactly one side empty
-        if config.empty_policy == "penalize":
-            ext = [d * s for d, s in zip(ref_bits.shape, spacing)]
-            diag = float(np.sqrt(sum(e * e for e in ext)))
-            sdice, masd_mm, hd95_mm = 0.0, diag, diag
-            flags = flags + ("penalized",)
-        else:
-            sdice = masd_mm = hd95_mm = None
-    else:
-        sd = ref_surface_distances(ref_bits, pred_bits, spacing)
-        sdice = surface_dice(sd, config.tolerance_mm)
-        masd_mm = masd(sd)
-        hd95_mm = hd95(sd)
-    return CaseMetrics(
-        case_id=case_id,
-        dice=dice_value,
-        surface_dice_5mm=sdice,
-        masd_mm=masd_mm,
-        hd95_mm=hd95_mm,
-        volume_ref_mm3=vol_ref,
-        volume_pred_mm3=vol_pred,
-        flags=flags,
+    return ref_case_metrics(
+        vol_ref, vol_pred, dice_value, flags, lambda: ref_surface_distances(ref_bits, pred_bits, spacing),
+        ref_bits.shape, spacing, config, case_id,
     )
 
 
@@ -1364,6 +1350,43 @@ def test_evaluate_case_on_crops_matches_the_full_grid_reference(
         patch.setattr(metrics, "SLAB_BYTES", slab_bytes)
         masks = [BinaryMask.from_labels(Volume(m, spacing, kind="labels"), label_id) for m in maps]
     assert evaluate_case(*masks, config, case_id="c7") == want
+
+
+@st.composite
+def _box_pair(draw):
+    """Grid dims and two non-empty boxes ``(lo, hi)`` in it, which overlap,
+    touch, or lie apart with a gap on some axes."""
+    dims = draw(MASK_DIMS)
+
+    def box():
+        lo = [draw(st.integers(0, d - 1)) for d in dims]
+        return lo, [draw(st.integers(l + 1, d)) for l, d in zip(lo, dims)]
+
+    return dims, box(), box()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_box_pair(),
+    spacing=MASK_SPACINGS,
+    order=st.sampled_from("CF"),
+    slab_bytes=st.sampled_from([1, 40, 1 << 20]),
+)
+@example(((8, 1, 1), ([4, 0, 0], [8, 1, 1]), ([0, 0, 0], [2, 1, 1])), (1.0, 1.0, 1.0), "C", 1)
+@example(((8, 1, 1), ([0, 0, 0], [2, 1, 1]), ([4, 0, 0], [8, 1, 1])), (1.0, 1.0, 1.0), "F", 40)
+@example(((5, 8, 3), ([1, 4, 0], [4, 8, 3]), ([0, 0, 1], [5, 3, 2])), (1.0, 1.5, 3.0), "C", 1 << 20)
+def test_evaluate_case_on_box_tumors_matches_the_full_grid_reference(case, spacing, order, slab_bytes):
+    dims, *boxes = case
+    maps = []
+    for lo, hi in boxes:
+        data = (np.arange(int(np.prod(dims))).reshape(dims) % 2).astype(np.int32)
+        data[tuple(slice(l, h) for l, h in zip(lo, hi))] = 2
+        maps.append(np.asarray(data, order=order))
+    want = ref_full_grid_case(*(m == 2 for m in maps), spacing, case_id="c7")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "SLAB_BYTES", slab_bytes)
+        masks = [BinaryMask.from_labels(Volume(m, spacing, kind="labels"), 2) for m in maps]
+    assert evaluate_case(*masks, case_id="c7") == want
 
 
 def test_evaluate_case_on_masks_keeps_the_grid_error():
