@@ -126,8 +126,8 @@ class BinaryMask:
 
     ``crop`` is the read-only, C-order bool array of the mask's bounding box,
     whose low corner is voxel ``offset`` of the grid; an empty mask has no
-    crop (None) and offset (0, 0, 0).  ``BinaryMask(bits, spacing)`` trims a
-    full-grid array to its box once; ``from_labels`` builds the crop without
+    crop (None) and offset (0, 0, 0).  ``BinaryMask(bits, spacing)`` copies
+    the box of a full-grid array once; ``from_labels`` builds the crop without
     a full-grid array.  ``window`` and ``bits`` rebuild a box or the whole
     grid for the callers that ask for one.
     """
