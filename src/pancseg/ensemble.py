@@ -9,21 +9,31 @@ A spec holds its members in member_id order regardless of how they are
 listed, and fusion reduces them in that order, which makes both modes
 bit-exactly invariant under permutation of the member list.
 
-Fusion splits the grid by each member's consensus codes
-(``Volume.consensus_codes``, computed once per volume): a label map's code
-is its label; a probability vector's code is its hot class when it is
-exactly one-hot (one entry ``== 1.0``, all others ``== 0.0``) and -1
-otherwise.  A voxel is *settled* when every member has the same code and it
-is >= 0; its fused label is that code.  Only the remaining *active* voxels
-are gathered (one member at a time for probabilities), go through the
-per-voxel arithmetic (float64 accumulation in member order, division by the
-weight sum, renormalization, probability validation and argmax; or the
-weighted vote), and are scattered back.  When more than half the voxels are
-active, the gather would cost more than it saves, and every voxel goes
-through that arithmetic in place instead.  Every pass walks the members in
-their shared memory order (a label map read from a file stays in the
-file's order), and the fused map is laid out in that order too; every
-step is per voxel, so the order changes no label.
+Every fusion goes through a ``MemberStore``: one per case, holding the
+members in a per-voxel code (``Volume.consensus_codes``, computed once per
+volume when the member is added): a label map's code is its label; a
+probability vector's code is its hot class when it is exactly one-hot (one
+entry ``== 1.0``, all others ``== 0.0``) and -1 otherwise.  A voxel is
+*settled* for a set of members when they all have the same code and it is
+>= 0; its fused label is that code.  The store keeps a consensus code map
+and D, the voxels where the members added so far are not all settled; a
+member is held as its codes, and for probabilities its rows, on D only.
+Outside D every member's row is the one-hot vector of the consensus code,
+so when a new member grows D, the old members' codes and rows on the new
+voxels are rebuilt from the consensus exactly.  When D would cover more
+than half the grid (softmax exports are never exactly one-hot), codes and
+rows are held whole instead.
+
+A subset fuses on D: voxels its members settle take their code; only the
+remaining *active* voxels are gathered (one member at a time for
+probabilities), go through the per-voxel arithmetic (float64 accumulation
+in member order, division by the weight sum, renormalization, probability
+validation and argmax; or the weighted vote), and are scattered into a copy
+of the consensus map.  When more than half of D is active, the gather would
+cost more than it saves, and all of D goes through that arithmetic in place
+instead.  D indexes the first member's memory frame (a label map read from
+a file stays in the file's order), and the fused map is laid out in that
+order too; every step is per voxel, so the order changes no label.
 
 The split is exact for finite positive weights with a finite sum, which the
 weight checks enforce.  Active voxels run the same elementwise arithmetic as
@@ -32,7 +42,8 @@ with ``x > 0``, which renormalizes to exactly one-hot (``x/x == 1``,
 ``0/x == 0``), so it passes validation and its argmax is the hot class; a
 settled vote has one candidate.  Validating only the active rows therefore
 passes and fails exactly when the full stack does, with the same worst
-deviation.
+deviation.  The checks that come before it (kind, weights, grids and class
+counts) read each member's metadata, so they raise as on whole volumes.
 """
 from __future__ import annotations
 
@@ -46,8 +57,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, FormatError, GridMismatchError, ValidationError
-from .nifti import c_order, read_volume
+from .nifti import read_volume
 from .volume import (
+    Grid,
     Volume,
     check_probabilities,
     check_same_grid,
@@ -198,10 +210,10 @@ def save_ensemble_spec(spec: EnsembleSpec, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _check_grids(volumes: Sequence[Volume]):
-    first = volumes[0]
-    for v in volumes[1:]:
-        check_same_grid(first.grid, v.grid, "member")
+KIND_ERRORS = {
+    "probabilities": "average_probabilities expects probability stacks",
+    "labels": "majority_vote expects label volumes",
+}
 
 
 def _member_weights(weights: Optional[Sequence[float]], n: int) -> list[float]:
@@ -215,19 +227,19 @@ def _member_weights(weights: Optional[Sequence[float]], n: int) -> list[float]:
     return weights
 
 
-def _probability_members(stacks: Sequence[Volume], weights: Optional[Sequence[float]]):
-    """The checks every probability fusion makes, in order."""
-    stacks = list(stacks)
-    if not stacks:
-        raise ValidationError("no probability stacks to average")
-    if any(v.kind != "probabilities" for v in stacks):
-        raise ValidationError("average_probabilities expects probability stacks")
-    weights = _member_weights(weights, len(stacks))
-    _check_grids(stacks)
-    classes = {v.n_classes for v in stacks}
-    if len(classes) != 1:
-        raise GridMismatchError(f"class counts differ across members: {sorted(classes)}")
-    return stacks, weights
+def _check_members(members: Sequence, weights: Optional[Sequence[float]], kind: str) -> list[float]:
+    """The checks every fusion makes, in order: kind, weights, grids and
+    class counts.  ``members`` are volumes or their ``_Held`` metadata."""
+    if any(m.kind != kind for m in members):
+        raise ValidationError(KIND_ERRORS[kind])
+    weights = _member_weights(weights, len(members))
+    for m in members[1:]:
+        check_same_grid(members[0].grid, m.grid, "member")
+    if kind == "probabilities":
+        classes = {m.n_classes for m in members}
+        if len(classes) != 1:
+            raise GridMismatchError(f"class counts differ across members: {sorted(classes)}")
+    return weights
 
 
 def _average_rows(rows: Iterable[np.ndarray], weights: Sequence[float]) -> np.ndarray:
@@ -248,7 +260,10 @@ def _average_rows(rows: Iterable[np.ndarray], weights: Sequence[float]) -> np.nd
 
 def average_probabilities(stacks: Sequence[Volume], weights: Optional[Sequence[float]] = None) -> Volume:
     """Weighted per-voxel, per-class mean of probability stacks, renormalized."""
-    stacks, weights = _probability_members(stacks, weights)
+    stacks = list(stacks)
+    if not stacks:
+        raise ValidationError("no probability stacks to average")
+    weights = _check_members(stacks, weights, "probabilities")
     return stacks[0].with_data(_average_rows([v.data for v in stacks], weights))
 
 
@@ -267,67 +282,209 @@ def argmax_labels(p: Volume) -> Volume:
     return p.with_data(labels, kind="labels")
 
 
-def _memory_frame(arrays: Sequence[np.ndarray]):
-    """``arrays``, of one shape, as C-contiguous views in one frame, and the
-    map that takes an array in that frame back to their axes.
+def _vote_dtype(dtypes: Iterable[np.dtype]) -> np.dtype:
+    """The label maps' common dtype, which holds every label any of them
+    holds; uint64 and a signed dtype have none but float64, and uint64 holds
+    the labels."""
+    dtype = np.result_type(*dtypes)
+    return np.dtype(np.uint64) if dtype.kind == "f" else dtype
 
-    The frame undoes the first array's flips and orders its axes by stride,
-    so maps that share a file's memory order are used where they lie.  When
-    any array is not C-contiguous in that frame, the frame is the arrays' own
-    axes and those not in C order are laid out.
+
+@dataclass(eq=False)
+class _Held:
+    """One member of a ``MemberStore``: what the checks read, and its codes
+    (and, for a probability stack, its rows) on its group's index."""
+
+    kind: str
+    grid: Grid
+    n_classes: Optional[int]
+    dtype: np.dtype
+    codes: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None
+
+
+class _Group:
+    """The members of one case that share dims and class count.
+
+    ``consensus`` holds, in the first member's memory frame (see
+    ``_flat``), one code per voxel; ``index`` holds the sorted flat voxels
+    where the members added so far are not all settled on one code.  Outside
+    ``index`` every member's code is the consensus code and its row is that
+    code's one-hot vector, so a member is held as its codes and rows on
+    ``index`` alone.  Once ``index`` would cover more than half the grid,
+    ``index`` is None and the codes and rows are held whole.
     """
-    first = arrays[0]
-    flips = tuple(slice(None, None, -1 if s < 0 else None) for s in first.strides)
-    axes = sorted(range(first.ndim), key=lambda ax: -abs(first.strides[ax]))
-    framed = [a[flips].transpose(axes) for a in arrays]
-    if all(f.flags.c_contiguous for f in framed):
-        back = tuple(np.argsort(axes))
-        return framed, lambda out: out.transpose(back)[flips]
-    return [c_order(a) for a in arrays], lambda out: out
+
+    def __init__(self):
+        self.frame = None  # (flips, axes, shape in the frame)
+        self.consensus: Optional[np.ndarray] = None
+        self.index: Optional[np.ndarray] = np.empty(0, dtype=np.intp)
+        self.members: list[_Held] = []
+
+    def _flat(self, codes: np.ndarray) -> np.ndarray:
+        """``codes`` flattened in the group's frame: the first member's axes
+        ordered by stride with its flips undone, so maps that share a file's
+        memory order are used where they lie.  Codes not contiguous in that
+        frame are laid out once."""
+        if self.frame is None:
+            flips = tuple(slice(None, None, -1 if s < 0 else None) for s in codes.strides)
+            axes = tuple(sorted(range(3), key=lambda ax: -abs(codes.strides[ax])))
+            self.frame = flips, axes, tuple(codes.shape[ax] for ax in axes)
+        flips, axes, _ = self.frame
+        return np.ascontiguousarray(codes[flips].transpose(axes)).reshape(-1)
+
+    def add(self, held: Sequence[_Held], volumes: Sequence[Volume]) -> None:
+        codes = [self._flat(v.consensus_codes) for v in volumes]
+        if self.index is not None:
+            if self.members:
+                unsettled = np.zeros(self.consensus.size, dtype=bool)
+                compared = codes
+            else:
+                self.consensus, compared = codes[0], codes[1:]
+                unsettled = codes[0] < 0
+            if held[0].kind == "labels":
+                dtype = _vote_dtype(h.dtype for h in self.members + list(held))
+                self.consensus = self.consensus.astype(dtype, copy=False)
+            for c in compared:
+                unsettled |= c != self.consensus
+            unsettled[self.index] = True
+            size = np.count_nonzero(unsettled)
+            if 2 * size > unsettled.size:
+                self._grow(None)
+            elif size > self.index.size:
+                self._grow(np.flatnonzero(unsettled))
+        for h, v, c in zip(held, volumes, codes):
+            rows = v.data.reshape(-1, h.n_classes) if h.kind == "probabilities" else None
+            if self.index is None:
+                h.codes, h.rows = c, rows
+            else:
+                h.codes = c[self.index]
+                h.rows = None if rows is None else np.take(rows, self.index, axis=0)
+        self.members.extend(held)
+
+    def _grow(self, index: Optional[np.ndarray]) -> None:
+        """Move the members held so far onto ``index``, a superset of the old
+        one (None: the whole grid), rebuilding them on the new voxels from
+        the consensus code."""
+        at = self.index if index is None else np.searchsorted(index, self.index)
+        consensus = self.consensus if index is None else self.consensus[index]
+        for h in self.members:
+            codes = consensus.astype(h.codes.dtype)
+            codes[at] = h.codes
+            h.codes = codes
+            if h.rows is not None:
+                # a voxel of the old index may hold code -1; its row is overwritten
+                rows = np.eye(h.n_classes, dtype=h.rows.dtype)[consensus]
+                rows[at] = h.rows
+                h.rows = rows
+        self.index = index
+        if index is None:
+            self.consensus = None
+
+    def fuse(self, held: Sequence[_Held], weights, fuse_rows, dtype) -> np.ndarray:
+        """The fused label map of ``held`` in their axes, of ``dtype``.
+
+        Voxels where every member of ``held`` has the same code >= 0 take it;
+        ``fuse_rows(held, weights, active)`` fuses the rest from the members'
+        codes and rows at the positions ``active`` (None: every position).
+        """
+        codes = [h.codes for h in held]
+        settled = codes[0] >= 0
+        for c in codes[1:]:
+            settled &= c == codes[0]
+        # only active positions can hold a code of -1, and they are overwritten
+        out = codes[0].astype(dtype)
+        active = np.flatnonzero(~settled)
+        if 2 * active.size > out.size:
+            out[:] = fuse_rows(held, weights, None)
+        elif active.size:
+            out[active] = fuse_rows(held, weights, active)
+        if self.index is not None:
+            full = self.consensus.astype(dtype)
+            full[self.index] = out
+            out = full
+        flips, axes, shape = self.frame
+        return out.reshape(shape).transpose(np.argsort(axes))[flips]
 
 
-def _fuse_active(members: Sequence[Volume], fuse_rows, dtype) -> Volume:
-    """The fused label map on the members' grid, of ``dtype`` (which holds
-    every label the members can fuse to), laid out like the members'
-    ``consensus_codes`` (see ``_memory_frame``): settled voxels take the shared
-    code.  ``fuse_rows(codes, active)`` gets the members' codes flattened in
-    that layout and the flat indices of the active voxels, and returns their
-    labels.  When most voxels are active, ``active`` is None and every voxel
-    is fused instead, which is as exact: settled voxels fuse to their code.
+def _probability_rows(held: Sequence[_Held], weights: Sequence[float], active):
+    rows = (h.rows if active is None else np.take(h.rows, active, axis=0) for h in held)
+    acc = _average_rows(rows, weights)
+    check_probabilities(acc)
+    return np.argmax(acc, axis=-1)
+
+
+def _vote_rows(held: Sequence[_Held], weights: Sequence[float], active):
+    # a label map's codes are its labels
+    rows = [h.codes if active is None else np.take(h.codes, active) for h in held]
+
+    def votes(value):
+        acc = weights[0] * (rows[0] == value)
+        for r, w in zip(rows[1:], weights[1:]):
+            acc += w * (r == value)
+        return acc
+
+    values = np.unique(np.concatenate([unique_labels(r) for r in rows]))
+    return label_argmax(values, votes, rows[0].shape)
+
+
+class MemberStore:
+    """One case's ensemble members, held where they disagree.
+
+    Members that share dims and class count form a group (see ``_Group``):
+    a consensus code map plus each member's codes and rows on the voxels
+    where the members added so far are not all settled on one code.  The
+    rest of a member is rebuilt exactly from the consensus when needed, so a
+    member costs its share of the disagreement, not a full stack.  Each
+    member's kind, grid, class count and dtype stay for the per-subset
+    checks; a member of the wrong kind for ``mode`` joins no group, as every
+    fusion that names it fails the kind check.
     """
-    codes, back = _memory_frame([m.consensus_codes for m in members])
-    first = codes[0]
-    settled = first >= 0
-    for c in codes[1:]:
-        settled &= c == first
-    # a fresh C-order copy, so the flat view below writes into ``out`` itself;
-    # only active voxels can hold a code of -1, and they are overwritten
-    out = np.array(first, dtype=dtype, order="C")
-    active = np.flatnonzero(~settled)
-    flat = [c.reshape(-1) for c in codes]
-    if 2 * active.size > out.size:
-        out.reshape(-1)[:] = fuse_rows(flat, None)
-    elif active.size:
-        out.reshape(-1)[active] = fuse_rows(flat, active)
-    return members[0].with_data(back(out), kind="labels")
 
+    def __init__(self, mode: str):
+        self.kind = "probabilities" if mode == "prob_avg" else "labels"
+        self._held: dict[str, _Held] = {}
+        self._groups: dict[tuple, _Group] = {}
 
-def _fuse_probabilities(stacks: Sequence[Volume], weights: Sequence[float]) -> Volume:
-    """``argmax_labels(average_probabilities(stacks, weights))``, fusing only
-    the active voxels."""
-    stacks, weights = _probability_members(stacks, weights)
-    n_classes = stacks[0].n_classes
-    # a stack's consensus codes are in C order, so its C-order rows line up
-    # with their flat indices
-    flat = [v.data.reshape(-1, n_classes) for v in stacks]
+    def __contains__(self, member_id: str) -> bool:
+        return member_id in self._held
 
-    def fuse_rows(codes, active):
-        rows = flat if active is None else (np.take(f, active, axis=0) for f in flat)
-        acc = _average_rows(rows, weights)
-        check_probabilities(acc)
-        return np.argmax(acc, axis=-1)
+    def member_nbytes(self, member_id: str) -> int:
+        """The bytes held for one member: its codes and rows."""
+        h = self._held[member_id]
+        return sum(a.nbytes for a in (h.codes, h.rows) if a is not None)
 
-    return _fuse_active(stacks, fuse_rows, _class_label_dtype(n_classes))
+    def add(self, volumes: Mapping[str, Volume]) -> None:
+        """Hold new members, keyed by member_id; the volumes can then be
+        dropped.  Members added together grow the index once."""
+        batches: dict[tuple, tuple[list, list]] = {}
+        for member_id, v in volumes.items():
+            n_classes = v.n_classes if v.kind == "probabilities" else None
+            dtype = v.data.dtype
+            h = self._held[member_id] = _Held(v.kind, v.grid, n_classes, dtype)
+            if v.kind == self.kind:
+                batch = batches.setdefault((v.dims, n_classes), ([], []))
+                batch[0].append(h)
+                batch[1].append(v)
+        for key, (held, vols) in batches.items():
+            self._groups.setdefault(key, _Group()).add(held, vols)
+
+    def fuse(self, member_ids: Sequence[str], weights: Optional[Sequence[float]]) -> Volume:
+        """The fused label map of the members ``member_ids``, reduced in that
+        order, after the checks every fusion makes."""
+        missing = [mid for mid in member_ids if mid not in self._held]
+        if missing:
+            raise ValidationError(f"no volume supplied for member(s) {missing}")
+        held = [self._held[mid] for mid in member_ids]
+        weights = _check_members(held, weights, self.kind)
+        first = held[0]
+        group = self._groups[(first.grid.dims, first.n_classes)]
+        if self.kind == "probabilities":
+            fuse_rows, dtype = _probability_rows, _class_label_dtype(first.n_classes)
+        else:
+            fuse_rows, dtype = _vote_rows, _vote_dtype(h.dtype for h in held)
+        data = group.fuse(held, weights, fuse_rows, dtype)
+        return Volume(data, first.grid.spacing, first.grid.origin, kind="labels")
 
 
 def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[float]] = None) -> Volume:
@@ -335,47 +492,27 @@ def majority_vote(label_members: Sequence[Volume], weights: Optional[Sequence[fl
     label_members = list(label_members)
     if not label_members:
         raise ValidationError("no label volumes to vote over")
-    if any(v.kind != "labels" for v in label_members):
-        raise ValidationError("majority_vote expects label volumes")
-    weights = _member_weights(weights, len(label_members))
-    _check_grids(label_members)
-
-    def vote_rows(codes, active):
-        # a label map's consensus codes are its labels
-        rows = codes if active is None else [np.take(c, active) for c in codes]
-
-        def votes(value):
-            acc = weights[0] * (rows[0] == value)
-            for r, w in zip(rows[1:], weights[1:]):
-                acc += w * (r == value)
-            return acc
-
-        values = np.unique(np.concatenate([unique_labels(r) for r in rows]))
-        return label_argmax(values, votes, rows[0].shape)
-
-    # the members' common dtype holds every label any of them holds; uint64
-    # and a signed dtype have none but float64, and uint64 holds the labels
-    dtype = np.result_type(*(v.data.dtype for v in label_members))
-    if dtype.kind == "f":
-        dtype = np.dtype(np.uint64)
-    return _fuse_active(label_members, vote_rows, dtype)
+    ids = [str(i) for i in range(len(label_members))]
+    store = MemberStore("majority")
+    store.add(dict(zip(ids, label_members)))
+    return store.fuse(ids, weights)
 
 
-def combine_volumes(spec: EnsembleSpec, volumes: Mapping[str, Volume]) -> Volume:
-    """Combine already-loaded member volumes keyed by member_id.
+def combine_volumes(spec: EnsembleSpec, volumes: Mapping[str, Volume] | MemberStore) -> Volume:
+    """Combine members keyed by member_id: loaded volumes, or a
+    ``MemberStore`` of ``spec.mode`` that holds them.
 
-    Each volume computes its ``consensus_codes`` once, so a caller fusing
-    many subsets of one pool from the same volumes pays for them once per
-    member; a label map is its own code.
+    Volumes become a store of their own, so their disagreement set is the
+    voxels where they do not all hold one code.  A caller fusing many
+    subsets of one pool keeps one store per case instead: each member's
+    ``consensus_codes`` are then computed once, when it is added, and the
+    member costs its codes and rows where the pool disagrees.
     """
-    missing = [m.member_id for m in spec.members if m.member_id not in volumes]
-    if missing:
-        raise ValidationError(f"no volume supplied for member(s) {missing}")
-    vols = [volumes[m.member_id] for m in spec.members]
-    weights = [m.weight for m in spec.members]
-    if spec.mode == "prob_avg":
-        return _fuse_probabilities(vols, weights)
-    return majority_vote(vols, weights)
+    if not isinstance(volumes, MemberStore):
+        store = MemberStore(spec.mode)
+        store.add({m.member_id: volumes[m.member_id] for m in spec.members if m.member_id in volumes})
+        volumes = store
+    return volumes.fuse([m.member_id for m in spec.members], [m.weight for m in spec.members])
 
 
 def load_member_volume(member: EnsembleMember, mode: str, case_id: str, base_dir: str | Path) -> Volume:

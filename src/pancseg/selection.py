@@ -26,6 +26,7 @@ import numpy as np
 from .errors import BudgetExceededError, ConfigError, FormatError, ValidationError
 from .ensemble import (
     EnsembleSpec,
+    MemberStore,
     check_ids,
     combine_volumes,
     load_member_volume,
@@ -42,7 +43,7 @@ from .metrics import (
     mean_field,
 )
 from .nifti import read_volume
-from .volume import Volume, read_manifest
+from .volume import read_manifest
 
 NORMALIZATIONS = ("minmax", "rank")
 
@@ -212,16 +213,18 @@ def normalize_metrics(
 class SubsetEvaluator:
     """Loads member predictions once and evaluates subsets with caching.
 
-    Each (member, case) prediction is read lazily, the first time a subset
-    needs it, and stored; its ``Volume.consensus_codes`` are computed by the
-    first fusion and kept on the volume.  Every subset fuses from those
-    codes: voxels where all its members hold the same non-negative code are
-    settled and copied, and only the active rest is gathered and fused.  The
-    fused labels are bit-identical to a full-volume fusion (see
-    ``ensemble``), and all per-subset checks still run per case in the same
-    order, so a defective pool fails with the same error at the same subset.
-    Each case's reference is read and masked once; each fused prediction is
-    masked and scored against it.
+    Each case keeps one ``ensemble.MemberStore``.  A (member, case)
+    prediction is read lazily, the first time a subset needs it, added to
+    its case's store, and dropped: the store holds the member's codes (and
+    rows) only where the members loaded so far disagree, next to one
+    consensus code map per case, so resident memory grows with that
+    disagreement, not with members × cases × volume.  Every subset fuses
+    through ``combine_volumes`` on the store.  The fused labels are
+    bit-identical to a full-volume fusion (see ``ensemble``), and all
+    per-subset checks still run per case in the same order, so a defective
+    pool fails with the same error at the same subset.  Each case's
+    reference is read and masked once; each fused prediction is masked and
+    scored against it.
 
     Reports are memoized by the sorted member ids, which a pool keeps
     unique.
@@ -232,7 +235,7 @@ class SubsetEvaluator:
         self.config = config
         self.base_dir = Path(pool.base_dir)
         self._references: dict[str, BinaryMask] = {}
-        self._members: dict[tuple[str, str], Volume] = {}
+        self._stores: dict[str, MemberStore] = {}
         self._member_digests: dict[str, str] = {}
         self._reports: dict[tuple[str, ...], CohortReport] = {}
         self._members_by_id = {m.member_id: m for m in pool.members}
@@ -244,13 +247,15 @@ class SubsetEvaluator:
             self._references[case_id] = BinaryMask.from_labels(volume, self.config.label_id)
         return self._references[case_id]
 
-    def _member(self, member_id: str, case_id: str) -> Volume:
-        """One member's prediction for one case, read once."""
-        key = (member_id, case_id)
-        if key not in self._members:
-            member = self._members_by_id[member_id]
-            self._members[key] = load_member_volume(member, self.pool.mode, case_id, self.base_dir)
-        return self._members[key]
+    def _store(self, member_ids: Sequence[str], case_id: str) -> MemberStore:
+        """The case's member store, holding every member of ``member_ids``;
+        each member is read once, in ``member_ids`` order."""
+        store = self._stores.setdefault(case_id, MemberStore(self.pool.mode))
+        for mid in member_ids:
+            if mid not in store:
+                member = self._members_by_id[mid]
+                store.add({mid: load_member_volume(member, self.pool.mode, case_id, self.base_dir)})
+        return store
 
     def member_digest(self, member_id: str) -> str:
         """sha256 over one member's prediction files, in pool case order."""
@@ -276,8 +281,7 @@ class SubsetEvaluator:
         )
         cases = []
         for case_id, ref_path in self.pool.cases:
-            volumes = {mid: self._member(mid, case_id) for mid in member_ids}
-            combined = combine_volumes(spec, volumes)
+            combined = combine_volumes(spec, self._store(member_ids, case_id))
             pred = BinaryMask.from_labels(combined, self.config.label_id)
             ref = self._reference(case_id, ref_path)
             cases.append(evaluate_case(ref, pred, self.config, case_id=case_id))

@@ -8,6 +8,7 @@ import pytest
 from pancseg.ensemble import (
     EnsembleMember,
     EnsembleSpec,
+    MemberStore,
     argmax_labels,
     average_probabilities,
     combine,
@@ -403,3 +404,40 @@ def test_fusing_narrow_inputs_gives_a_narrow_map(rng):
         averaged = argmax_labels(average_probabilities(list(stacks.values())))
         assert fused.data.dtype == averaged.data.dtype == dtype
         assert np.array_equal(fused.data, averaged.data)
+
+
+def _pool_disagreeing_in_one_box(dims, mode):
+    """Three members that agree on a map everywhere but a fixed 2×3×2 box,
+    where each one differs in its own way."""
+    base = np.zeros(dims, dtype=np.uint8)
+    base[2:6, 2:6, 1:4] = 2
+    members = {}
+    for i in range(3):
+        labels = base.copy()
+        labels[1:3, 1:4, 1:3] = i
+        if mode == "majority":
+            members[f"m{i}"] = Volume(labels, (1, 1, 1), kind="labels")
+        else:
+            rows = np.eye(3, dtype=np.float32)[labels]
+            rows[1:3, 1:4, 1:3] = [0.2, 0.3, 0.5] if i == 2 else [0.5, 0.25, 0.25]
+            members[f"m{i}"] = Volume(rows, (1, 1, 1), kind="probabilities")
+    return members
+
+
+@pytest.mark.parametrize("mode", ["prob_avg", "majority"])
+def test_member_store_holds_the_disagreement_not_the_grid(mode):
+    held = []
+    for dims in ((10, 8, 6), (20, 8, 6), (20, 16, 12)):
+        volumes = _pool_disagreeing_in_one_box(dims, mode)
+        store = MemberStore(mode)
+        for mid, volume in volumes.items():
+            store.add({mid: volume})
+        held.append([store.member_nbytes(mid) for mid in volumes])
+        spec = EnsembleSpec(
+            members=tuple(EnsembleMember(mid, "p") for mid in volumes), mode=mode
+        )
+        assert np.array_equal(combine_volumes(spec, store).data, combine_volumes(spec, volumes).data)
+    # 12 disagreeing voxels, whatever the grid: int8 codes and float32 rows of
+    # 3 classes, or uint8 labels
+    per_voxel = 1 + 12 if mode == "prob_avg" else 1
+    assert held == [[12 * per_voxel] * 3] * 3

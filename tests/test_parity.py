@@ -68,6 +68,7 @@ from pancseg import selection
 from pancseg.ensemble import (
     EnsembleMember,
     EnsembleSpec,
+    MemberStore,
     average_probabilities,
     combine_volumes,
     majority_vote,
@@ -127,7 +128,7 @@ from pancseg.volume import (
 )
 
 from conftest import image_volume, orientation_srows, probability_volume, raw_nifti
-from oracles import NEIGHBOUR_CODE_TO_NORMALS
+from oracles import NEIGHBOUR_CODE_TO_NORMALS, FullVolumeEvaluator
 
 # ------------------------------------------------------- reference copies
 
@@ -995,6 +996,84 @@ def test_failing_average_raises_the_same_error_on_both_paths(dtype):
     assert _outcome(lambda: combine_volumes(spec, members)) == want
 
 
+STORE_LAYOUTS = ("C", "F", "flipped")
+
+
+def _store_layout(volume, layout):
+    """The same volume as a C, Fortran or flipped (negative-stride) view."""
+    if layout == "flipped":
+        flips = (slice(None, None, -1), slice(None), slice(None, None, -1))
+        return Volume(np.ascontiguousarray(volume.data[flips])[flips], volume.spacing, kind=volume.kind)
+    return _relayout(volume, layout)
+
+
+def _store_members(rng, mode, dims, n_members, share, soft):
+    """Members that agree on a base map except at about ``share`` of the
+    voxels each, in random dtypes and layouts; ``soft`` gives every voxel of
+    a probability member a soft vector, so no voxel is one-hot."""
+    n_classes = int(rng.integers(2, 5))
+    base = rng.integers(0, n_classes, size=dims)
+    members = {}
+    for i in range(n_members):
+        differs = rng.random(dims) < share
+        if mode == "majority":
+            data = np.where(differs, rng.integers(0, n_classes + 2, size=dims), base)
+            dtype = (np.uint8, np.int32, np.int64)[int(rng.integers(3))]
+            volume = Volume(data.astype(dtype), (1.0, 1.0, 2.0), kind="labels")
+            layout = STORE_LAYOUTS[int(rng.integers(3))]
+        else:
+            data = np.eye(n_classes)[base]
+            for idx in zip(*np.nonzero(differs | soft)):
+                kind = "random" if soft else VECTOR_KINDS[int(rng.integers(len(VECTOR_KINDS)))]
+                data[idx] = _vector(rng, kind, int(base[idx]), n_classes)
+            dtype = (np.float32, np.float64)[int(rng.integers(2))]
+            volume = Volume(data.astype(dtype), (1.0, 1.2, 2.0), kind="probabilities")
+            layout = "C"
+        members[f"m{i}"] = _store_layout(volume, layout)
+    return members
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["prob_avg", "majority"]),
+    dims=st.tuples(st.integers(2, 6), st.integers(1, 5), st.integers(1, 4)),
+    n_members=st.integers(2, 4),
+    share=st.sampled_from([0.0, 0.05, 0.15, 0.35]),
+    soft=st.sampled_from([False, False, False, True]),
+    weights=st.sampled_from(WEIGHT_SETS),
+    together=st.booleans(),
+)
+def test_member_store_fuses_like_full_volumes_as_members_are_added(
+    seed, mode, dims, n_members, share, soft, weights, together
+):
+    rng = np.random.default_rng(seed)
+    volumes = _store_members(rng, mode, dims, n_members, share, soft and mode == "prob_avg")
+    weights = (weights or (1.0,) * n_members)[:n_members]
+    ids = [f"m{i}" for i in rng.permutation(n_members)]
+    first = int(rng.integers(1, n_members))
+    store = MemberStore(mode)
+    # members arrive in a random order, one at a time, and the later ones
+    # one at a time or together; every subset of the members held so far is
+    # fused after each arrival, before and after the disagreement set grows
+    arrivals = [[mid] for mid in ids[:first]]
+    arrivals += [ids[first:]] if together else [[mid] for mid in ids[first:]]
+    held = []
+    for batch in arrivals:
+        store.add({mid: volumes[mid] for mid in batch})
+        held += batch
+        for k in range(1, len(held) + 1):
+            for subset in itertools.combinations(held, k):
+                spec = EnsembleSpec(
+                    members=tuple(
+                        EnsembleMember(mid, "p", weight=weights[int(mid[1:])]) for mid in subset
+                    ),
+                    mode=mode,
+                )
+                want = _outcome(lambda: ref_combine_volumes(spec, volumes))
+                assert _outcome(lambda: combine_volumes(spec, store)) == want
+
+
 # ------------------------------------------------------- selection errors
 
 
@@ -1044,8 +1123,13 @@ class _Recording(SubsetEvaluator):
         return super().evaluate(member_ids)
 
 
-def _search_outcome(pool, search):
-    evaluator = _Recording(pool, EvalConfig())
+class _RecordingFullVolume(_Recording, FullVolumeEvaluator):
+    def __init__(self, pool, config):
+        super().__init__(pool, config, ref_combine_volumes)
+
+
+def _search_outcome(pool, search, evaluator_class=_Recording):
+    evaluator = evaluator_class(pool, EvalConfig())
     try:
         search(pool, evaluator)
     except PancsegError as exc:
@@ -1076,17 +1160,10 @@ DEFECT_SETS = [
 @pytest.mark.parametrize(
     "mode, defects", DEFECT_SETS, ids=[f"{m}-{'-'.join(d)}" for m, d in DEFECT_SETS]
 )
-def test_defective_pool_fails_at_the_same_subset_as_full_fusion(
-    tmp_path, monkeypatch, search, mode, defects
-):
+def test_defective_pool_fails_at_the_same_subset_as_full_fusion(tmp_path, search, mode, defects):
     pool = _defective_pool(tmp_path, defects, mode)
     got = _search_outcome(pool, SEARCHES[search])
-
-    def full_volume(spec, volumes):
-        return ref_combine_volumes(spec, volumes)
-
-    monkeypatch.setattr(selection, "combine_volumes", full_volume)
-    want = _search_outcome(pool, SEARCHES[search])
+    want = _search_outcome(pool, SEARCHES[search], _RecordingFullVolume)
     assert want is not None
     assert got == want
 

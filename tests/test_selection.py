@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -481,3 +482,33 @@ def test_reference_masks_are_built_once_per_case(tmp_path, rng, monkeypatch):
     assert len(masked) == len(fused) + 2  # every fused prediction is masked once
     beam_search_subsets(pool, 4, 2, evaluator=evaluator)
     assert len(reference_masks()) == 2
+
+
+def test_evaluator_holds_members_well_below_their_full_stacks(tmp_path, monkeypatch):
+    dims = (128, 128, 48)
+    stack_bytes = int(np.prod(dims)) * 3 * 4  # one float32 member of 3 classes
+    ref = _ball(dims, radius=8.0).astype(np.uint8)
+    write_volume(Volume(ref, SPACING, kind="labels"), tmp_path / "ref.nii.gz")
+    shifted = {i: _ball(dims, shift=(i - 2, 0, 0), radius=8.0).astype(np.uint8) for i in range(5)}
+
+    def load(member, mode, case_id, base_dir):
+        # each member's ball is shifted along x: they disagree on its caps
+        rows = np.eye(3, dtype=np.float32)[shifted[int(member.member_id[1:])]]
+        return Volume(rows, SPACING, kind="probabilities")
+
+    monkeypatch.setattr(selection, "load_member_volume", load)
+    pool = CandidatePool(
+        members=tuple(EnsembleMember(f"m{i}", "unused") for i in range(5)),
+        cases=(("c1", str(tmp_path / "ref.nii.gz")),),
+    )
+    tracemalloc.start()
+    try:
+        evaluator = SubsetEvaluator(pool, EvalConfig())
+        report = evaluator.evaluate([m.member_id for m in pool.members])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.mean_dice > 0.95
+    # the parent kept the five stacks whole: 5 × 9.4 MB
+    assert held < stack_bytes / 4
+    assert peak < 3 * stack_bytes
