@@ -9,11 +9,11 @@ A spec holds its members in member_id order regardless of how they are
 listed, and fusion reduces them in that order, which makes both modes
 bit-exactly invariant under permutation of the member list.
 
-Every fusion goes through a ``MemberStore``: one per case, holding the
-members in a per-voxel code (``Volume.consensus_codes``, computed once per
-volume when the member is added): a label map's code is its label; a
-probability vector's code is its hot class when it is exactly one-hot (one
-entry ``== 1.0``, all others ``== 0.0``) and -1 otherwise.  A voxel is
+Every fusion goes through a ``MemberStore``, one per case.  A member
+enters it as one code per voxel (``Volume.consensus_codes``, computed once,
+when the member is added): a label map's code is its label; a probability
+vector's code is its hot class when it is exactly one-hot (one entry
+``== 1.0``, all others ``== 0.0``) and -1 otherwise.  A voxel is
 *settled* for a set of members when they all have the same code and it is
 >= 0; its fused label is that code.  The store keeps a consensus code map
 and D, the voxels where the members added so far are not all settled; a
@@ -210,7 +210,7 @@ def save_ensemble_spec(spec: EnsembleSpec, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-KIND_ERRORS = {
+_KIND_ERRORS = {
     "probabilities": "average_probabilities expects probability stacks",
     "labels": "majority_vote expects label volumes",
 }
@@ -231,7 +231,7 @@ def _check_members(members: Sequence, weights: Optional[Sequence[float]], kind: 
     """The checks every fusion makes, in order: kind, weights, grids and
     class counts.  ``members`` are volumes or their ``_Held`` metadata."""
     if any(m.kind != kind for m in members):
-        raise ValidationError(KIND_ERRORS[kind])
+        raise ValidationError(_KIND_ERRORS[kind])
     weights = _member_weights(weights, len(members))
     for m in members[1:]:
         check_same_grid(members[0].grid, m.grid, "member")
