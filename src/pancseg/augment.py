@@ -64,6 +64,16 @@ BLUR_TRUNCATE = 4.0
 
 _MASK64 = (1 << 64) - 1
 
+# Seeds key a Philox generator as one uint64 word.
+SEED_RANGE = range(1 << 64)
+
+
+def check_seed(seed: int, error=ConfigError, what: str = "seed") -> int:
+    """``seed``, or ``error`` when it lies outside ``SEED_RANGE``."""
+    if seed not in SEED_RANGE:
+        raise error(f"{what} must be in 0..2**64 - 1, got {seed}")
+    return seed
+
 
 def _check_floor(name: str, key: str, value: float, error=ValidationError) -> None:
     """Raise ``error`` when ``value`` lies below the floor of range ``key``."""
@@ -118,6 +128,7 @@ class AugmentPreset:
         if fixed is not None and (self.image_order, self.label_order) != fixed:
             raise ConfigError(f"preset {self.name!r} fixes the order pair {fixed}")
         object.__setattr__(self, "transforms", tuple(self.transforms))
+        check_seed(self.seed)
 
 
 def _standard_transforms(p: float) -> tuple[TransformSpec, ...]:
@@ -169,7 +180,7 @@ def load_preset(path) -> AugmentPreset:
     path = Path(path)
     doc = read_json_object(path, "preset file")
     try:
-        seed = parse_int(doc.get("seed", 0))
+        seed = check_seed(parse_int(doc.get("seed", 0)), FormatError, f"preset file {path}: seed")
         if "preset" in doc:
             return preset(doc["preset"], seed=seed)
         image_order = parse_int(doc.get("image_order", 3))
@@ -206,7 +217,9 @@ def load_preset(path) -> AugmentPreset:
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
+    # a uint64 array: a list of Python ints >= 2**63 would become float64
+    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _rotation_matrix(rx: float, ry: float, rz: float) -> np.ndarray:

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .augment import apply_pipeline, load_preset, preset
+from .augment import apply_pipeline, check_seed, load_preset, preset
 from .ensemble import EnsembleSpec, check_ids, combine, load_ensemble_spec, save_ensemble_spec
 from .errors import ConfigError, FormatError, PancsegError
 from .geometry import IMAGE_ORDERS, LABEL_ORDERS, ResamplePlan, resample_image, resample_labels
@@ -99,6 +99,8 @@ class RunConfig(EvalConfig):
         if self.norm not in NORMALIZATIONS:
             raise ConfigError(f"normalization must be one of {NORMALIZATIONS}, got {self.norm!r}")
         check_weights(self.metric_weights)
+        if self.seed is not None:
+            check_seed(self.seed)
 
 
 # The one table of shared options: every RunConfig field and the parser that its

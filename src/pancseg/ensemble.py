@@ -9,7 +9,10 @@ A spec holds its members in member_id order regardless of how they are
 listed, and fusion reduces them in that order, which makes both modes
 bit-exactly invariant under permutation of the member list.
 
-Every fusion goes through a ``MemberStore``, one per case.  A member
+Every fusion goes through a ``MemberStore``, one per case.  Members are
+added one at a time: ``combine`` and the subset evaluator read each member
+and add it before they read the next (``MemberStore.load``), so one
+member's volume is resident at a time besides the store.  A member
 enters it as one code per voxel (``Volume.consensus_codes``, computed once,
 when the member is added): a label map's code is its label; a probability
 vector's code is its hot class when it is exactly one-hot (one entry
@@ -20,9 +23,11 @@ and D, the voxels where the members added so far are not all settled; a
 member is held as its codes, and for probabilities its rows, on D only.
 Outside D every member's row is the one-hot vector of the consensus code,
 so when a new member grows D, the old members' codes and rows on the new
-voxels are rebuilt from the consensus exactly.  When D would cover more
-than half the grid (softmax exports are never exactly one-hot), codes and
-rows are held whole instead.
+voxels are rebuilt from the consensus exactly.  A new member's voxels off
+the consensus are found slab by slab, with no grid-sized temporary, and D
+ends the same whether members arrive one at a time or together.  When D
+would cover more than half the grid (softmax exports are never exactly
+one-hot), codes and rows are held whole instead.
 
 A subset fuses on D: voxels its members settle take their code; only the
 remaining *active* voxels are gathered (one member at a time for
@@ -59,6 +64,7 @@ import numpy as np
 from .errors import ConfigError, FormatError, GridMismatchError, ValidationError
 from .nifti import read_volume
 from .volume import (
+    SLAB_BYTES,
     Grid,
     Volume,
     check_probabilities,
@@ -333,34 +339,59 @@ class _Group:
         flips, axes, _ = self.frame
         return np.ascontiguousarray(codes[flips].transpose(axes)).reshape(-1)
 
-    def add(self, held: Sequence[_Held], volumes: Sequence[Volume]) -> None:
-        codes = [self._flat(v.consensus_codes) for v in volumes]
+    def add(self, held: _Held, volume: Volume) -> None:
+        """Hold one more member: first grow ``index`` by the voxels where its
+        codes leave the consensus, then keep its codes (and rows) on it."""
+        codes = self._flat(volume.consensus_codes)
         if self.index is not None:
-            if self.members:
-                unsettled = np.zeros(self.consensus.size, dtype=bool)
-                compared = codes
-            else:
-                self.consensus, compared = codes[0], codes[1:]
-                unsettled = codes[0] < 0
-            if held[0].kind == "labels":
-                dtype = _vote_dtype(h.dtype for h in self.members + list(held))
+            first = not self.members
+            if first:
+                self.consensus = codes
+            if held.kind == "labels":
+                dtype = _vote_dtype(h.dtype for h in self.members + [held])
                 self.consensus = self.consensus.astype(dtype, copy=False)
-            for c in compared:
-                unsettled |= c != self.consensus
-            unsettled[self.index] = True
-            size = np.count_nonzero(unsettled)
-            if 2 * size > unsettled.size:
-                self._grow(None)
-            elif size > self.index.size:
-                self._grow(np.flatnonzero(unsettled))
-        for h, v, c in zip(held, volumes, codes):
-            rows = v.data.reshape(-1, h.n_classes) if h.kind == "probabilities" else None
-            if self.index is None:
-                h.codes, h.rows = c, rows
+            index = self._unsettled(codes, first)
+            if index is None or index.size > self.index.size:
+                self._grow(index)
+        rows = volume.data.reshape(-1, held.n_classes) if held.kind == "probabilities" else None
+        if self.index is None:
+            held.codes, held.rows = codes, rows
+        else:
+            held.codes = codes[self.index]
+            held.rows = None if rows is None else np.take(rows, self.index, axis=0)
+        self.members.append(held)
+
+    def _unsettled(self, codes: np.ndarray, first: bool) -> Optional[np.ndarray]:
+        """``index`` plus the voxels where ``codes`` differ from the consensus
+        (for the first member: where they are < 0), sorted; None once that
+        passes half the grid.
+
+        The grid is scanned in slabs of ``SLAB_BYTES`` voxels through one
+        bool buffer.  Each slab's part of ``index`` is set in the buffer
+        before it is collected, so the slabs' indices come out sorted and
+        distinct; a slab is counted before it is collected, so no more than
+        half the grid is ever collected.
+        """
+        size = codes.size
+        buffer = np.empty(min(SLAB_BYTES, size), dtype=bool)
+        pieces, count, done = [], 0, 0
+        for lo in range(0, size, SLAB_BYTES):
+            hi = min(lo + SLAB_BYTES, size)
+            slab = buffer[: hi - lo]
+            if first:
+                np.less(codes[lo:hi], 0, out=slab)
             else:
-                h.codes = c[self.index]
-                h.rows = None if rows is None else np.take(rows, self.index, axis=0)
-        self.members.extend(held)
+                np.not_equal(codes[lo:hi], self.consensus[lo:hi], out=slab)
+            end = int(np.searchsorted(self.index, hi))
+            slab[self.index[done:end] - lo] = True
+            done = end
+            count += np.count_nonzero(slab)
+            if 2 * count > size:
+                return None
+            piece = np.flatnonzero(slab)
+            piece += lo
+            pieces.append(piece)
+        return np.concatenate(pieces) if pieces else self.index
 
     def _grow(self, index: Optional[np.ndarray]) -> None:
         """Move the members held so far onto ``index``, a superset of the old
@@ -442,6 +473,7 @@ class MemberStore:
     """
 
     def __init__(self, mode: str):
+        self.mode = mode
         self.kind = "probabilities" if mode == "prob_avg" else "labels"
         self._held: dict[str, _Held] = {}
         self._groups: dict[tuple, _Group] = {}
@@ -455,19 +487,22 @@ class MemberStore:
         return sum(a.nbytes for a in (h.codes, h.rows) if a is not None)
 
     def add(self, volumes: Mapping[str, Volume]) -> None:
-        """Hold new members, keyed by member_id; the volumes can then be
-        dropped.  Members added together grow the index once."""
-        batches: dict[tuple, tuple[list, list]] = {}
+        """Hold new members, keyed by member_id, one at a time in the
+        mapping's order; the volumes can then be dropped."""
         for member_id, v in volumes.items():
             n_classes = v.n_classes if v.kind == "probabilities" else None
-            dtype = v.data.dtype
-            h = self._held[member_id] = _Held(v.kind, v.grid, n_classes, dtype)
+            h = self._held[member_id] = _Held(v.kind, v.grid, n_classes, v.data.dtype)
             if v.kind == self.kind:
-                batch = batches.setdefault((v.dims, n_classes), ([], []))
-                batch[0].append(h)
-                batch[1].append(v)
-        for key, (held, vols) in batches.items():
-            self._groups.setdefault(key, _Group()).add(held, vols)
+                self._groups.setdefault((v.dims, n_classes), _Group()).add(h, v)
+
+    def load(self, members: Iterable[EnsembleMember], case_id: str, base_dir: str | Path) -> None:
+        """Read each of ``members`` not held yet for one case, in the order
+        given, and add it as soon as it is read, so one member's volume is
+        resident at a time.  A member that cannot be read raises after the
+        ones before it were added."""
+        for m in members:
+            if m.member_id not in self:
+                self.add({m.member_id: load_member_volume(m, self.mode, case_id, base_dir)})
 
     def fuse(self, member_ids: Sequence[str], weights: Optional[Sequence[float]]) -> Volume:
         """The fused label map of the members ``member_ids``, reduced in that
@@ -503,10 +538,12 @@ def combine_volumes(spec: EnsembleSpec, volumes: Mapping[str, Volume] | MemberSt
     ``MemberStore`` of ``spec.mode`` that holds them.
 
     Volumes become a store of their own, so their disagreement set is the
-    voxels where they do not all hold one code.  A caller fusing many
-    subsets of one pool keeps one store per case instead: each member's
-    ``consensus_codes`` are then computed once, when it is added, and the
-    member costs its codes and rows where the pool disagrees.
+    voxels where they do not all hold one code.  A store lets its caller
+    drop each member's volume once it is added (``MemberStore.load``), so
+    one member is resident at a time; a caller fusing many subsets of one
+    pool keeps one store per case, each member's ``consensus_codes`` are
+    then computed once, and the member costs its codes and rows where the
+    pool disagrees.
     """
     if not isinstance(volumes, MemberStore):
         store = MemberStore(spec.mode)
@@ -525,8 +562,14 @@ def load_member_volume(member: EnsembleMember, mode: str, case_id: str, base_dir
 
 
 def combine(spec: EnsembleSpec, case_id: str, base_dir: str | Path) -> Volume:
-    """Load every member's prediction for one case and combine them."""
-    volumes = {
-        m.member_id: load_member_volume(m, spec.mode, case_id, base_dir) for m in spec.members
-    }
-    return combine_volumes(spec, volumes)
+    """Fuse every member's prediction for one case.
+
+    Members are read in spec order, each added to one ``MemberStore`` as
+    soon as it is read and then dropped, so besides the store (a consensus
+    map plus each member where the members disagree) one member's volume is
+    resident at a time.  Read errors come in member order; the fusion
+    checks (kind, weights, grids, class counts) run on the store's metadata.
+    """
+    store = MemberStore(spec.mode)
+    store.load(spec.members, case_id, base_dir)
+    return combine_volumes(spec, store)

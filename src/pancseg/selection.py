@@ -29,7 +29,6 @@ from .ensemble import (
     MemberStore,
     check_ids,
     combine_volumes,
-    load_member_volume,
     read_member_file,
 )
 from .metrics import (
@@ -215,7 +214,9 @@ class SubsetEvaluator:
 
     Each case keeps one ``ensemble.MemberStore``.  A (member, case)
     prediction is read lazily, the first time a subset needs it, added to
-    its case's store, and dropped: the store holds the member's codes (and
+    its case's store and dropped before the next member is read, through
+    the loop ``combine`` uses (``MemberStore.load``), so one member's volume
+    is resident at a time.  The store holds the member's codes (and
     rows) only where the members loaded so far disagree, next to one
     consensus code map per case, so resident memory grows with that
     disagreement, not with members × cases × volume.  Every subset fuses
@@ -251,10 +252,7 @@ class SubsetEvaluator:
         """The case's member store, holding every member of ``member_ids``;
         each member is read once, in ``member_ids`` order."""
         store = self._stores.setdefault(case_id, MemberStore(self.pool.mode))
-        for mid in member_ids:
-            if mid not in store:
-                member = self._members_by_id[mid]
-                store.add({mid: load_member_volume(member, self.pool.mode, case_id, self.base_dir)})
+        store.load((self._members_by_id[mid] for mid in member_ids), case_id, self.base_dir)
         return store
 
     def member_digest(self, member_id: str) -> str:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pancseg.augment import (
     TRANSFORM_PARAMS,
     AugmentPreset,
     TransformSpec,
+    _generator,
     apply_pipeline,
     intensity_transform,
     load_preset,
@@ -387,3 +389,29 @@ def test_pipeline_label_safety_across_seeds(rng):
         p = preset("da5ord0", seed=seed)
         _, out = apply_pipeline(img, lab, p)
         assert set(np.unique(out.data)) <= input_set
+
+
+def test_every_64_bit_seed_keys_its_own_stream_without_warning():
+    # numpy turns a key list with an entry >= 2**63 into float64, which would
+    # give 2**63 and 2**63 + 1 one stream and cast -1 with a warning
+    seeds = (0, 2**62, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        streams = {_generator(seed, 0).random(4).tobytes() for seed in seeds}
+        spare = _generator(2**63, 1).random(4).tobytes()
+    assert len(streams) == len(seeds)
+    assert spare not in streams
+    # below 2**63 the key keeps the bits of the old list key
+    philox = np.random.Philox(key=[2**62 + 1, 3])
+    assert _generator(2**62 + 1, 3).random(4).tobytes() == np.random.Generator(philox).random(4).tobytes()
+
+
+def test_seeds_outside_64_bits_are_rejected(tmp_path):
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed must be in 0..2"):
+            preset("da5", seed=seed)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"preset": "da5", "seed": seed}))
+        with pytest.raises(FormatError, match="seed must be in 0..2"):
+            load_preset(path)
+    assert preset("da5", seed=2**64 - 1).seed == 2**64 - 1

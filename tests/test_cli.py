@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pancseg import ensemble
 from pancseg.cli import _CONFIG_PARSERS, RunConfig, build_parser, main, resolve_config
 from pancseg.ensemble import EnsembleMember, EnsembleSpec, combine_volumes, load_ensemble_spec, save_ensemble_spec
 from pancseg.nifti import read_volume, write_volume
@@ -284,6 +285,70 @@ def test_preset_range_below_its_floor_exits_one_for_every_seed(tmp_path, capsys,
     assert "blur.sigma_mm" in doc["error"]["message"]
 
 
+def _augment_argv(tmp_path, *flags):
+    img = tmp_path / "img.nii.gz"
+    lab = tmp_path / "lab.nii.gz"
+    write_volume(image_volume(np.random.default_rng(0), (6, 6, 6), SPACING), img)
+    _write_labels(lab, _ball(dims=(6, 6, 6), radius=1.8))
+    return [
+        "augment", "--image", str(img), "--labels", str(lab), *flags,
+        "--out-image", str(tmp_path / "o_img.nii.gz"),
+        "--out-labels", str(tmp_path / "o_lab.nii.gz"), "--json-errors",
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, seed",
+    [("flag", -1), ("flag", 2**64), ("env", -1), ("env", 2**64 + 5), ("config_file", -1)],
+)
+def test_seed_outside_64_bits_exits_one_with_one_json_error(
+    tmp_path, capsys, monkeypatch, source, seed
+):
+    if source == "flag":
+        argv = _augment_argv(tmp_path, "--preset", "da5", "--seed", str(seed))
+    elif source == "env":
+        monkeypatch.setenv("PANCSEG_SEED", str(seed))
+        argv = _augment_argv(tmp_path, "--preset", "da5")
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": seed}))
+        argv = _augment_argv(tmp_path, "--preset", "da5", "--config", str(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)  # one JSON object, nothing else
+    assert doc["error"]["type"] == "ConfigError"
+    assert doc["error"]["message"] == f"seed must be in 0..2**64 - 1, got {seed}"
+    assert not (tmp_path / "o_img.nii.gz").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_preset_file_seed_outside_64_bits_exits_two(tmp_path, capsys, seed):
+    preset_file = tmp_path / "preset.json"
+    preset_file.write_text(json.dumps({"preset": "da5", "seed": seed}))
+    code, out, err = _run(capsys, *_augment_argv(tmp_path, "--preset-file", str(preset_file)))
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "FormatError"
+    assert f"seed must be in 0..2**64 - 1, got {seed}" in doc["error"]["message"]
+
+
+def test_seeds_from_2_63_write_distinct_images_without_warning(tmp_path, capsys):
+    written = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (2**63, 2**63 + 1, 2**64 - 1):
+            argv = _augment_argv(tmp_path, "--preset", "da5", "--seed", str(seed))
+            code, out, _ = _run(capsys, *argv)
+            assert code == 0
+            assert json.loads(out)["provenance"]["config"]["seed"] == seed
+            written[seed] = (tmp_path / "o_img.nii.gz").read_bytes()
+    assert len(set(written.values())) == 3
+
+
 # ---------------------------------------------------------------- ensemble
 
 
@@ -346,6 +411,34 @@ def test_ensemble_missing_member_file_is_an_io_error(tmp_path, capsys, rng):
     )
     assert code == 2
     assert "member" in err
+
+
+def test_ensemble_unreadable_third_member_exits_two_after_reading_the_first_two(
+    tmp_path, capsys, rng, monkeypatch
+):
+    _, spec_path, _ = _ensemble_fixture(tmp_path, rng)
+    (tmp_path / "m2" / "c1.nii.gz").write_bytes(b"not a nifti file")
+    read = []
+    real = ensemble.read_volume
+
+    def recording(path, **kwargs):
+        read.append(path.parent.name)
+        return real(path, **kwargs)
+
+    monkeypatch.setattr(ensemble, "read_volume", recording)
+    code, out, err = _run(
+        capsys,
+        "ensemble", "--spec", str(spec_path), "--case-id", "c1",
+        "--output", str(tmp_path / "o.nii.gz"), "--json-errors",
+    )
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "FormatError"
+    assert doc["error"]["message"].startswith("member m2: ")
+    # members are read and added in spec order, one at a time
+    assert read == ["m0", "m1", "m2"]
+    assert not (tmp_path / "o.nii.gz").exists()
 
 
 def test_ensemble_case_id_requires_output(tmp_path, capsys, rng):

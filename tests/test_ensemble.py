@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pancseg import ensemble as ensemble_module
 from pancseg.ensemble import (
     EnsembleMember,
     EnsembleSpec,
@@ -24,6 +30,7 @@ from pancseg.volume import Volume
 
 from conftest import probability_volume
 from oracles import brute_argmax_labels, brute_majority
+from test_parity import WEIGHT_SETS, _outcome, _store_members, ref_combine_volumes
 
 
 def _prob(data):
@@ -441,3 +448,76 @@ def test_member_store_holds_the_disagreement_not_the_grid(mode):
     # 3 classes, or uint8 labels
     per_voxel = 1 + 12 if mode == "prob_avg" else 1
     assert held == [[12 * per_voxel] * 3] * 3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["prob_avg", "majority"]),
+    dims=st.tuples(st.integers(2, 6), st.integers(1, 5), st.integers(1, 4)),
+    n_members=st.integers(2, 4),
+    share=st.sampled_from([0.0, 0.05, 0.15, 0.35]),
+    soft=st.sampled_from([False, False, True]),
+    weights=st.sampled_from(WEIGHT_SETS),
+    other_dims=st.sampled_from([False, False, False, True]),
+    slab=st.sampled_from([1, 7, 32, ensemble_module.SLAB_BYTES]),
+)
+def test_streamed_store_fuses_like_batch_adds_and_full_volumes(
+    seed, mode, dims, n_members, share, soft, weights, other_dims, slab
+):
+    rng = np.random.default_rng(seed)
+    # majority: uint8, int32 and int64 maps in C, Fortran and flipped layouts;
+    # prob_avg: one-hot voxels mixed with soft ones, or (soft) none one-hot
+    volumes = _store_members(rng, mode, dims, n_members, share, soft and mode == "prob_avg")
+    if other_dims:
+        last = volumes[f"m{n_members - 1}"]
+        grown = np.concatenate([last.data, last.data[:1]], axis=0)
+        volumes[f"m{n_members - 1}"] = Volume(grown, last.spacing, kind=last.kind)
+    weights = (weights or (1.0,) * n_members)[:n_members]
+    members = [EnsembleMember(f"m{i}", "p", weight=w) for i, w in enumerate(weights)]
+    # slabs of a few voxels: the disagreement scan crosses slab edges, and a
+    # soft pool passes half the grid part way through it
+    with mock.patch.object(ensemble_module, "SLAB_BYTES", slab):
+        streamed = MemberStore(mode)
+        for m in members:
+            streamed.add({m.member_id: volumes[m.member_id]})
+        batch = MemberStore(mode)
+        batch.add({mid: volumes[mid] for mid in reversed(list(volumes))})
+        for k in range(1, n_members + 1):
+            for subset in itertools.combinations(members, k):
+                spec = EnsembleSpec(members=subset, mode=mode)
+                want = _outcome(lambda: ref_combine_volumes(spec, volumes))
+                assert _outcome(lambda: combine_volumes(spec, streamed)) == want
+                assert _outcome(lambda: combine_volumes(spec, batch)) == want
+
+
+def _write_disagreeing_members(tmp_path, n_members, dims):
+    """Label maps of one ball that each relabel their own 4×4×4 box."""
+    grid = np.indices(dims).astype(np.float64)
+    centre = [d / 2.0 for d in dims]
+    ball = sum((g - c) ** 2 for g, c in zip(grid, centre)) <= (dims[2] / 3.0) ** 2
+    members = []
+    for i in range(n_members):
+        labels = ball.astype(np.uint8) * 2
+        x = 4 * i + 2
+        labels[x : x + 4, 2:6, 2:6] = 1
+        write_volume(Volume(labels, (1.0, 1.0, 2.0), kind="labels"), tmp_path / f"m{i}.nii.gz")
+        members.append(EnsembleMember(f"m{i}", f"m{i}.nii.gz"))
+    return members, int(np.prod(dims))
+
+
+def test_combine_peak_does_not_grow_with_the_member_count(tmp_path):
+    members, member_bytes = _write_disagreeing_members(tmp_path, 9, (96, 96, 40))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (3, 9):
+            spec = EnsembleSpec(members=tuple(members[:n]), mode="majority")
+            tracemalloc.reset_peak()
+            fused = combine(spec, "c", tmp_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            del fused
+    finally:
+        tracemalloc.stop()
+    # holding every member's map until the fusion would add 6 maps at 9
+    assert abs(peaks[1] - peaks[0]) < member_bytes

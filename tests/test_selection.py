@@ -10,7 +10,7 @@ import pytest
 from pancseg.ensemble import EnsembleMember, EnsembleSpec
 from pancseg.errors import BudgetExceededError, ConfigError, FormatError, ValidationError
 from pancseg.metrics import BinaryMask, CohortReport, EvalConfig
-from pancseg import selection
+from pancseg import ensemble, selection
 from pancseg.nifti import write_volume
 from pancseg.selection import (
     CandidatePool,
@@ -496,7 +496,7 @@ def test_evaluator_holds_members_well_below_their_full_stacks(tmp_path, monkeypa
         rows = np.eye(3, dtype=np.float32)[shifted[int(member.member_id[1:])]]
         return Volume(rows, SPACING, kind="probabilities")
 
-    monkeypatch.setattr(selection, "load_member_volume", load)
+    monkeypatch.setattr(ensemble, "load_member_volume", load)
     pool = CandidatePool(
         members=tuple(EnsembleMember(f"m{i}", "unused") for i in range(5)),
         cases=(("c1", str(tmp_path / "ref.nii.gz")),),
