@@ -36,9 +36,9 @@ in member order, division by the weight sum, renormalization, probability
 validation and argmax; or the weighted vote), and are scattered into a copy
 of the consensus map.  When more than half of D is active, the gather would
 cost more than it saves, and all of D goes through that arithmetic in place
-instead.  D indexes the first member's memory frame (a label map read from
-a file stays in the file's order), and the fused map is laid out in that
-order too; every step is per voxel, so the order changes no label.
+instead.  D indexes the first member's ``memory_frame`` (a label map read
+from a file stays in the file's order), and the fused map is laid out in
+that order too; every step is per voxel, so the order changes no label.
 
 The split is exact for finite positive weights with a finite sum, which the
 weight checks enforce.  Active voxels run the same elementwise arithmetic as
@@ -70,6 +70,7 @@ from .volume import (
     check_probabilities,
     check_same_grid,
     label_argmax,
+    memory_frame,
     parse_float,
     parse_int,
     read_json_object,
@@ -312,37 +313,31 @@ class _Held:
 class _Group:
     """The members of one case that share dims and class count.
 
-    ``consensus`` holds, in the first member's memory frame (see
-    ``_flat``), one code per voxel; ``index`` holds the sorted flat voxels
-    where the members added so far are not all settled on one code.  Outside
-    ``index`` every member's code is the consensus code and its row is that
-    code's one-hot vector, so a member is held as its codes and rows on
-    ``index`` alone.  Once ``index`` would cover more than half the grid,
-    ``index`` is None and the codes and rows are held whole.
+    ``consensus`` holds, in the first member's ``memory_frame``, one code
+    per voxel; ``index`` holds the sorted flat voxels where the members added
+    so far are not all settled on one code.  Outside ``index`` every member's
+    code is the consensus code and its row is that code's one-hot vector, so
+    a member is held as its codes and rows on ``index`` alone.  Once
+    ``index`` would cover more than half the grid, ``index`` is None and the
+    codes and rows are held whole.
     """
 
     def __init__(self):
-        self.frame = None  # (flips, axes, shape in the frame)
+        self.frame = None  # (flips, axes) of the first member's codes
         self.consensus: Optional[np.ndarray] = None
         self.index: Optional[np.ndarray] = np.empty(0, dtype=np.intp)
         self.members: list[_Held] = []
 
-    def _flat(self, codes: np.ndarray) -> np.ndarray:
-        """``codes`` flattened in the group's frame: the first member's axes
-        ordered by stride with its flips undone, so maps that share a file's
-        memory order are used where they lie.  Codes not contiguous in that
-        frame are laid out once."""
-        if self.frame is None:
-            flips = tuple(slice(None, None, -1 if s < 0 else None) for s in codes.strides)
-            axes = tuple(sorted(range(3), key=lambda ax: -abs(codes.strides[ax])))
-            self.frame = flips, axes, tuple(codes.shape[ax] for ax in axes)
-        flips, axes, _ = self.frame
-        return np.ascontiguousarray(codes[flips].transpose(axes)).reshape(-1)
-
     def add(self, held: _Held, volume: Volume) -> None:
         """Hold one more member: first grow ``index`` by the voxels where its
-        codes leave the consensus, then keep its codes (and rows) on it."""
-        codes = self._flat(volume.consensus_codes)
+        codes leave the consensus, then keep its codes (and rows) on it.
+        Codes are flattened in the group's frame, so maps that share a
+        file's memory order are used where they lie; codes not contiguous in
+        that frame are laid out once."""
+        codes = volume.consensus_codes
+        self.frame = self.frame or memory_frame(codes)
+        flips, axes = self.frame
+        codes = np.ascontiguousarray(codes[flips].transpose(axes)).reshape(-1)
         if self.index is not None:
             first = not self.members
             if first:
@@ -434,8 +429,9 @@ class _Group:
             full = self.consensus.astype(dtype)
             full[self.index] = out
             out = full
-        flips, axes, shape = self.frame
-        return out.reshape(shape).transpose(np.argsort(axes))[flips]
+        flips, axes = self.frame
+        dims = held[0].grid.dims
+        return out.reshape([dims[ax] for ax in axes]).transpose(np.argsort(axes))[flips]
 
 
 def _probability_rows(held: Sequence[_Held], weights: Sequence[float], active):

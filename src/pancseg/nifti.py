@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, HeaderLimitError
-from .volume import DEFAULT_LABEL_SET, SLAB_BYTES, Volume, validate_label_set
+from .volume import DEFAULT_LABEL_SET, SLAB_BYTES, Volume, memory_frame, validate_label_set
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352  # header + 4-byte extension flag
@@ -261,12 +261,11 @@ def _layout_copy(view: np.ndarray, dtype: np.dtype) -> np.ndarray:
     strides (z planes 2^18 bytes apart in a 512x512 uint8 map) that map to
     the same cache sets, and each cache line is fetched again long after it
     was first used.  So the copy goes in slabs along the first axis that is
-    neither the view's fastest (smallest |stride|) nor its last: each slab
-    is copied in source order into a temporary of about SLAB_BYTES, then
-    cast and laid out from there, so the strided walk stays in cache.
+    neither the view's fastest (``memory_frame``'s last) nor its last: each
+    slab is copied in source order into a temporary of about SLAB_BYTES,
+    then cast and laid out from there, so the strided walk stays in cache.
     """
-    strides = [abs(s) for s in view.strides]
-    fast = strides.index(min(strides))
+    fast = memory_frame(view)[1][-1]
     axis = next(a for a in range(view.ndim - 1) if a != fast)
     width = max(1, SLAB_BYTES * view.shape[axis] // view.nbytes)
     out = np.empty(view.shape, dtype=dtype)
@@ -278,12 +277,12 @@ def _layout_copy(view: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
 
 def c_order(array: np.ndarray) -> np.ndarray:
-    """``array`` when its last axis is its fastest, so that a C-order walk
-    reads it row by row; else its ``_layout_copy`` in C order.  For the
-    consumers of a label map in its file's memory order that copy or
-    flatten it in C order."""
-    strides = [abs(s) for s in array.strides]
-    return array if strides[-1] == min(strides) else _layout_copy(array, array.dtype)
+    """``array`` when its last axis is its fastest (the last of its
+    ``memory_frame``), so that a C-order walk reads it row by row; else its
+    ``_layout_copy`` in C order.  For the consumers of a label map in its
+    file's memory order that copy or flatten it in C order."""
+    fast = memory_frame(array)[1][-1]
+    return array if fast == array.ndim - 1 else _layout_copy(array, array.dtype)
 
 
 def _read_header(raw: bytes) -> dict:

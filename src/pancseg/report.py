@@ -91,17 +91,27 @@ CSV_COLUMNS = ("case_id", *CASE_FIELDS, VOLUME_RMSE, "flags")
 AGGREGATE_ROW_ID = "__aggregate__"
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one RFC 4180 field: in double quotes, with each quote
+    doubled, when it holds a comma, a quote, CR or LF; else as it is."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def report_to_csv(report: CohortReport) -> str:
-    """One row per case plus an aggregate footer row.
+    """One row per case plus an aggregate footer row, LF-terminated.
 
     Per-case rows leave the cohort-level volume_rmse column empty; the footer
     fills the metric columns with cohort means, leaves the volume columns
-    empty and fills flags with the flagged case count.
+    empty and fills flags with the flagged case count.  A case id is quoted
+    by ``_csv_field``, so any id reads back through a CSV reader.
     """
     lines = [",".join(CSV_COLUMNS)]
     for c in report.cases:
         values = [format_sig(getattr(c, name)) for name in CASE_FIELDS]
-        lines.append(",".join([c.case_id, *values, "", ";".join(sorted(c.flags))]))
+        flags = ";".join(sorted(c.flags))
+        lines.append(",".join([_csv_field(c.case_id), *values, "", flags]))
     means = [format_sig(getattr(report, mean_field(name))) for name, _ in CASE_METRICS]
     volumes = [""] * len(CASE_VOLUMES)
     footer = [AGGREGATE_ROW_ID, *means, *volumes, format_sig(report.volume_rmse)]

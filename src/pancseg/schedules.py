@@ -16,6 +16,10 @@ FAMILIES = ("poly", "poly_warmup", "cosine_warmup")
 
 DEFAULT_EXPONENT = 0.9
 
+# Longest schedule, 100x nnU-Net's 1000-epoch default; a curve holds one
+# (epoch, lr) pair per epoch and is built whole before it is printed.
+MAX_EPOCHS = 100_000
+
 
 @dataclass(frozen=True)
 class ScheduleSpec:
@@ -30,8 +34,8 @@ class ScheduleSpec:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if not 0 < self.lr0 < math.inf:
             raise ConfigError(f"lr0 must be positive and finite, got {self.lr0}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if not 1 <= self.max_epochs <= MAX_EPOCHS:
+            raise ConfigError(f"max_epochs must be in 1..{MAX_EPOCHS}, got {self.max_epochs}")
         if not 0 < self.exponent < math.inf:
             raise ConfigError(f"exponent must be positive and finite, got {self.exponent}")
         if not 0 <= self.warmup_epochs < self.max_epochs:

@@ -38,9 +38,19 @@ GRID_RTOL = 1e-5
 LABEL_SCAN_MAX_SPAN = 32
 
 # Bytes per block of a blockwise pass (``nifti._layout_copy``'s staged slabs,
-# ``unique_labels``' presence tests, ``BinaryMask.from_labels``' slabs): small
-# enough to stay in cache.
+# ``unique_labels``' presence tests, ``BinaryMask.from_labels``' slabs), and
+# voxels per slab of ``ensemble._Group._unsettled``: small enough to stay in
+# cache.
 SLAB_BYTES = 1 << 20
+
+
+def memory_frame(array: np.ndarray) -> tuple[tuple[slice, ...], tuple[int, ...]]:
+    """``(flips, axes)`` such that ``array[flips].transpose(axes)`` walks
+    ``array`` in memory order: ``flips`` undo negative strides, and ``axes``
+    run from the largest |stride| to the smallest, ties in axis order."""
+    flips = tuple(slice(None, None, -1 if s < 0 else None) for s in array.strides)
+    axes = tuple(sorted(range(array.ndim), key=lambda ax: -abs(array.strides[ax])))
+    return flips, axes
 
 
 def unique_labels(data: np.ndarray) -> np.ndarray:
@@ -56,10 +66,9 @@ def unique_labels(data: np.ndarray) -> np.ndarray:
     lo, hi = int(data.min()), int(data.max())
     if hi - lo > LABEL_SCAN_MAX_SPAN:
         return np.unique(data)
-    # presence ignores order: undo flips so a reoriented file view flattens
-    # without a copy
-    flat = data[tuple(slice(None, None, -1 if s < 0 else 1) for s in data.strides)]
-    flat = flat.ravel(order="K")
+    # presence ignores order: undo flips (see ``memory_frame``) so a
+    # reoriented file view flattens without a copy
+    flat = data[memory_frame(data)[0]].ravel(order="K")
     step = max(1, SLAB_BYTES // flat.itemsize)
     missing = set(range(lo + 1, hi))
     for start in range(0, flat.size, step):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import gzip
 import hashlib
+import io
 import json
 import struct
 import tracemalloc
@@ -15,6 +17,7 @@ from pancseg import ensemble
 from pancseg.cli import _CONFIG_PARSERS, RunConfig, build_parser, main, resolve_config
 from pancseg.ensemble import EnsembleMember, EnsembleSpec, combine_volumes, load_ensemble_spec, save_ensemble_spec
 from pancseg.nifti import read_volume, write_volume
+from pancseg.schedules import MAX_EPOCHS
 from pancseg.volume import Volume
 
 from conftest import damaged_gzip, image_volume, probability_volume, raw_nifti
@@ -702,6 +705,22 @@ def test_eval_cohort_csv_and_jobs(tmp_path, capsys):
     assert threaded == serial  # worker count must not leak into the document
 
 
+def test_eval_cohort_csv_quotes_case_ids_that_need_it(tmp_path, capsys):
+    ref, pred = tmp_path / "ref.nii.gz", tmp_path / "pred.nii.gz"
+    _write_labels(ref, _ball())
+    _write_labels(pred, _ball(shift=(1, 0, 0)))
+    manifest = tmp_path / "cohort.csv"
+    rows = ["case_id,reference,prediction"]
+    rows += [f"{case_id},{ref},{pred}" for case_id in ('"a,b"', '"x""y"', "plain")]
+    manifest.write_text("\n".join(rows) + "\n")
+    code, out, _ = _run(capsys, "eval-cohort", "--manifest", str(manifest), "--csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [9] * 5
+    assert [row[0] for row in rows[1:-1]] == ["a,b", 'x"y', "plain"]
+    assert out.splitlines()[3].startswith("plain,")  # an id that needs no quotes keeps none
+
+
 def test_eval_cohort_missing_manifest_is_an_io_error(tmp_path, capsys):
     code, _, err = _run(capsys, "eval-cohort", "--manifest", str(tmp_path / "nope.csv"))
     assert code == 2
@@ -992,6 +1011,17 @@ def test_lr_curve_rejects_an_infinite_rate_or_exponent(capsys, flag):
     doc = json.loads(err)
     assert doc["error"]["type"] == "ConfigError"
     assert flag[2:] in doc["error"]["message"]
+
+
+def test_lr_curve_rejects_more_than_max_epochs(capsys):
+    code, out, err = _run(
+        capsys, "lr-curve", "--family", "poly", "--lr0", "0.01",
+        "--max-epochs", str(MAX_EPOCHS + 1), "--json-errors",
+    )
+    assert (code, out) == (1, "")
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ConfigError"
+    assert f"max_epochs must be in 1..{MAX_EPOCHS}" in doc["error"]["message"]
 
 
 def test_lr_curve_rejects_bad_family(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import fields
 
@@ -142,6 +144,19 @@ def test_csv_layout():
     assert footer[7] != ""
     assert footer[8] == "flagged=1"
     assert text.endswith("\n")
+
+
+def test_csv_rows_read_back_with_any_case_id():
+    ids = ["a,b", 'x"y', "cr\rid", "lf\nid", "crlf\r\nid", '"', ",", "plain", " spaced "]
+    cases = [CaseMetrics(i, 1.0, 1.0, 0.0, 0.0, 10.0, 10.0) for i in ids]
+    text = report_to_csv(aggregate_cohort(cases, EvalConfig()))
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert [len(row) for row in rows] == [len(CSV_COLUMNS)] * (len(ids) + 2)
+    assert [row[0] for row in rows[1:-1]] == ids
+    assert rows[-1][0] == AGGREGATE_ROW_ID
+    # RFC 4180: a field is quoted only when it must be, and its quotes doubled
+    assert text.splitlines()[1].startswith('"a,b",')
+    assert '\n"x""y",' in text and "\nplain," in text and "\n spaced ," in text
 
 
 def test_metric_table_names_the_dataclass_fields_in_order():

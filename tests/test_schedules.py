@@ -5,7 +5,7 @@ import math
 import pytest
 
 from pancseg.errors import ConfigError, ValidationError
-from pancseg.schedules import ScheduleSpec, lr_at, schedule_curve
+from pancseg.schedules import MAX_EPOCHS, ScheduleSpec, lr_at, schedule_curve
 
 
 def test_poly_endpoints_and_midpoint():
@@ -98,6 +98,16 @@ def test_spec_validation():
         ScheduleSpec("poly_warmup", lr0=0.01, max_epochs=10, warmup_epochs=10)
     with pytest.raises(ConfigError):
         ScheduleSpec("poly_warmup", lr0=0.01, max_epochs=10, warmup_epochs=-1)
+
+
+def test_max_epochs_is_bounded():
+    assert MAX_EPOCHS == 100 * 1000  # 100x nnU-Net's default schedule length
+    spec = ScheduleSpec("cosine_warmup", lr0=0.01, max_epochs=MAX_EPOCHS, warmup_epochs=10)
+    assert lr_at(spec, MAX_EPOCHS) == pytest.approx(0.0, abs=1e-18)
+    with pytest.raises(ConfigError, match=f"max_epochs must be in 1..{MAX_EPOCHS}, got"):
+        ScheduleSpec("poly", lr0=0.01, max_epochs=MAX_EPOCHS + 1)
+    with pytest.raises(ConfigError, match="max_epochs"):
+        ScheduleSpec("poly", lr0=0.01, max_epochs=10**8)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gzip
+import itertools
 import json
 import struct
 import tracemalloc
@@ -29,6 +30,7 @@ from pancseg.volume import (
     Grid,
     ManifestRow,
     Volume,
+    memory_frame,
     read_manifest,
     same_grid,
     unique_labels,
@@ -171,6 +173,43 @@ def _same_as_np_unique(data):
     assert got.dtype == expected.dtype
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
+
+
+def _permuted_and_flipped_views():
+    """Every permutation and flip of C and Fortran int16 arrays of 1 to 4
+    dims, with and without length-1 axes."""
+    for ndim in range(1, 5):
+        for ones in itertools.product((False, True), repeat=ndim):
+            shape = tuple(1 if one else n for one, n in zip(ones, (2, 3, 4, 5)))
+            for order in "CF":
+                base = np.arange(np.prod(shape), dtype=np.int16).reshape(shape, order=order)
+                for perm in itertools.permutations(range(ndim)):
+                    for flipped in itertools.product((False, True), repeat=ndim):
+                        index = tuple(slice(None, None, -1 if f else None) for f in flipped)
+                        yield base.transpose(perm)[index]
+
+
+def test_memory_frame_walks_any_permuted_flipped_view_in_memory_order():
+    count = 0
+    for view in _permuted_and_flipped_views():
+        flips, axes = memory_frame(view)
+        assert sorted(axes) == list(range(view.ndim))
+        key = [(-abs(view.strides[a]), a) for a in axes]
+        assert key == sorted(key)  # slowest first, ties in axis order
+        # the slowest axis is the first largest |stride|; the last axis is the
+        # fastest exactly when its |stride| is the smallest
+        steps = np.abs(view.strides)
+        assert axes[0] == np.argmax(steps)
+        assert (axes[-1] == view.ndim - 1) == (steps[-1] == steps.min())
+        frame = view[flips].transpose(axes)
+        assert frame.flags.c_contiguous
+        assert np.shares_memory(frame, view)
+        assert all(s >= 0 for s in frame.strides)
+        back = frame.transpose(np.argsort(axes))[flips]
+        assert back.strides == view.strides
+        assert np.array_equal(back, view)
+        count += 1
+    assert count == 13128
 
 
 def test_unique_labels_scans_every_block(monkeypatch):
