@@ -12,43 +12,42 @@ bit-exactly invariant under permutation of the member list.
 Every fusion goes through a ``MemberStore``, one per case.  Members are
 added one at a time: ``combine`` and the subset evaluator read each member
 and add it before they read the next (``MemberStore.load``), so one
-member's volume is resident at a time besides the store.  A member
-enters it as one code per voxel (``Volume.consensus_codes``, computed once,
-when the member is added): a label map's code is its label; a probability
-vector's code is its hot class when it is exactly one-hot (one entry
-``== 1.0``, all others ``== 0.0``) and -1 otherwise.  A voxel is
-*settled* for a set of members when they all have the same code and it is
->= 0; its fused label is that code.  The store keeps a consensus code map
-and D, the voxels where the members added so far are not all settled; a
-member is held as its codes, and for probabilities its rows, on D only.
-Outside D every member's row is the one-hot vector of the consensus code,
-so when a new member grows D, the old members' codes and rows on the new
-voxels are rebuilt from the consensus exactly.  A new member's voxels off
-the consensus are found slab by slab, with no grid-sized temporary, and D
-ends the same whether members arrive one at a time or together.  When D
-would cover more than half the grid (softmax exports are never exactly
-one-hot), codes and rows are held whole instead.
+member's volume is resident at a time besides the store.  A member's
+volume is read as one code per voxel (``_consensus_codes``) when it is
+added: a label map's code is its label; a probability vector's code is its
+hot class when it is exactly one-hot (one entry ``== 1.0``, all others
+``== 0.0``) and -1 otherwise.  The store keeps a consensus code map and D,
+the voxels where the members added so far do not all hold the same code
+>= 0.  A member is held as one array on D: a label map's labels, or a
+probability stack's rows.  Outside D every member's label is the consensus
+code and its row is that code's one-hot vector, so when a new member grows
+D, the old members' labels and rows on the new voxels are rebuilt from the
+consensus exactly.  A new member's voxels off the consensus are found slab
+by slab, with no grid-sized temporary, and D ends the same whether members
+arrive one at a time or together.  When D would cover more than half the
+grid (softmax exports are never exactly one-hot), labels and rows are held
+whole instead.
 
-A subset fuses on D: voxels its members settle take their code; only the
-remaining *active* voxels are gathered (one member at a time for
-probabilities), go through the per-voxel arithmetic (float64 accumulation
-in member order, division by the weight sum, renormalization, probability
-validation and argmax; or the weighted vote), and are scattered into a copy
-of the consensus map.  When more than half of D is active, the gather would
-cost more than it saves, and all of D goes through that arithmetic in place
-instead.  D indexes the first member's ``memory_frame`` (a label map read
-from a file stays in the file's order), and the fused map is laid out in
-that order too; every step is per voxel, so the order changes no label.
+A subset fuses every voxel of D: the members' rows on D are averaged
+(float64 accumulation in member order, division by the weight sum,
+renormalization), validated and argmaxed, or their labels are voted on;
+the result is scattered into a copy of the consensus map, which is every
+subset's fused label outside D.  D indexes the first member's
+``memory_frame`` (a label map read from a file stays in the file's order),
+and the fused map is laid out in that order too; every step is per voxel,
+so the order changes no label.
 
-The split is exact for finite positive weights with a finite sum, which the
-weight checks enforce.  Active voxels run the same elementwise arithmetic as
-a full-volume pass.  A settled probability voxel averages to ``(x, 0, ...)``
-with ``x > 0``, which renormalizes to exactly one-hot (``x/x == 1``,
-``0/x == 0``), so it passes validation and its argmax is the hot class; a
-settled vote has one candidate.  Validating only the active rows therefore
-passes and fails exactly when the full stack does, with the same worst
-deviation.  The checks that come before it (kind, weights, grids and class
-counts) read each member's metadata, so they raise as on whole volumes.
+This is exact for finite positive weights with a finite sum, which the
+weight checks enforce: D runs the same elementwise arithmetic as a
+full-volume pass.  Outside D, and on the voxels of D where a subset's
+members all hold one code >= 0, the average is ``(x, 0, ...)`` with
+``x > 0``, which renormalizes to exactly one-hot (``x/x == 1``,
+``0/x == 0``), so it passes validation with deviation 0 and its argmax is
+the hot class; a vote there has one candidate.  Validating the rows on D
+therefore passes and fails exactly when the full stack does, with the same
+worst deviation.  The checks that come before it (kind, weights, grids and
+class counts) read each member's metadata, so they raise as on whole
+volumes.
 """
 from __future__ import annotations
 
@@ -297,29 +296,49 @@ def _vote_dtype(dtypes: Iterable[np.dtype]) -> np.dtype:
     return np.dtype(np.uint64) if dtype.kind == "f" else dtype
 
 
+def _consensus_codes(volume: Volume) -> np.ndarray:
+    """One code per voxel: the label of a label map; for a probability stack
+    the hot class where the vector is exactly one-hot, else -1 (int8 up to
+    127 classes)."""
+    if volume.kind == "labels":
+        return volume.data
+    n_classes = volume.n_classes
+    flat = volume.data.reshape(-1, n_classes)
+    dtype = np.int8 if n_classes <= 127 else np.int32
+    codes = np.full(len(flat), -1, dtype=dtype)
+    nonzero = np.zeros(len(flat), dtype=dtype)
+    # class columns one at a time: reductions along a short axis are slow
+    for c in range(n_classes):
+        column = flat[:, c]
+        nonzero += column != 0
+        codes[column == 1.0] = c
+    codes[nonzero != 1] = -1
+    return codes.reshape(volume.dims)
+
+
 @dataclass(eq=False)
 class _Held:
-    """One member of a ``MemberStore``: what the checks read, and its codes
-    (and, for a probability stack, its rows) on its group's index."""
+    """One member of a ``MemberStore``: what the checks read, and one array
+    on its group's index: a label map's labels, or a probability stack's
+    rows."""
 
     kind: str
     grid: Grid
     n_classes: Optional[int]
     dtype: np.dtype
-    codes: Optional[np.ndarray] = None
-    rows: Optional[np.ndarray] = None
+    data: Optional[np.ndarray] = None
 
 
 class _Group:
     """The members of one case that share dims and class count.
 
     ``consensus`` holds, in the first member's ``memory_frame``, one code
-    per voxel; ``index`` holds the sorted flat voxels where the members added
-    so far are not all settled on one code.  Outside ``index`` every member's
-    code is the consensus code and its row is that code's one-hot vector, so
-    a member is held as its codes and rows on ``index`` alone.  Once
-    ``index`` would cover more than half the grid, ``index`` is None and the
-    codes and rows are held whole.
+    per voxel; ``index`` holds D, the sorted flat voxels where the members
+    added so far do not all hold the same code >= 0.  Outside ``index``
+    every member's label is the consensus code and its row is that code's
+    one-hot vector, so a member is held as its labels or rows on ``index``
+    alone.  Once ``index`` would cover more than half the grid, ``index`` is
+    None and labels and rows are held whole.
     """
 
     def __init__(self):
@@ -330,11 +349,11 @@ class _Group:
 
     def add(self, held: _Held, volume: Volume) -> None:
         """Hold one more member: first grow ``index`` by the voxels where its
-        codes leave the consensus, then keep its codes (and rows) on it.
+        codes leave the consensus, then keep its labels (or rows) on it.
         Codes are flattened in the group's frame, so maps that share a
         file's memory order are used where they lie; codes not contiguous in
         that frame are laid out once."""
-        codes = volume.consensus_codes
+        codes = _consensus_codes(volume)
         self.frame = self.frame or memory_frame(codes)
         flips, axes = self.frame
         codes = np.ascontiguousarray(codes[flips].transpose(axes)).reshape(-1)
@@ -345,18 +364,15 @@ class _Group:
             if held.kind == "labels":
                 dtype = _vote_dtype(h.dtype for h in self.members + [held])
                 self.consensus = self.consensus.astype(dtype, copy=False)
-            index = self._unsettled(codes, first)
+            index = self._disagreement(codes, first)
             if index is None or index.size > self.index.size:
                 self._grow(index)
-        rows = volume.data.reshape(-1, held.n_classes) if held.kind == "probabilities" else None
-        if self.index is None:
-            held.codes, held.rows = codes, rows
-        else:
-            held.codes = codes[self.index]
-            held.rows = None if rows is None else np.take(rows, self.index, axis=0)
+        # a label map's codes are its labels
+        data = codes if held.kind == "labels" else volume.data.reshape(-1, held.n_classes)
+        held.data = data if self.index is None else np.take(data, self.index, axis=0)
         self.members.append(held)
 
-    def _unsettled(self, codes: np.ndarray, first: bool) -> Optional[np.ndarray]:
+    def _disagreement(self, codes: np.ndarray, first: bool) -> Optional[np.ndarray]:
         """``index`` plus the voxels where ``codes`` differ from the consensus
         (for the first member: where they are < 0), sorted; None once that
         passes half the grid.
@@ -395,55 +411,40 @@ class _Group:
         at = self.index if index is None else np.searchsorted(index, self.index)
         consensus = self.consensus if index is None else self.consensus[index]
         for h in self.members:
-            codes = consensus.astype(h.codes.dtype)
-            codes[at] = h.codes
-            h.codes = codes
-            if h.rows is not None:
+            if h.kind == "labels":
+                data = consensus.astype(h.dtype)
+            else:
                 # a voxel of the old index may hold code -1; its row is overwritten
-                rows = np.eye(h.n_classes, dtype=h.rows.dtype)[consensus]
-                rows[at] = h.rows
-                h.rows = rows
+                data = np.eye(h.n_classes, dtype=h.dtype)[consensus]
+            data[at] = h.data
+            h.data = data
         self.index = index
         if index is None:
             self.consensus = None
 
     def fuse(self, held: Sequence[_Held], weights, fuse_rows, dtype) -> np.ndarray:
-        """The fused label map of ``held`` in their axes, of ``dtype``.
-
-        Voxels where every member of ``held`` has the same code >= 0 take it;
-        ``fuse_rows(held, weights, active)`` fuses the rest from the members'
-        codes and rows at the positions ``active`` (None: every position).
-        """
-        codes = [h.codes for h in held]
-        settled = codes[0] >= 0
-        for c in codes[1:]:
-            settled &= c == codes[0]
-        # only active positions can hold a code of -1, and they are overwritten
-        out = codes[0].astype(dtype)
-        active = np.flatnonzero(~settled)
-        if 2 * active.size > out.size:
-            out[:] = fuse_rows(held, weights, None)
-        elif active.size:
-            out[active] = fuse_rows(held, weights, active)
-        if self.index is not None:
-            full = self.consensus.astype(dtype)
-            full[self.index] = out
-            out = full
+        """The fused label map of ``held`` in their axes, of ``dtype``: the
+        consensus code outside ``index``, ``fuse_rows(held, weights)`` on
+        it."""
+        if self.index is None:
+            out = fuse_rows(held, weights).astype(dtype, copy=False)
+        else:
+            out = self.consensus.astype(dtype)
+            if self.index.size:  # the argmaxes and checks reject empty input
+                out[self.index] = fuse_rows(held, weights)
         flips, axes = self.frame
         dims = held[0].grid.dims
         return out.reshape([dims[ax] for ax in axes]).transpose(np.argsort(axes))[flips]
 
 
-def _probability_rows(held: Sequence[_Held], weights: Sequence[float], active):
-    rows = (h.rows if active is None else np.take(h.rows, active, axis=0) for h in held)
-    acc = _average_rows(rows, weights)
+def _probability_rows(held: Sequence[_Held], weights: Sequence[float]):
+    acc = _average_rows((h.data for h in held), weights)
     check_probabilities(acc)
     return np.argmax(acc, axis=-1)
 
 
-def _vote_rows(held: Sequence[_Held], weights: Sequence[float], active):
-    # a label map's codes are its labels
-    rows = [h.codes if active is None else np.take(h.codes, active) for h in held]
+def _vote_rows(held: Sequence[_Held], weights: Sequence[float]):
+    rows = [h.data for h in held]
 
     def votes(value):
         acc = weights[0] * (rows[0] == value)
@@ -459,10 +460,10 @@ class MemberStore:
     """One case's ensemble members, held where they disagree.
 
     Members that share dims and class count form a group (see ``_Group``):
-    a consensus code map plus each member's codes and rows on the voxels
-    where the members added so far are not all settled on one code.  The
-    rest of a member is rebuilt exactly from the consensus when needed, so a
-    member costs its share of the disagreement, not a full stack.  Each
+    a consensus code map plus each member's labels or rows on D, the voxels
+    where the members added so far do not all hold one code.  The rest of a
+    member is rebuilt exactly from the consensus when D grows, so a member
+    costs its share of the disagreement, not a full stack.  Each
     member's kind, grid, class count and dtype stay for the per-subset
     checks; a member of the wrong kind for ``mode`` joins no group, as every
     fusion that names it fails the kind check.
@@ -478,9 +479,10 @@ class MemberStore:
         return member_id in self._held
 
     def member_nbytes(self, member_id: str) -> int:
-        """The bytes held for one member: its codes and rows."""
-        h = self._held[member_id]
-        return sum(a.nbytes for a in (h.codes, h.rows) if a is not None)
+        """The bytes held for one member: its labels or rows (none for a
+        member of the wrong kind)."""
+        data = self._held[member_id].data
+        return 0 if data is None else data.nbytes
 
     def add(self, volumes: Mapping[str, Volume]) -> None:
         """Hold new members, keyed by member_id, one at a time in the
@@ -537,9 +539,9 @@ def combine_volumes(spec: EnsembleSpec, volumes: Mapping[str, Volume] | MemberSt
     voxels where they do not all hold one code.  A store lets its caller
     drop each member's volume once it is added (``MemberStore.load``), so
     one member is resident at a time; a caller fusing many subsets of one
-    pool keeps one store per case, each member's ``consensus_codes`` are
-    then computed once, and the member costs its codes and rows where the
-    pool disagrees.
+    pool keeps one store per case, each member's consensus codes are then
+    computed once, and the member costs its labels or rows where the pool
+    disagrees.
     """
     if not isinstance(volumes, MemberStore):
         store = MemberStore(spec.mode)

@@ -39,7 +39,7 @@ from scipy import ndimage
 
 from .errors import ConfigError, EmptySurfaceError, ValidationError
 from .surfels import border_map, neighbour_codes, surfel_area_table
-from .volume import DEFAULT_LABEL_SET, SLAB_BYTES, Grid, Volume, check_same_grid, memory_frame
+from .volume import DEFAULT_LABEL_SET, SLAB_BYTES, Grid, Volume, check_same_grid, memory_frame, slab_axis
 
 EMPTY_POLICIES = ("penalize", "exclude")
 VOLUME_UNITS = ("mm3", "ml")
@@ -101,8 +101,9 @@ def _slices(lo, hi) -> tuple[slice, ...]:
 def _bbox(bits: np.ndarray):
     """The box ``(lo, hi)``, ``hi`` exclusive, of the true voxels of a 3D
     bool array, or None when there are none.  One pass ORs the planes across
-    its ``memory_frame``'s slowest axis; that axis is then read in the box."""
-    axis = memory_frame(bits)[1][0]
+    its ``memory_frame``'s slowest axis longer than 1 (``slab_axis``); that
+    axis is then read in the box."""
+    axis = slab_axis(bits, memory_frame(bits)[1])
     others = tuple(a for a in range(3) if a != axis)
     plane = bits.any(axis=axis)
     lo, hi = np.zeros(3, dtype=np.intp), np.array(bits.shape)
@@ -159,16 +160,17 @@ class BinaryMask:
         """The ``label_id`` voxels of a label map, on the map's grid.
 
         One pass compares the map with ``label_id`` in slabs of about
-        ``SLAB_BYTES`` along its ``memory_frame``'s slowest axis, each a
-        contiguous block of a map in its file's memory order, and keeps only
-        each slab's own box, in C order; the boxes then fill the crop.  One
-        more pass over the union of the slab boxes would need no pieces, but
-        it reads the box's voxels a second time and is slower.
+        ``SLAB_BYTES`` along its ``memory_frame``'s slowest axis longer than 1
+        (``slab_axis``), each a contiguous block of a map in its file's memory
+        order, and keeps only each slab's own box, in C order; the boxes then
+        fill the crop.  One more pass over the union of the slab boxes would
+        need no pieces, but it reads the box's voxels a second time and is
+        slower.
         """
         if volume.kind != "labels":
             raise ValidationError(f"expected a label volume, got {volume.kind}")
         data = volume.data
-        axis = memory_frame(data)[1][0]
+        axis = slab_axis(data, memory_frame(data)[1])
         width = max(1, SLAB_BYTES * data.shape[axis] // data.nbytes)
         index = [slice(None)] * 3
         index[axis] = slice(0, width)

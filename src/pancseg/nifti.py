@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, HeaderLimitError
-from .volume import DEFAULT_LABEL_SET, SLAB_BYTES, Volume, memory_frame, validate_label_set
+from .volume import DEFAULT_LABEL_SET, SLAB_BYTES, Volume, memory_frame, slab_axis, validate_label_set
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352  # header + 4-byte extension flag
@@ -260,13 +260,14 @@ def _layout_copy(view: np.ndarray, dtype: np.dtype) -> np.ndarray:
     output in C order.  For either view that walk reads the source at large
     strides (z planes 2^18 bytes apart in a 512x512 uint8 map) that map to
     the same cache sets, and each cache line is fetched again long after it
-    was first used.  So the copy goes in slabs along the first axis that is
-    neither the view's fastest (``memory_frame``'s last) nor its last: each
-    slab is copied in source order into a temporary of about SLAB_BYTES,
-    then cast and laid out from there, so the strided walk stays in cache.
+    was first used.  So the copy goes in slabs along an axis other than the
+    view's last, the first that is not the view's fastest (``memory_frame``'s
+    last) if it can (``slab_axis`` passes over length-1 axes): each slab is
+    copied in source order into a temporary of about SLAB_BYTES, then cast
+    and laid out from there, so the strided walk stays in cache.
     """
     fast = memory_frame(view)[1][-1]
-    axis = next(a for a in range(view.ndim - 1) if a != fast)
+    axis = slab_axis(view, sorted(range(view.ndim - 1), key=lambda ax: ax == fast))
     width = max(1, SLAB_BYTES * view.shape[axis] // view.nbytes)
     out = np.empty(view.shape, dtype=dtype)
     index = [slice(None)] * view.ndim

@@ -216,7 +216,7 @@ class SubsetEvaluator:
     prediction is read lazily, the first time a subset needs it, added to
     its case's store and dropped before the next member is read, through
     the loop ``combine`` uses (``MemberStore.load``), so one member's volume
-    is resident at a time.  The store holds the member's codes (and
+    is resident at a time.  The store holds the member's labels (or
     rows) only where the members loaded so far disagree, next to one
     consensus code map per case, so resident memory grows with that
     disagreement, not with members × cases × volume.  Every subset fuses

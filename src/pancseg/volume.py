@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -39,7 +38,7 @@ LABEL_SCAN_MAX_SPAN = 32
 
 # Bytes per block of a blockwise pass (``nifti._layout_copy``'s staged slabs,
 # ``unique_labels``' presence tests, ``BinaryMask.from_labels``' slabs), and
-# voxels per slab of ``ensemble._Group._unsettled``: small enough to stay in
+# voxels per slab of ``ensemble._Group._disagreement``: small enough to stay in
 # cache.
 SLAB_BYTES = 1 << 20
 
@@ -51,6 +50,12 @@ def memory_frame(array: np.ndarray) -> tuple[tuple[slice, ...], tuple[int, ...]]
     flips = tuple(slice(None, None, -1 if s < 0 else None) for s in array.strides)
     axes = tuple(sorted(range(array.ndim), key=lambda ax: -abs(array.strides[ax])))
     return flips, axes
+
+
+def slab_axis(array: np.ndarray, axes) -> int:
+    """The first of ``axes`` along which ``array`` is longer than 1, else the
+    first: slabs along a length-1 axis are one slab of the whole array."""
+    return next((ax for ax in axes if array.shape[ax] > 1), axes[0])
 
 
 def unique_labels(data: np.ndarray) -> np.ndarray:
@@ -223,29 +228,6 @@ class Volume:
     def with_data(self, data: np.ndarray, kind: str | None = None) -> "Volume":
         """New voxel data on this grid, of this kind unless ``kind`` is given."""
         return Volume(data=data, spacing=self.spacing, origin=self.origin, kind=kind or self.kind)
-
-    @cached_property
-    def consensus_codes(self) -> np.ndarray:
-        """One code per voxel, computed once: the label of a label map; for a
-        probability stack the hot class where the vector is exactly one-hot,
-        else -1 (int8 up to 127 classes, read-only)."""
-        if self.kind == "labels":
-            return self.data
-        if self.kind != "probabilities":
-            raise ValidationError(f"consensus codes need labels or probabilities, got {self.kind}")
-        n_classes = self.n_classes
-        flat = self.data.reshape(-1, n_classes)
-        dtype = np.int8 if n_classes <= 127 else np.int32
-        codes = np.full(len(flat), -1, dtype=dtype)
-        nonzero = np.zeros(len(flat), dtype=dtype)
-        # class columns one at a time: reductions along a short axis are slow
-        for c in range(n_classes):
-            column = flat[:, c]
-            nonzero += column != 0
-            codes[column == 1.0] = c
-        codes[nonzero != 1] = -1
-        codes.setflags(write=False)
-        return codes.reshape(self.dims)
 
 
 def validate_label_set(labels: np.ndarray, label_set: Iterable[int]) -> None:

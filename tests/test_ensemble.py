@@ -346,16 +346,14 @@ def test_consensus_codes():
             ]
         ]
     )
-    assert stack.consensus_codes.tolist() == [[[1, 2], [-1, -1]]]
-    assert stack.consensus_codes.dtype == np.int8
-    assert not stack.consensus_codes.flags.writeable
+    codes = ensemble_module._consensus_codes(stack)
+    assert codes.tolist() == [[[1, 2], [-1, -1]]]
+    assert codes.dtype == np.int8
     labels = _labels([[[0, 2], [1, 0]]])
-    assert labels.consensus_codes is labels.data
-    with pytest.raises(ValidationError):
-        Volume(np.zeros((2, 2, 2)), (1, 1, 1), kind="image").consensus_codes
+    assert ensemble_module._consensus_codes(labels) is labels.data
 
 
-def test_settled_voxels_skip_fusion_but_not_validation():
+def test_one_bad_voxel_among_agreeing_one_hot_voxels_fails_validation():
     # members agree on exact one-hot voxels everywhere except one voxel whose
     # renormalized average drops below -1e-6; the error must still surface
     onehot = np.zeros((2, 2, 2, 3))
@@ -444,9 +442,9 @@ def test_member_store_holds_the_disagreement_not_the_grid(mode):
             members=tuple(EnsembleMember(mid, "p") for mid in volumes), mode=mode
         )
         assert np.array_equal(combine_volumes(spec, store).data, combine_volumes(spec, volumes).data)
-    # 12 disagreeing voxels, whatever the grid: int8 codes and float32 rows of
-    # 3 classes, or uint8 labels
-    per_voxel = 1 + 12 if mode == "prob_avg" else 1
+    # 12 disagreeing voxels, whatever the grid: float32 rows of 3 classes, or
+    # uint8 labels
+    per_voxel = 12 if mode == "prob_avg" else 1
     assert held == [[12 * per_voxel] * 3] * 3
 
 

@@ -206,6 +206,23 @@ def test_masking_holds_the_crop_and_a_slab_not_the_grid():
     assert time.perf_counter() - start < 2.0
 
 
+def test_masking_does_not_slab_along_a_length_one_axis():
+    # a Fortran (2048, 2048, 1) map has its length-1 axis slowest: slabs along
+    # it would be one slab, and one grid-sized bool buffer
+    for shape in ((2048, 2048, 1), (2048, 1, 2048), (1, 2048, 2048)):
+        for order in "CF":
+            data = np.zeros(shape, dtype=np.uint8, order=order)
+            data[0, 0, 0] = 2
+            tracemalloc.start()
+            try:
+                mask = BinaryMask.from_labels(Volume(data, (1.0, 1.0, 1.0), kind="labels"), 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (mask.offset, mask.voxels) == ((0, 0, 0), 1)
+            assert peak < 2 * metrics.SLAB_BYTES < data.size, (shape, order)
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.int8])
 def test_mask_of_an_id_a_narrow_map_cannot_hold_is_empty(dtype):
     # in eight bits 256 wraps to 0, 258 to 2, and 2**31 - 1 to 255 (uint8)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 import json
 import tracemalloc
 
@@ -430,15 +429,13 @@ def test_evaluator_caches_reports_and_digests(tmp_path):
 
 def test_consensus_codes_are_computed_once_per_member_and_case(tmp_path, rng, monkeypatch):
     calls = []
-    real = Volume.consensus_codes.func
+    real = ensemble._consensus_codes
 
     def counting(volume):
         calls.append(volume)
         return real(volume)
 
-    counted = functools.cached_property(counting)
-    counted.__set_name__(Volume, "consensus_codes")
-    monkeypatch.setattr(Volume, "consensus_codes", counted)
+    monkeypatch.setattr(ensemble, "_consensus_codes", counting)
     refs = {"c1": _ball(), "c2": _ball(shift=(1, 0, 0))}
     predictions = {
         f"m{i}": {case: _flip(ref, rng, 20) for case, ref in refs.items()} for i in range(5)

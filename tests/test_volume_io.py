@@ -212,6 +212,23 @@ def test_memory_frame_walks_any_permuted_flipped_view_in_memory_order():
     assert count == 13128
 
 
+def test_layout_copy_stages_slabs_when_a_length_one_axis_ties_the_fastest():
+    # a Fortran (1, 2048, 2048) uint8 map has strides (1, 1, 2048): its
+    # length-1 axis ties the fastest stride, and must not be the slab axis
+    for shape in itertools.permutations((1, 2048, 2048)):
+        for order in "CF":
+            view = np.zeros(shape, dtype=np.uint8, order=order)
+            tracemalloc.start()
+            try:
+                out = nifti._layout_copy(view, np.dtype(np.int16))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.shape == shape and out.flags.c_contiguous
+            # the output plus one staged slab, not a staged copy of the view
+            assert peak < out.nbytes + 3 * nifti.SLAB_BYTES // 2, (shape, order)
+
+
 def test_unique_labels_scans_every_block(monkeypatch):
     monkeypatch.setattr(volume_module, "SLAB_BYTES", 64)  # 32 int16 values a block
     data = np.zeros((7, 11, 13), dtype=np.int16)  # 1001 values: a ragged last block
