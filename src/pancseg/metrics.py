@@ -1,6 +1,7 @@
 """The five challenge metrics over binary tumor masks.
 
-Every metric function, ``evaluate_case`` included, takes ``BinaryMask``s; a
+Every metric function takes ``BinaryMask``s (``evaluate_case`` and
+``surface_distances`` take a ``ReferenceSurface`` as the reference too); a
 label map becomes its tumor mask through ``BinaryMask.from_labels(volume,
 config.label_id)``, the one masking rule.  A mask is a tight crop: its grid,
 the offset of its bounding box and the box's bits.  ``from_labels`` builds
@@ -18,6 +19,14 @@ inner face of that domain, so no feature outside it can be nearer, and the
 others retry on a wider one.  A parity test pins every distance to the
 full-crop value bit for bit, forced ties included.  Tumor Volume RMSE is
 aggregated at cohort level from exact per-case voxel volumes.
+
+The reference side is built once per reference: a ``ReferenceSurface``
+holds the reference's surfels, their areas and a sorted table of the
+pred → ref distances queried so far.  Scoring a prediction looks its
+surfels up there and queries only the positions the table lacks, so a
+subset search that scores many predictions against one reference queries
+each surfel position once.  Scoring one pair (an empty table) makes the
+same feature-transform calls on the same domains as a per-pair union box.
 
 Empty masks are handled by an explicit, report-visible policy:
 
@@ -156,6 +165,13 @@ class BinaryMask:
         object.__setattr__(self, "crop", crop)
 
     @classmethod
+    def _held(cls, grid: Grid, offset, crop: Optional[np.ndarray]) -> "BinaryMask":
+        """A mask of ``crop`` at ``offset`` on ``grid``: held, not copied."""
+        mask = cls.__new__(cls)
+        mask._hold(grid, offset, crop)
+        return mask
+
+    @classmethod
     def from_labels(cls, volume: Volume, label_id: int) -> "BinaryMask":
         """The ``label_id`` voxels of a label map, on the map's grid.
 
@@ -187,17 +203,14 @@ class BinaryMask:
                 corner = box[0].copy()
                 corner[axis] += start
                 pieces.append((corner, slab[_slices(*box)].copy()))
-        mask = cls.__new__(cls)
         if not pieces:
-            mask._hold(volume.grid, (0, 0, 0), None)
-            return mask
+            return cls._held(volume.grid, (0, 0, 0), None)
         lo = np.min([c for c, _ in pieces], axis=0)
         hi = np.max([c + p.shape for c, p in pieces], axis=0)
         crop = np.zeros(hi - lo, dtype=bool)
         for corner, piece in pieces:
             crop[_slices(corner - lo, corner - lo + piece.shape)] = piece
-        mask._hold(volume.grid, lo, crop)
-        return mask
+        return cls._held(volume.grid, lo, crop)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -267,10 +280,25 @@ def dice(ref: BinaryMask, pred: BinaryMask) -> tuple[float, tuple[str, ...]]:
     return 2.0 * inter / total, ()
 
 
+def _true_voxels(bits: np.ndarray) -> np.ndarray:
+    """The indices (3, n) of a 3D array's true voxels, in C order.  One flat
+    scan: ``np.nonzero`` of the 3D array is several times slower."""
+    return np.array(np.unravel_index(np.flatnonzero(bits), bits.shape))
+
+
 def edt(mask: BinaryMask, where: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact anisotropic distance (mm) to the nearest true voxel center, from
     the ``where`` voxel centers in C order (every voxel, as a grid of
     ``mask.dims``, when ``where`` is None); +inf when the mask is empty.
+    ``_edt_at`` computes them."""
+    queries = np.ones(mask.dims, dtype=bool) if where is None else where
+    out = _edt_at(mask, _true_voxels(queries))
+    return out.reshape(mask.dims) if where is None else out
+
+
+def _edt_at(mask: BinaryMask, points: np.ndarray) -> np.ndarray:
+    """``edt``'s distances from the voxel centers ``points`` (3, n) of the
+    mask's grid.
 
     The distances are scipy's own arithmetic on its feature transform, applied
     only at the query voxels, so they equal ``distance_transform_edt`` bit for
@@ -285,8 +313,6 @@ def edt(mask: BinaryMask, where: Optional[np.ndarray] = None) -> np.ndarray:
     float sum.  The other queries retry on their own bbox with the margin
     doubled; the last try is the whole grid.
     """
-    queries = np.ones(mask.dims, dtype=bool) if where is None else where
-    points = np.array(np.unravel_index(np.flatnonzero(queries), mask.dims))
     out = np.full(points.shape[1], np.inf)
     todo = np.arange(0 if mask.is_empty() else points.shape[1])  # no feature: all +inf
     dims, spacing = np.array(mask.dims), np.array(mask.spacing)
@@ -323,7 +349,7 @@ def edt(mask: BinaryMask, where: Optional[np.ndarray] = None) -> np.ndarray:
         done = dist * EDT_TIE_GUARD < bound
         out[todo[done]] = dist[done]
         todo = todo[~done]
-    return out.reshape(mask.dims) if where is None else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -352,13 +378,87 @@ class SurfaceDistances:
         return float(self.areas_pred.sum())
 
 
-def surface_distances(ref: BinaryMask, pred: BinaryMask) -> SurfaceDistances:
+class ReferenceSurface:
+    """A reference mask's surfels, built once, and the pred → ref distances
+    queried from them so far.
+
+    ``border`` is the ``BinaryMask`` of the reference's surfels on the dual
+    grid of ``dims + 1`` positions a side, where position ``i`` lies between
+    voxels ``i - 1`` and ``i``; ``surfels`` (3, n) are their positions in C
+    order and ``areas`` their areas (mm^2) in that order.  The table,
+    ``keys`` (sorted int64 flat dual-grid positions) and ``distances``
+    (float64 mm to the nearest reference surfel), grows with every
+    prediction scored against the surface: 16 B per distinct queried
+    position, never a dense grid.
+    """
+
+    def __init__(self, mask: BinaryMask):
+        self.mask = mask
+        dual = Grid(np.add(mask.dims, 1), mask.spacing)
+        if mask.is_empty():
+            self.border = BinaryMask._held(dual, (0, 0, 0), None)
+            self.surfels = np.empty((3, 0), dtype=np.intp)
+            self.areas = np.empty(0)
+        else:
+            # the crop plus one false voxel at the high side holds every
+            # surfel: neighbour_codes reads zeros beyond the low side
+            codes = neighbour_codes(mask.window(mask.offset, np.add(mask.end, 1)).view(np.uint8))
+            bits = border_map(codes)
+            self.border = BinaryMask._held(dual, mask.offset, bits)
+            self.surfels = _true_voxels(bits) + np.array(mask.offset)[:, None]
+            self.areas = surfel_area_table(mask.spacing)[codes[bits]]
+        self.keys = np.empty(0, dtype=np.int64)
+        self.distances = np.empty(0)
+
+    def distances_from(self, surfels: np.ndarray) -> np.ndarray:
+        """The distance (mm) from each dual-grid position ``surfels`` (3, n,
+        in C order) to the nearest reference surfel.
+
+        Positions in the table take its distance.  The others are queried
+        with one ``edt`` of the border, on the grid of the box around them
+        and the border, and join the table.  With an empty table that box is
+        the union box of the two surfaces.
+        """
+        keys = np.ravel_multi_index(surfels, self.border.dims)
+        at = np.searchsorted(self.keys, keys)
+        known = at < len(self.keys)
+        known[known] = self.keys[at[known]] == keys[known]
+        out = np.empty(len(keys))
+        out[known] = self.distances[at[known]]
+        missing = ~known
+        if missing.any():
+            query = surfels[:, missing]
+            # an empty border's offset and end are the origin: the box then
+            # starts there, and every distance is +inf
+            lo = np.minimum(query.min(axis=1), self.border.offset)
+            hi = np.maximum(query.max(axis=1) + 1, self.border.end)
+            grid = Grid(hi - lo, self.mask.spacing)
+            box = BinaryMask._held(grid, np.subtract(self.border.offset, lo), self.border.crop)
+            out[missing] = _edt_at(box, query - lo[:, None])
+            # keys ascend (C order), so each missing key goes in at its place
+            self.keys = np.insert(self.keys, at[missing], keys[missing])
+            self.distances = np.insert(self.distances, at[missing], out[missing])
+        return out
+
+
+def _reference_surface(ref: ReferenceSurface | BinaryMask) -> ReferenceSurface:
+    """``ref`` if it is a ``ReferenceSurface``, else a fresh one of the mask."""
+    return ref if isinstance(ref, ReferenceSurface) else ReferenceSurface(ref)
+
+
+def surface_distances(ref: ReferenceSurface | BinaryMask, pred: BinaryMask) -> SurfaceDistances:
     """Extract both masks' surfels and the directed distances between them.
 
-    Both masks are cropped to their union bounding box (plus one voxel) so
-    the dual grids align; a mask with no voxels contributes no surfels and
-    the opposing directed distances are +inf.
+    ``ref`` is a ``ReferenceSurface`` or a ``BinaryMask``, which is wrapped
+    in a fresh one.  The prediction is cropped to the union bounding box
+    (plus one voxel) of the two masks; its surfels' pred → ref distances
+    come from the surface (``ReferenceSurface.distances_from``), and the
+    ref → pred ones from an ``edt`` of its border on that crop.  A mask with
+    no voxels contributes no surfels and the opposing directed distances
+    are +inf.
     """
+    surface = _reference_surface(ref)
+    ref = surface.mask
     check_same_grid(ref.grid, pred.grid, "mask")
     boxes = [(m.offset, m.end) for m in (ref, pred) if not m.is_empty()]
     if not boxes:
@@ -367,25 +467,17 @@ def surface_distances(ref: BinaryMask, pred: BinaryMask) -> SurfaceDistances:
     hi = np.max([b[1] for b in boxes], axis=0) + 1
     # one false voxel of padding at the high side; neighbour_codes reads
     # zeros beyond the low side
-    crop_ref = ref.window(lo, hi).view(np.uint8)
-    crop_pred = pred.window(lo, hi).view(np.uint8)
-
-    codes_ref = neighbour_codes(crop_ref)
-    codes_pred = neighbour_codes(crop_pred)
-    borders_ref = border_map(codes_ref)
+    codes_pred = neighbour_codes(pred.window(lo, hi).view(np.uint8))
     borders_pred = border_map(codes_pred)
+    areas_pred = surfel_area_table(ref.spacing)[codes_pred[borders_pred]]
 
-    area_table = surfel_area_table(ref.spacing)
-    areas_ref = area_table[codes_ref[borders_ref]]
-    areas_pred = area_table[codes_pred[borders_pred]]
-
-    dist_pred_to_ref = edt(BinaryMask(borders_ref, ref.spacing), where=borders_pred)
-    dist_ref_to_pred = edt(BinaryMask(borders_pred, ref.spacing), where=borders_ref)
+    dist_pred_to_ref = surface.distances_from(_true_voxels(borders_pred) + lo[:, None])
+    dist_ref_to_pred = _edt_at(BinaryMask(borders_pred, ref.spacing), surface.surfels - lo[:, None])
 
     order_ref = np.argsort(dist_ref_to_pred, kind="stable")
     order_pred = np.argsort(dist_pred_to_ref, kind="stable")
     return SurfaceDistances(
-        areas_ref=areas_ref[order_ref],
+        areas_ref=surface.areas[order_ref],
         areas_pred=areas_pred[order_pred],
         dist_ref_to_pred=dist_ref_to_pred[order_ref],
         dist_pred_to_ref=dist_pred_to_ref[order_pred],
@@ -448,12 +540,16 @@ class CaseMetrics:
 
 
 def evaluate_case(
-    ref: BinaryMask,
+    ref: ReferenceSurface | BinaryMask,
     pred: BinaryMask,
     config: EvalConfig = EvalConfig(),
     case_id: str = "case",
 ) -> CaseMetrics:
-    """All five per-case metric fields for one reference/prediction mask pair."""
+    """All five per-case metric fields for one reference/prediction mask
+    pair; ``ref`` is a ``ReferenceSurface`` or a ``BinaryMask``, as for
+    ``surface_distances``."""
+    surface = _reference_surface(ref)
+    ref = surface.mask
     check_same_grid(ref.grid, pred.grid, "label volume")
     vol_ref = tumor_volume(ref)
     vol_pred = tumor_volume(pred)
@@ -469,7 +565,7 @@ def evaluate_case(
         else:
             sdice = masd_mm = hd95_mm = None
     else:
-        sd = surface_distances(ref, pred)
+        sd = surface_distances(surface, pred)
         sdice = surface_dice(sd, config.tolerance_mm)
         masd_mm = masd(sd)
         hd95_mm = hd95(sd)

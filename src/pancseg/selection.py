@@ -37,6 +37,7 @@ from .metrics import (
     BinaryMask,
     CohortReport,
     EvalConfig,
+    ReferenceSurface,
     aggregate_cohort,
     evaluate_case,
     mean_field,
@@ -224,8 +225,13 @@ class SubsetEvaluator:
     bit-identical to a full-volume fusion (see ``ensemble``), and all
     per-subset checks still run per case in the same order, so a defective
     pool fails with the same error at the same subset.  Each case's
-    reference is read and masked once; each fused prediction is masked and
-    scored against it.
+    reference surface is built once (``metrics.ReferenceSurface``): the
+    reference is read and masked, and its surfels and their areas found, on
+    the case's first subset.  Each fused prediction is masked and scored
+    against it.  The surface's table keeps the pred → ref distance of every
+    prediction surfel position scored so far, so a later subset queries
+    only the positions no earlier subset had; the reports do not depend on
+    the order subsets are scored in.
 
     Reports are memoized by the sorted member ids, which a pool keeps
     unique.
@@ -235,17 +241,18 @@ class SubsetEvaluator:
         self.pool = pool
         self.config = config
         self.base_dir = Path(pool.base_dir)
-        self._references: dict[str, BinaryMask] = {}
+        self._references: dict[str, ReferenceSurface] = {}
         self._stores: dict[str, MemberStore] = {}
         self._member_digests: dict[str, str] = {}
         self._reports: dict[tuple[str, ...], CohortReport] = {}
         self._members_by_id = {m.member_id: m for m in pool.members}
 
-    def _reference(self, case_id: str, ref_path: str) -> BinaryMask:
-        """The case's reference mask, read and masked once."""
+    def _reference(self, case_id: str, ref_path: str) -> ReferenceSurface:
+        """The case's reference surface, read, masked and built once."""
         if case_id not in self._references:
             volume = read_volume(self.base_dir / ref_path, kind="labels")
-            self._references[case_id] = BinaryMask.from_labels(volume, self.config.label_id)
+            mask = BinaryMask.from_labels(volume, self.config.label_id)
+            self._references[case_id] = ReferenceSurface(mask)
         return self._references[case_id]
 
     def _store(self, member_ids: Sequence[str], case_id: str) -> MemberStore:

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pancseg import metrics
 
@@ -18,6 +20,7 @@ from pancseg.metrics import (
     BinaryMask,
     CaseMetrics,
     EvalConfig,
+    ReferenceSurface,
     aggregate_cohort,
     dice,
     edt,
@@ -561,3 +564,118 @@ def test_aggregate_cohort_penalize_keeps_all_cases():
     assert report.mean_surface_dice_5mm == pytest.approx(0.3)
     assert report.mean_masd_mm == pytest.approx(6.0)
     assert report.n_flagged == 1
+
+
+# ------------------------------------------------------- reference surfaces
+
+# tie-prone: isotropic, and sides in small integer ratios
+SURFACE_SPACINGS = [
+    (0.78125, 0.78125, 2.5),
+    (1.0, 1.0, 1.0),
+    (0.5, 0.5, 1.0),
+    (1.0, 2.0, 2.0),
+    (0.75, 1.5, 3.0),
+]
+
+
+def _prediction(rng, ref_bits, style):
+    """A prediction near the reference: ``islands`` adds a few far voxels,
+    ``face`` fills slabs on grid faces, ``empty`` has no voxel."""
+    dims = ref_bits.shape
+    if style == "empty":
+        return np.zeros(dims, dtype=bool)
+    bits = ref_bits ^ (rng.random(dims) < 0.03)
+    shift = rng.integers(-2, 3, size=3)
+    bits = np.roll(bits, tuple(int(s) for s in shift), axis=(0, 1, 2))
+    if style == "islands":
+        for _ in range(int(rng.integers(1, 4))):
+            bits[tuple(int(rng.integers(0, d)) for d in dims)] = True
+    elif style == "face":
+        axis = int(rng.integers(0, 3))
+        face = [slice(None)] * 3
+        face[axis] = slice(0, 1) if rng.random() < 0.5 else slice(dims[axis] - 1, None)
+        bits[tuple(face)] |= rng.random(bits[tuple(face)].shape) < 0.5
+    return bits
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(3, 16), st.integers(3, 16), st.integers(2, 10)),
+    spacing=st.sampled_from(SURFACE_SPACINGS),
+    ref_empty=st.booleans(),
+    styles=st.lists(st.sampled_from(["near", "islands", "face", "empty"]), min_size=1, max_size=6),
+)
+def test_a_reference_surface_scores_every_prediction_like_a_fresh_pair(
+    seed, dims, spacing, ref_empty, styles
+):
+    rng = np.random.default_rng(seed)
+    ref_bits = np.zeros(dims, dtype=bool) if ref_empty else random_mask(rng, dims, "blob")
+    ref = BinaryMask(ref_bits, spacing)
+    surface = ReferenceSurface(ref)
+    queried = set()
+    for style in styles:
+        pred = BinaryMask(_prediction(rng, ref_bits, style), spacing)
+        if ref.is_empty() and pred.is_empty():
+            with pytest.raises(EmptySurfaceError):
+                surface_distances(surface, pred)
+            continue
+        want = surface_distances(ref, pred)
+        got = surface_distances(surface, pred)
+        for name in SurfaceDistances.__dataclass_fields__:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        if not pred.is_empty():
+            queried.update(np.ravel_multi_index(ReferenceSurface(pred).surfels, surface.border.dims))
+    # the table holds each queried position once, in order
+    assert surface.keys.tolist() == sorted(queried)
+    assert surface.keys.dtype == np.int64 and surface.distances.dtype == np.float64
+
+
+def _feature_domains(monkeypatch, run):
+    """The input shapes ``run()`` gives scipy's feature transform."""
+    shapes = []
+    real = metrics.ndimage.distance_transform_edt
+
+    def record(input, *args, **kwargs):
+        shapes.append(input.shape)
+        return real(input, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics.ndimage, "distance_transform_edt", record)
+        run()
+    return shapes
+
+
+def test_evaluate_case_runs_the_per_pair_feature_transform_domains(monkeypatch):
+    dims, spacing = (60, 50, 20), (0.78125, 0.78125, 2.5)
+    ref_bits = np.zeros(dims, dtype=bool)
+    ref_bits[20:30, 20:28, 8:12] = True
+    ref_bits[2, 3, 1] = True  # far island
+    pred_bits = np.zeros(dims, dtype=bool)
+    pred_bits[22:31, 19:27, 8:13] = True
+    pred_bits[57, 46, 18] = pred_bits[40, 5, 3] = True  # far islands
+    ref, pred = BinaryMask(ref_bits, spacing), BinaryMask(pred_bits, spacing)
+
+    # the per-pair form: both masks' borders on their union box plus one voxel
+    lo, hi = (2, 3, 1), (59, 48, 20)
+    window = tuple(slice(a, b) for a, b in zip(lo, hi))
+    borders = [border_map(neighbour_codes(bits[window].astype(np.uint8))) for bits in (ref_bits, pred_bits)]
+    ref_border, pred_border = (BinaryMask(b, spacing) for b in borders)
+
+    def per_pair():
+        edt(ref_border, where=borders[1])
+        edt(pred_border, where=borders[0])
+
+    # each query set's bbox grown by 13 voxels in-plane and 4 in z, within the box
+    pred_to_ref, ref_to_pred = [(50, 45, 19)], [(42, 39, 16)]
+    assert _feature_domains(monkeypatch, per_pair) == pred_to_ref + ref_to_pred
+    def case(ref):
+        return evaluate_case(ref, pred)
+
+    assert _feature_domains(monkeypatch, lambda: case(ref)) == pred_to_ref + ref_to_pred
+    # a surface that has seen this prediction runs the ref -> pred call alone
+    surface = ReferenceSurface(ref)
+    assert _feature_domains(monkeypatch, lambda: case(surface)) == pred_to_ref + ref_to_pred
+    assert _feature_domains(monkeypatch, lambda: case(surface)) == ref_to_pred
+    assert case(surface) == case(ref)

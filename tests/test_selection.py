@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 
 from pancseg.ensemble import EnsembleMember, EnsembleSpec
 from pancseg.errors import BudgetExceededError, ConfigError, FormatError, ValidationError
-from pancseg.metrics import BinaryMask, CohortReport, EvalConfig
+from pancseg.metrics import BinaryMask, CohortReport, EvalConfig, ReferenceSurface
 from pancseg import ensemble, selection
 from pancseg.nifti import write_volume
 from pancseg.selection import (
@@ -509,3 +510,53 @@ def test_evaluator_holds_members_well_below_their_full_stacks(tmp_path, monkeypa
     # the parent kept the five stacks whole: 5 × 9.4 MB
     assert held < stack_bytes / 4
     assert peak < 3 * stack_bytes
+
+
+def test_reports_do_not_depend_on_the_order_subsets_are_scored_in(tmp_path, monkeypatch):
+    rng = np.random.default_rng(29)
+    refs = {"c1": _ball((16, 14, 10)), "c2": _ball((16, 14, 10), shift=(2, -1, 0), radius=2.6)}
+    # voxel flips anywhere on the grid: far islands that differ per member
+    predictions = {
+        f"m{i}": {case: _flip(ref, rng, 8 + 4 * i) for case, ref in refs.items()} for i in range(5)
+    }
+    pool = _write_pool(tmp_path, predictions, refs)
+    ids = [m.member_id for m in pool.members]
+    forward = [s for k in range(1, 6) for s in itertools.combinations(ids, k)]
+
+    def reports(score):
+        evaluator = SubsetEvaluator(pool, EvalConfig())
+        score(evaluator)
+        return evaluator, {s: repr(evaluator.evaluate(s)) for s in forward}
+
+    def each(order):
+        return lambda evaluator: [evaluator.evaluate(s) for s in order]
+
+    def beam_then_exhaustive(evaluator):
+        beam_search_subsets(pool, 3, 2, evaluator=evaluator)
+        search_subsets(pool, 1, 5, evaluator=evaluator)
+
+    scored = []
+    real = selection.evaluate_case
+
+    def scoring(ref, pred, config, case_id):
+        scored.append((case_id, pred))
+        return real(ref, pred, config, case_id=case_id)
+
+    monkeypatch.setattr(selection, "evaluate_case", scoring)
+    evaluator, want = reports(each(forward))
+    for score in (each(forward[::-1]), beam_then_exhaustive):
+        assert reports(score)[1] == want
+    # a fresh surface per subset, as eval-case scores one pair
+    assert {s: repr(SubsetEvaluator(pool, EvalConfig()).evaluate(s)) for s in forward} == want
+
+    # each case's table holds 16 B per distinct prediction surfel it was
+    # queried at, not per grid position
+    for case_id, _ in pool.cases:
+        surface = evaluator._references[case_id]
+        preds = [p for c, p in scored[: 2 * len(forward)] if c == case_id and not p.is_empty()]
+        queried = set()
+        for pred in preds:
+            queried.update(np.ravel_multi_index(ReferenceSurface(pred).surfels, surface.border.dims))
+        assert surface.keys.tolist() == sorted(queried)
+        assert surface.keys.nbytes + surface.distances.nbytes == 16 * len(queried)
+        assert len(queried) < np.prod(surface.border.dims) / 3
