@@ -13,29 +13,33 @@ Every fusion goes through a ``MemberStore``, one per case.  Members are
 added one at a time: ``combine`` and the subset evaluator read each member
 and add it before they read the next (``MemberStore.load``), so one
 member's volume is resident at a time besides the store.  A member's
-volume is read as one code per voxel (``_consensus_codes``) when it is
-added: a label map's code is its label; a probability vector's code is its
-hot class when it is exactly one-hot (one entry ``== 1.0``, all others
-``== 0.0``) and -1 otherwise.  The store keeps a consensus code map and D,
-the voxels where the members added so far do not all hold the same code
->= 0.  A member is held as one array on D: a label map's labels, or a
-probability stack's rows.  Outside D every member's label is the consensus
-code and its row is that code's one-hot vector, so when a new member grows
-D, the old members' labels and rows on the new voxels are rebuilt from the
-consensus exactly.  A new member's voxels off the consensus are found slab
-by slab, with no grid-sized temporary, and D ends the same whether members
-arrive one at a time or together.  When D would cover more than half the
-grid (softmax exports are never exactly one-hot), labels and rows are held
-whole instead.
+volume is read as one code per voxel (``_consensus_codes``, one pass per
+class plane) when it is added: a label map's code is its label; a
+probability vector's code is its hot class when it is exactly one-hot (one
+entry ``== 1.0``, all others ``== 0.0``) and -1 otherwise.  The store keeps
+a consensus code map and D, the voxels where the members added so far do
+not all hold the same code >= 0.  A member is held as one array on D: a
+label map's labels, or a probability stack's class planes, shape
+``(classes, |D|)``.  Outside D every member's label is the consensus code
+and its class vector is that code's one-hot vector, so when a new member
+grows D, the old members' labels and planes on the new voxels are rebuilt
+from the consensus exactly.  A new member's voxels off the consensus are
+found slab by slab, with no grid-sized temporary, and D ends the same
+whether members arrive one at a time or together.  When D would cover more
+than half the grid (softmax exports are never exactly one-hot), labels and
+planes are held whole instead.
 
-A subset fuses every voxel of D: the members' rows on D are averaged
-(float64 accumulation in member order, division by the weight sum,
-renormalization), validated and argmaxed, or their labels are voted on;
-the result is scattered into a copy of the consensus map, which is every
-subset's fused label outside D.  D indexes the first member's
-``memory_frame`` (a label map read from a file stays in the file's order),
-and the fused map is laid out in that order too; every step is per voxel,
-so the order changes no label.
+A subset fuses every voxel of D: the members' class planes on D are
+averaged (float64 accumulation in member order, division by the weight
+sum, renormalization by the C-order class sums of ``c_class_sums``),
+validated and argmaxed with ``label_argmax``'s running maximum, ties to
+the lowest class; or their labels are voted on.  The result is scattered
+into a copy of the consensus map, which is every subset's fused label
+outside D.  No step reduces along the short class axis.  D indexes the
+first member's ``memory_frame``: label maps and probability stacks read
+from a file stay in the file's memory order, class planes slowest, so a
+file's planes are gathered where they lie.  The fused map is laid out in
+that order too; every step is per voxel, so the order changes no label.
 
 This is exact for finite positive weights with a finite sum, which the
 weight checks enforce: D runs the same elementwise arithmetic as a
@@ -43,8 +47,8 @@ full-volume pass.  Outside D, and on the voxels of D where a subset's
 members all hold one code >= 0, the average is ``(x, 0, ...)`` with
 ``x > 0``, which renormalizes to exactly one-hot (``x/x == 1``,
 ``0/x == 0``), so it passes validation with deviation 0 and its argmax is
-the hot class; a vote there has one candidate.  Validating the rows on D
-therefore passes and fails exactly when the full stack does, with the same
+the hot class; a vote there has one candidate.  Validating the planes on
+D therefore passes and fails exactly when the full stack does, with the same
 worst deviation.  The checks that come before it (kind, weights, grids and
 class counts) read each member's metadata, so they raise as on whole
 volumes.
@@ -66,6 +70,7 @@ from .volume import (
     SLAB_BYTES,
     Grid,
     Volume,
+    c_class_sums,
     check_probabilities,
     check_same_grid,
     label_argmax,
@@ -248,19 +253,22 @@ def _check_members(members: Sequence, weights: Optional[Sequence[float]], kind: 
     return weights
 
 
-def _average_rows(rows: Iterable[np.ndarray], weights: Sequence[float]) -> np.ndarray:
-    """Weighted float64 mean over the class axis, in member order, renormalized.
+def _average_planes(planes: Iterable[np.ndarray], weights: Sequence[float]) -> np.ndarray:
+    """Weighted float64 mean of the members' class planes (classes along
+    axis 0), in member order, renormalized by their C-order class sums
+    (``c_class_sums``).  Every step is per voxel, so the layout changes no
+    bit; the accumulator takes the first member's.
 
-    ``rows`` may be a generator, so only one member's rows need be held at
-    a time besides the accumulator.
+    ``planes`` may be a generator, so only one member's planes need be held
+    at a time besides the accumulator.
     """
     acc = None
-    for r, w in zip(rows, weights):
+    for p, w in zip(planes, weights):
         if acc is None:
-            acc = np.zeros(r.shape, dtype=np.float64)
-        acc += w * r.astype(np.float64, copy=False)
+            acc = np.zeros_like(p, dtype=np.float64)
+        acc += np.multiply(p, w, dtype=np.float64)  # w * p.astype(np.float64)
     acc /= sum(weights)
-    acc /= acc.sum(axis=-1, keepdims=True)
+    acc /= c_class_sums(np.moveaxis(acc, 0, -1))
     return acc
 
 
@@ -270,7 +278,8 @@ def average_probabilities(stacks: Sequence[Volume], weights: Optional[Sequence[f
     if not stacks:
         raise ValidationError("no probability stacks to average")
     weights = _check_members(stacks, weights, "probabilities")
-    return stacks[0].with_data(_average_rows([v.data for v in stacks], weights))
+    acc = _average_planes((np.moveaxis(v.data, -1, 0) for v in stacks), weights)
+    return stacks[0].with_data(np.moveaxis(acc, 0, -1))
 
 
 def _class_label_dtype(n_classes: int) -> np.dtype:
@@ -299,28 +308,26 @@ def _vote_dtype(dtypes: Iterable[np.dtype]) -> np.dtype:
 def _consensus_codes(volume: Volume) -> np.ndarray:
     """One code per voxel: the label of a label map; for a probability stack
     the hot class where the vector is exactly one-hot, else -1 (int8 up to
-    127 classes)."""
+    127 classes), laid out as its class planes."""
     if volume.kind == "labels":
         return volume.data
-    n_classes = volume.n_classes
-    flat = volume.data.reshape(-1, n_classes)
-    dtype = np.int8 if n_classes <= 127 else np.int32
-    codes = np.full(len(flat), -1, dtype=dtype)
-    nonzero = np.zeros(len(flat), dtype=dtype)
-    # class columns one at a time: reductions along a short axis are slow
-    for c in range(n_classes):
-        column = flat[:, c]
-        nonzero += column != 0
-        codes[column == 1.0] = c
-    codes[nonzero != 1] = -1
-    return codes.reshape(volume.dims)
+    dtype = np.int8 if volume.n_classes <= 127 else np.int32
+    codes = np.full_like(volume.data[..., 0], -1, dtype=dtype)
+    nonzero = np.zeros_like(codes)
+    # one pass per class plane: reductions along a short axis are slow
+    for c in range(volume.n_classes):
+        plane = volume.data[..., c]
+        nonzero += plane != 0
+        np.copyto(codes, c, where=plane == 1.0)
+    np.copyto(codes, -1, where=nonzero != 1)
+    return codes
 
 
 @dataclass(eq=False)
 class _Held:
     """One member of a ``MemberStore``: what the checks read, and one array
     on its group's index: a label map's labels, or a probability stack's
-    rows."""
+    class planes, ``(classes, voxels)``."""
 
     kind: str
     grid: Grid
@@ -335,10 +342,11 @@ class _Group:
     ``consensus`` holds, in the first member's ``memory_frame``, one code
     per voxel; ``index`` holds D, the sorted flat voxels where the members
     added so far do not all hold the same code >= 0.  Outside ``index``
-    every member's label is the consensus code and its row is that code's
-    one-hot vector, so a member is held as its labels or rows on ``index``
-    alone.  Once ``index`` would cover more than half the grid, ``index`` is
-    None and labels and rows are held whole.
+    every member's label is the consensus code and its class vector is that
+    code's one-hot vector, so a member is held as its labels or its class
+    planes on ``index`` alone, gathered in the same frame.  Once ``index``
+    would cover more than half the grid, ``index`` is None and labels and
+    planes are held whole.
     """
 
     def __init__(self):
@@ -349,10 +357,10 @@ class _Group:
 
     def add(self, held: _Held, volume: Volume) -> None:
         """Hold one more member: first grow ``index`` by the voxels where its
-        codes leave the consensus, then keep its labels (or rows) on it.
-        Codes are flattened in the group's frame, so maps that share a
-        file's memory order are used where they lie; codes not contiguous in
-        that frame are laid out once."""
+        codes leave the consensus, then keep its labels (or class planes) on
+        it.  Codes and planes are flattened in the group's frame, so volumes
+        that share a file's memory order are used where they lie; those not
+        contiguous in that frame are laid out once."""
         codes = _consensus_codes(volume)
         self.frame = self.frame or memory_frame(codes)
         flips, axes = self.frame
@@ -367,9 +375,11 @@ class _Group:
             index = self._disagreement(codes, first)
             if index is None or index.size > self.index.size:
                 self._grow(index)
-        # a label map's codes are its labels
-        data = codes if held.kind == "labels" else volume.data.reshape(-1, held.n_classes)
-        held.data = data if self.index is None else np.take(data, self.index, axis=0)
+        if held.kind == "labels":
+            data = codes  # a label map's codes are its labels
+        else:  # its class planes: a view when the file keeps them in the frame
+            data = volume.data[flips].transpose((3, *axes)).reshape(held.n_classes, -1)
+        held.data = data if self.index is None else np.take(data, self.index, axis=-1)
         self.members.append(held)
 
     def _disagreement(self, codes: np.ndarray, first: bool) -> Optional[np.ndarray]:
@@ -414,56 +424,58 @@ class _Group:
             if h.kind == "labels":
                 data = consensus.astype(h.dtype)
             else:
-                # a voxel of the old index may hold code -1; its row is overwritten
-                data = np.eye(h.n_classes, dtype=h.dtype)[consensus]
-            data[at] = h.data
+                # a voxel of the old index may hold code -1; it is overwritten
+                data = np.take(np.eye(h.n_classes, dtype=h.dtype), consensus, axis=1)
+            data[..., at] = h.data
             h.data = data
         self.index = index
         if index is None:
             self.consensus = None
 
-    def fuse(self, held: Sequence[_Held], weights, fuse_rows, dtype) -> np.ndarray:
+    def fuse(self, held: Sequence[_Held], weights, fuse_voxels, dtype) -> np.ndarray:
         """The fused label map of ``held`` in their axes, of ``dtype``: the
-        consensus code outside ``index``, ``fuse_rows(held, weights)`` on
+        consensus code outside ``index``, ``fuse_voxels(held, weights)`` on
         it."""
         if self.index is None:
-            out = fuse_rows(held, weights).astype(dtype, copy=False)
+            out = fuse_voxels(held, weights).astype(dtype, copy=False)
         else:
             out = self.consensus.astype(dtype)
             if self.index.size:  # the argmaxes and checks reject empty input
-                out[self.index] = fuse_rows(held, weights)
+                out[self.index] = fuse_voxels(held, weights)
         flips, axes = self.frame
         dims = held[0].grid.dims
         return out.reshape([dims[ax] for ax in axes]).transpose(np.argsort(axes))[flips]
 
 
-def _probability_rows(held: Sequence[_Held], weights: Sequence[float]):
-    acc = _average_rows((h.data for h in held), weights)
-    check_probabilities(acc)
-    return np.argmax(acc, axis=-1)
+def _probability_labels(held: Sequence[_Held], weights: Sequence[float]):
+    acc = _average_planes((h.data for h in held), weights)
+    check_probabilities(np.moveaxis(acc, 0, -1))
+    classes = np.arange(len(acc), dtype=_class_label_dtype(len(acc)))
+    # the running maximum overwrites the first plane, which no later score reads
+    return label_argmax(classes, acc.__getitem__, acc.shape[1:])
 
 
-def _vote_rows(held: Sequence[_Held], weights: Sequence[float]):
-    rows = [h.data for h in held]
+def _vote_labels(held: Sequence[_Held], weights: Sequence[float]):
+    labels = [h.data for h in held]
 
     def votes(value):
-        acc = weights[0] * (rows[0] == value)
-        for r, w in zip(rows[1:], weights[1:]):
+        acc = weights[0] * (labels[0] == value)
+        for r, w in zip(labels[1:], weights[1:]):
             acc += w * (r == value)
         return acc
 
-    values = np.unique(np.concatenate([unique_labels(r) for r in rows]))
-    return label_argmax(values, votes, rows[0].shape)
+    values = np.unique(np.concatenate([unique_labels(r) for r in labels]))
+    return label_argmax(values, votes, labels[0].shape)
 
 
 class MemberStore:
     """One case's ensemble members, held where they disagree.
 
     Members that share dims and class count form a group (see ``_Group``):
-    a consensus code map plus each member's labels or rows on D, the voxels
-    where the members added so far do not all hold one code.  The rest of a
-    member is rebuilt exactly from the consensus when D grows, so a member
-    costs its share of the disagreement, not a full stack.  Each
+    a consensus code map plus each member's labels or class planes on D, the
+    voxels where the members added so far do not all hold one code.  The
+    rest of a member is rebuilt exactly from the consensus when D grows, so
+    a member costs its share of the disagreement, not a full stack.  Each
     member's kind, grid, class count and dtype stay for the per-subset
     checks; a member of the wrong kind for ``mode`` joins no group, as every
     fusion that names it fails the kind check.
@@ -479,8 +491,8 @@ class MemberStore:
         return member_id in self._held
 
     def member_nbytes(self, member_id: str) -> int:
-        """The bytes held for one member: its labels or rows (none for a
-        member of the wrong kind)."""
+        """The bytes held for one member: its labels or class planes (none
+        for a member of the wrong kind)."""
         data = self._held[member_id].data
         return 0 if data is None else data.nbytes
 
@@ -513,10 +525,10 @@ class MemberStore:
         first = held[0]
         group = self._groups[(first.grid.dims, first.n_classes)]
         if self.kind == "probabilities":
-            fuse_rows, dtype = _probability_rows, _class_label_dtype(first.n_classes)
+            fuse_voxels, dtype = _probability_labels, _class_label_dtype(first.n_classes)
         else:
-            fuse_rows, dtype = _vote_rows, _vote_dtype(h.dtype for h in held)
-        data = group.fuse(held, weights, fuse_rows, dtype)
+            fuse_voxels, dtype = _vote_labels, _vote_dtype(h.dtype for h in held)
+        data = group.fuse(held, weights, fuse_voxels, dtype)
         return Volume(data, first.grid.spacing, first.grid.origin, kind="labels")
 
 
@@ -540,8 +552,8 @@ def combine_volumes(spec: EnsembleSpec, volumes: Mapping[str, Volume] | MemberSt
     drop each member's volume once it is added (``MemberStore.load``), so
     one member is resident at a time; a caller fusing many subsets of one
     pool keeps one store per case, each member's consensus codes are then
-    computed once, and the member costs its labels or rows where the pool
-    disagrees.
+    computed once, and the member costs its labels or class planes where
+    the pool disagrees.
     """
     if not isinstance(volumes, MemberStore):
         store = MemberStore(spec.mode)

@@ -9,17 +9,19 @@ then a plain pixdim diagonal).
 
 A read fills one buffer: a ``.nii`` file's bytes, or a gzip stream inflated
 into one array of exactly the header and data section, its size fixed by
-the header before anything is allocated (see ``_read_data``).  An image or
-probability stack is then laid out once: the reoriented view of the buffer
-is byte-swapped, cast and laid out in C order, in slabs along an axis that
-is neither the view's fastest nor its last, each staged in source order
-through a small temporary (see ``_layout_copy``).  A label map is not laid
-out: it stays the reoriented view of the buffer, in the file's memory
-order, and is copied in that order only to swap its bytes or cast it.  Its
-consumers that copy or flatten it in C order lay it out first through
-``c_order``.  An integer label map keeps the file's dtype, in native byte
-order; only uint32, int64 and uint64 files, whose values can exceed int32,
-are range checked and become int32, as do float-coded maps after ``rint``.
+the header before anything is allocated (see ``_read_data``).  An image is
+then laid out once: the reoriented view of the buffer is byte-swapped, cast
+and laid out in C order, in slabs along an axis that is neither the view's
+fastest nor its last, each staged in source order through a small
+temporary (see ``_layout_copy``).  A label map or probability stack is not
+laid out: it stays the reoriented view of the buffer, in the file's memory
+order (a stack's class planes slowest), and is copied in that order only to
+swap its bytes, cast it or apply ``scl`` scaling.  Consumers of a label map
+that copy or flatten it in C order lay it out first through ``c_order``; a
+stack's consumers work plane by plane.  An integer label map keeps the
+file's dtype, in native byte order; only uint32, int64 and uint64 files,
+whose values can exceed int32, are range checked and become int32, as do
+float-coded maps after ``rint``.
 The label set is checked once, on the Volume's own data, after ``Volume``
 has rejected negative labels.  Writing always emits an RAS+ diagonal sform and
 makes one copy too: the stored dtype, little-endian and Fortran order, laid
@@ -331,7 +333,8 @@ def read_volume(
 
     Images get scl_slope/scl_inter applied; label maps must decode to
     integral values and are checked against ``label_set``; probability
-    stacks keep their trailing class axis.
+    stacks keep their trailing class axis, and get scl_slope/scl_inter
+    applied too.
     """
     path = Path(path)
     h, dims, dtype, offset, buf = _read_data(path)
@@ -379,6 +382,8 @@ def read_volume(
     origin = affine[:3, :3] @ corner + affine[:3, 3]
 
     target = dtype.newbyteorder("=")
+    if scaled:
+        target = np.dtype(np.float32)
     if kind == "labels":
         if data.dtype.kind == "f":
             rounded = np.rint(data)
@@ -392,14 +397,13 @@ def read_volume(
             if lo < _INT32.min or hi > _INT32.max:
                 raise FormatError(f"{path}: label values {lo}..{hi} exceed the int32 range")
             target = np.dtype(np.int32)
-        # a label map stays in the file's memory order: a view of the read
-        # buffer, copied only to swap its bytes or cast it
-        data = data.astype(target, order="K", copy=False)
-    else:
-        if scaled:
-            target = np.dtype(np.float32)
+    if kind == "image":
         # the one copy: byte swap, cast and RAS+ C-order layout
         data = _layout_copy(data, target)
+    else:
+        # a label map or probability stack stays in the file's memory order:
+        # a view of the read buffer, copied only to swap bytes, cast or scale
+        data = data.astype(target, order="K", copy=scaled)
     if scaled:
         # a finite scaling may still overflow float32; Volume rejects the
         # non-finite voxels that leaves

@@ -26,7 +26,8 @@ DEFAULT_LABEL_SET = (0, 1, 2)  # background, pancreas, tumor
 PROB_SUM_TOL = 1e-5
 
 # Widest class axis whose ``sum(axis=-1)`` numpy computes as in-order adds
-# from +0.0 (pinned by a parity test); from 8 classes on it sums pairwise.
+# from +0.0 (pinned by a parity test); from 8 classes on it sums pairwise
+# where the class axis is the fastest, and in order where it is not.
 COLUMN_SUM_MAX_CLASSES = 7
 
 # Relative spacing tolerance of every grid-compatibility check.
@@ -140,28 +141,39 @@ def check_same_grid(a: Grid, b: Grid, what: str) -> None:
 
 def class_sums(data: np.ndarray) -> np.ndarray:
     """``data.sum(axis=-1)``, bit for bit.  Up to COLUMN_SUM_MAX_CLASSES
-    float32/float64 classes the columns are added in order, which gives the
-    same bits and skips the slow reduction along a short axis."""
+    float32/float64 classes the class planes are added in order into sums
+    laid out as a plane, which gives the same bits in any layout and skips
+    the slow reduction along a short axis."""
     n = data.shape[-1]
     if n > COLUMN_SUM_MAX_CLASSES or data.dtype not in (np.float32, np.float64):
         return data.sum(axis=-1)
-    sums = np.zeros(data.shape[:-1], dtype=data.dtype)  # +0.0 first, as numpy's sum
+    sums = np.zeros_like(data[..., 0])  # +0.0 first, as numpy's sum
     for k in range(n):
         sums += data[..., k]
     return sums
 
 
+def c_class_sums(data: np.ndarray) -> np.ndarray:
+    """``class_sums`` of ``data`` laid out in C order, bit for bit, whatever
+    the layout of ``data``.  Past COLUMN_SUM_MAX_CLASSES numpy's bits depend
+    on the layout, so the rare wide stack is summed from a C-order copy."""
+    if data.shape[-1] > COLUMN_SUM_MAX_CLASSES:
+        data = np.ascontiguousarray(data)
+    return class_sums(data)
+
+
 def check_probabilities(data: np.ndarray) -> None:
     """Raise ValidationError unless every vector along the last axis is a
-    finite probability distribution (entries in [0, 1], sum 1)."""
+    finite probability distribution (entries in [0, 1], sum 1).  The sums
+    are those of ``data`` in C order (``c_class_sums``), so the outcome does
+    not depend on the layout."""
     if not np.issubdtype(data.dtype, np.floating):
         raise ValidationError("probability stack must have float dtype")
     if not np.isfinite(data).all():
         raise ValidationError("probability stack contains non-finite voxels")
     if data.min() < -1e-6 or data.max() > 1 + 1e-6:
         raise ValidationError("probability values must lie in [0, 1]")
-    sums = class_sums(data)
-    err = np.abs(sums - 1.0).max()
+    err = np.abs(c_class_sums(data) - 1.0).max()
     if err > PROB_SUM_TOL:
         raise ValidationError(
             f"per-voxel class probabilities must sum to 1 within {PROB_SUM_TOL}, "

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pancseg import ensemble
+from pancseg import cli, ensemble, nifti
 from pancseg.cli import _CONFIG_PARSERS, RunConfig, build_parser, main, resolve_config
 from pancseg.ensemble import EnsembleMember, EnsembleSpec, combine_volumes, load_ensemble_spec, save_ensemble_spec
 from pancseg.nifti import read_volume, write_volume
@@ -44,6 +44,28 @@ def _run(capsys, *argv):
 
 
 # ---------------------------------------------------------------- resample
+
+
+def test_resample_beyond_the_byte_budget_exits_one_before_resampling(tmp_path, capsys, monkeypatch):
+    # 8e8 target voxels, which the kernel killed when run; the samplers are
+    # replaced, so nothing that size can be allocated here
+    source = tmp_path / "map.nii.gz"
+    _write_labels(source, np.zeros((20, 20, 20), dtype=np.uint8), spacing=(1.0, 1.0, 1.0))
+
+    def refuse(volume, plan):
+        raise AssertionError(f"resampled onto {plan.target_dims}")
+
+    monkeypatch.setattr(cli, "resample_image", refuse)
+    monkeypatch.setattr(cli, "resample_labels", refuse)
+    for kind in ("image", "labels"):
+        argv = ["resample", "--input", str(source), "--output", str(tmp_path / "out.nii.gz"),
+                "--kind", kind, "--spacing", "1e-5", "1", "1", "--json-errors"]
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["exit_code"]) == ("ConfigError", 1)
+        assert "budget" in error["message"]
+    assert not (tmp_path / "out.nii.gz").exists()
 
 
 def test_resample_command_round_trip(tmp_path, capsys, rng):
@@ -820,6 +842,60 @@ def test_select_spec_out_in_another_directory_re_executes(tmp_path, capsys):
     )
     assert code == 0, err
     assert np.array_equal(read_volume(fused, kind="labels").data, _ball())
+
+
+def _prob_avg_pool(tmp_path):
+    """A prob_avg pool of three native float32 members of soft vectors, over
+    two cases."""
+    rng = np.random.default_rng(30)
+    cases = []
+    for case in ("c1", "c2"):
+        ref = _ball(shift=(int(case[1]), 0, 0))
+        _write_labels(tmp_path / "refs" / f"{case}.nii.gz", ref)
+        cases.append({"case_id": case, "reference": f"refs/{case}.nii.gz"})
+        for i in range(3):
+            soft = 0.7 * np.eye(3)[ref] + 0.3 * rng.dirichlet(np.ones(3), size=ref.shape)
+            path = tmp_path / f"p{i}" / f"{case}.nii.gz"
+            path.parent.mkdir(exist_ok=True)
+            write_volume(Volume(soft.astype(np.float32), SPACING, kind="probabilities"), path)
+    members = [{"member_id": f"p{i}", "path": f"p{i}/{{case}}.nii.gz"} for i in range(3)]
+    pool = tmp_path / "pool.json"
+    pool.write_text(json.dumps({"mode": "prob_avg", "members": members, "cases": cases}))
+    return pool
+
+
+def test_prob_avg_select_and_ensemble_lay_out_no_probability_stack(tmp_path, capsys, monkeypatch):
+    pool = _prob_avg_pool(tmp_path)
+    spec_out, fused = tmp_path / "spec.json", tmp_path / "fused.nii.gz"
+    commands = [
+        (["select", "--pool", str(pool), "--spec-out", str(spec_out)], spec_out),
+        (["ensemble", "--spec", str(pool), "--case-id", "c1", "--output", str(fused)], fused),
+    ]
+
+    def outcomes():
+        runs = []
+        for argv, output in commands:
+            copies.clear()
+            runs.append((_run(capsys, *argv), output.read_bytes(), list(copies)))
+        return runs
+
+    copies = []
+    want = outcomes()
+    real = nifti._layout_copy
+
+    def layout_copy(view, dtype):
+        if view.ndim == 4:
+            raise AssertionError("a probability stack was laid out")
+        copies.append(view.shape)
+        return real(view, dtype)
+
+    monkeypatch.setattr(nifti, "_layout_copy", layout_copy)
+    got = outcomes()
+    assert [run[0][0] for run in got] == [0, 0]
+    # the members are read as views of their files: the one copy left is
+    # the write of the fused label map
+    assert [run[2] for run in got] == [[], [(10, 10, 10)]]
+    assert [run[:2] for run in got] == [run[:2] for run in want]
 
 
 def test_select_provenance_lists_the_pool_manifest(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gzip
 import itertools
 import json
 import tracemalloc
@@ -28,9 +29,16 @@ from pancseg.errors import ConfigError, FormatError, GridMismatchError, Validati
 from pancseg.nifti import read_volume, write_volume
 from pancseg.volume import Volume
 
-from conftest import probability_volume
+from conftest import orientation_srows, probability_volume, raw_nifti
 from oracles import brute_argmax_labels, brute_majority
-from test_parity import WEIGHT_SETS, _outcome, _store_members, ref_combine_volumes
+from test_parity import (
+    VECTOR_KINDS,
+    WEIGHT_SETS,
+    _outcome,
+    _store_members,
+    _vector,
+    ref_combine_volumes,
+)
 
 
 def _prob(data):
@@ -519,3 +527,85 @@ def test_combine_peak_does_not_grow_with_the_member_count(tmp_path):
         tracemalloc.stop()
     # holding every member's map until the fusion would add 6 maps at 9
     assert abs(peaks[1] - peaks[0]) < member_bytes
+
+
+# (perm, flips, byte order) of each member file: RAS+, permuted and flipped,
+# big-endian
+_MEMBER_FILES = [
+    ((0, 1, 2), (False, False, False), "<"),
+    ((2, 0, 1), (False, True, False), ">"),
+    ((1, 2, 0), (True, False, True), "<"),
+    ((0, 2, 1), (True, True, False), ">"),
+]
+
+
+def _write_member_file(path, ras, perm, flips, endian):
+    """A gzip NIfTI file in orientation ``(perm, flips)`` and byte order
+    ``endian`` that reads back as the RAS+ stack ``ras``."""
+    for w in range(3):
+        if flips[w]:
+            ras = np.flip(ras, axis=w)
+    voxels = np.ascontiguousarray(np.transpose(ras, tuple(np.argsort(perm)) + (3,)))
+    raw = raw_nifti(voxels, endian=endian, srows=orientation_srows(perm, flips))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(gzip.compress(raw, mtime=0))
+
+
+def _in_order_sum(vector):
+    total = 0.0
+    for x in vector:
+        total += x
+    return total
+
+
+def _order_sensitive_vector(rng, n_classes):
+    """A float64 vector whose first entry is -1e-6 and whose class sum lies
+    close enough to 1 that, renormalized, that entry passes the [0, 1] check
+    under one of numpy's C-order pairwise sum and an in-order sum and fails
+    it under the other (numpy sums 8 classes and more pairwise)."""
+    while True:
+        v = np.concatenate([[-1e-6], rng.dirichlet(np.ones(n_classes - 1)) * (1 + 1e-6)])
+        if (v[0] / v.sum() < -1e-6) != (v[0] / _in_order_sum(v) < -1e-6):
+            return v
+
+
+# vectors that never fail validation on their own
+_PASSING_KINDS = ("onehot", "disagree", "near", "signed_zero", "tie", "uniform", "random")
+
+
+@pytest.mark.parametrize("n_classes", range(2, 13))
+def test_stores_of_member_files_fuse_like_full_volumes_for_any_class_count(tmp_path, n_classes):
+    rng = np.random.default_rng(n_classes)
+    dims = (5, 4, 3)
+    base = rng.integers(0, n_classes, size=dims)
+    volumes, members = {}, []
+    for i, (perm, flips, endian) in enumerate(_MEMBER_FILES):
+        kinds = _PASSING_KINDS if i == 0 else VECTOR_KINDS
+        data = np.eye(n_classes)[base]
+        for idx in zip(*np.nonzero(rng.random(dims) < 0.3)):
+            kind = kinds[int(rng.integers(len(kinds)))]
+            data[idx] = _vector(rng, kind, int(base[idx]), n_classes)
+        if i == 0 and n_classes >= 8:
+            data[0, 0, 0] = sensitive = _order_sensitive_vector(rng, n_classes)
+        data = data.astype(np.float64 if i % 2 == 0 else np.float32)
+        _write_member_file(tmp_path / f"m{i}" / "c.nii.gz", data, perm, flips, endian)
+        volumes[f"m{i}"] = Volume(data, (1.5, 0.75, 2.0), kind="probabilities")
+        members.append(EnsembleMember(f"m{i}", f"m{i}/{{case}}.nii.gz"))
+    store = MemberStore("prob_avg")
+    store.load(members, "c", tmp_path)
+    for weights in (None, WEIGHT_SETS[2]):
+        for k in range(1, len(members) + 1):
+            for subset in itertools.combinations(range(len(members)), k):
+                spec = EnsembleSpec(
+                    members=tuple(
+                        EnsembleMember(f"m{i}", "p", weight=1.0 if weights is None else weights[i])
+                        for i in subset
+                    ),
+                    mode="prob_avg",
+                )
+                want = _outcome(lambda: ref_combine_volumes(spec, volumes))
+                assert _outcome(lambda: combine_volumes(spec, store)) == want
+                if n_classes >= 8 and subset == (0,) and weights is None:
+                    # m0 alone passes or fails on its order-sensitive voxel
+                    pairwise_fails = sensitive[0] / sensitive.sum() < -1e-6
+                    assert want[0] == ("error" if pairwise_fails else "ok")

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from pancseg.errors import ConfigError, GridMismatchError, ValidationError
+from pancseg import geometry
 from pancseg.geometry import (
+    MAX_PLAN_BYTES,
     MAX_TARGET_VOXELS,
     POINT_BLOCK,
     ResamplePlan,
@@ -315,3 +317,80 @@ def test_order3_upsampling_peaks_below_22_bytes_per_target_voxel():
         tracemalloc.stop()
     assert out.shape == plan.target_dims == (80, 80, 50)
     assert peak / out.size < 22.0
+
+
+# a 20x20x20 map resampled to spacing (1e-5, 1, 1): 8e8 target voxels, whose
+# order-3 resample was killed by the kernel on an 8 GB host; only its plan
+# is ever built here
+_KILLED = ((20, 20, 20), (1e-5, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "kind, dtype, order",
+    [("image", np.uint8, 3), ("image", np.float32, 1), ("image", np.float64, 0),
+     ("labels", np.uint8, 1), ("labels", np.int64, 1), ("labels", np.int64, 0)],
+)
+def test_plans_beyond_the_byte_budget_are_config_errors(monkeypatch, kind, dtype, order):
+    dims, spacing = _KILLED
+    volume = Volume(np.zeros(dims, dtype=dtype), (1.0, 1.0, 1.0), kind=kind)
+    orders = {"image_order": order} if kind == "image" else {"label_order": order}
+    plan = ResamplePlan(dims, (1.0, 1.0, 1.0), spacing, **orders)
+    need = plan.peak_bytes(kind, dtype)
+    assert plan.target_dims == (2_000_000, 20, 20) and need > MAX_PLAN_BYTES
+    with pytest.raises(ConfigError, match="budget"):
+        ResamplePlan.for_volume(volume, spacing, **orders)
+    # the budget is the bound itself: a plan that needs exactly it passes
+    monkeypatch.setattr(geometry, "MAX_PLAN_BYTES", need)
+    assert ResamplePlan.for_volume(volume, spacing, **orders) == plan
+    monkeypatch.setattr(geometry, "MAX_PLAN_BYTES", need - 1)
+    with pytest.raises(ConfigError, match="budget"):
+        ResamplePlan.for_volume(volume, spacing, **orders)
+
+
+def test_the_byte_budget_follows_order_and_dtype():
+    # the same 8e8 voxels gathered at order 0 in uint8 hold two bytes each
+    dims, spacing = _KILLED
+    volume = Volume(np.zeros(dims, dtype=np.uint8), (1.0, 1.0, 1.0), kind="labels")
+    plan = ResamplePlan.for_volume(volume, spacing, label_order=0)
+    assert plan.peak_bytes("labels", np.uint8) == 2 * 8 * 10**8 + geometry.PLAN_OVERHEAD_BYTES
+    assert plan.peak_bytes("labels", np.int64) > MAX_PLAN_BYTES
+
+
+def test_clinical_resamples_stay_far_inside_the_byte_budget():
+    # a 512x512x100 CT at 0.78x0.78x2.5 mm to 1 mm, and the benchmark's
+    # 1 mm resamples of about 2.7 Mvox
+    ct = ResamplePlan((512, 512, 100), (0.78, 0.78, 2.5), (1.0, 1.0, 1.0))
+    assert ct.peak_bytes("image", np.int16) < MAX_PLAN_BYTES / 6
+    assert ct.peak_bytes("labels", np.uint8) < MAX_PLAN_BYTES / 4
+    small = ResamplePlan((160, 160, 60), (0.8, 0.8, 2.0), (1.0, 1.0, 1.0))
+    assert small.peak_bytes("image", np.float32) < MAX_PLAN_BYTES / 50
+
+
+@pytest.mark.parametrize(
+    "dims, spacing",
+    [
+        ((30, 24, 16), (0.5, 0.5, 0.5)),
+        ((30, 24, 16), (0.9, 1.1, 1.3)),
+        ((30, 24, 16), (1.5, 1.0, 0.6)),
+        ((20, 20, 20), (1.0, 3.0, 0.5)),
+    ],
+)
+def test_peak_bytes_bound_what_resampling_holds(rng, dims, spacing):
+    for kind, dtype, order in [
+        ("image", np.float32, 3), ("image", np.float64, 1), ("image", np.int16, 0),
+        ("labels", np.uint8, 1), ("labels", np.int64, 1), ("labels", np.int32, 0),
+    ]:
+        if kind == "image":
+            data = (rng.normal(size=dims) * 50).astype(dtype)
+        else:
+            data = rng.integers(0, 3, size=dims).astype(dtype)
+        volume = Volume(data, (1.0, 1.0, 1.0), kind=kind)
+        orders = {"image_order": order} if kind == "image" else {"label_order": order}
+        plan = ResamplePlan.for_volume(volume, spacing, **orders)
+        tracemalloc.start()
+        try:
+            (resample_image if kind == "image" else resample_labels)(volume, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= plan.peak_bytes(kind, dtype), (kind, dtype, order)

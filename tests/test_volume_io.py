@@ -26,10 +26,15 @@ from pancseg.errors import (
 )
 from pancseg.nifti import _DTYPE_BY_CODE, read_volume, write_volume
 from pancseg.volume import (
+    COLUMN_SUM_MAX_CLASSES,
     LABEL_SCAN_MAX_SPAN,
+    PROB_SUM_TOL,
     Grid,
     ManifestRow,
     Volume,
+    c_class_sums,
+    check_probabilities,
+    class_sums,
     memory_frame,
     read_manifest,
     same_grid,
@@ -38,6 +43,7 @@ from pancseg.volume import (
 )
 
 from conftest import damaged_gzip, orientation_srows, probability_volume, raw_nifti
+from test_parity import _PROB_SPECIALS, _SUM_NUDGES, _check_outcome, ref_check_probabilities
 
 
 def test_volume_rejects_bad_inputs(rng):
@@ -562,9 +568,9 @@ def test_single_copy_read_matches_reference_decode(
         assert vol.data.dtype.isnative
         assert vol.data.shape == expected.shape
         assert np.array_equal(vol.data, expected)
-        if kind == "labels":
+        if kind in ("labels", "probabilities"):
             file_view = np.frombuffer(raw, file_dtype, data.size, 352).reshape(data.shape, order="F")
-            file_view = np.transpose(file_view, perm)
+            file_view = np.transpose(file_view, perm + tuple(range(3, data.ndim)))
             for w in range(3):
                 if flips[w]:
                     file_view = np.flip(file_view, axis=w)
@@ -1032,3 +1038,58 @@ def test_reads_without_a_label_set_skip_the_set_check(tmp_path, capsys):
     assert main(argv + ["--spacing", "1", "1", "1", "--json-errors"]) == 0
     capsys.readouterr()
     assert read_volume(out, kind="labels", label_set=None).data.max() == 7
+
+
+@st.composite
+def _laid_out_stacks(draw):
+    """A probability stack of 1 to 12 classes, with values at the edges of
+    the checks, stored in any axis order (C and Fortran among them) and seen
+    through any flips."""
+    n = draw(st.integers(1, 12))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    dims = draw(st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.dirichlet(np.ones(n), size=dims)
+    data *= 1.0 + rng.choice(draw(st.sampled_from(_SUM_NUDGES)), size=dims)[..., None]
+    special = rng.random(data.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    data[special] = rng.choice(_PROB_SPECIALS, size=int(special.sum()))
+    axes = draw(st.permutations(range(4)))
+    reversed_axes = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    flips = tuple(slice(None, None, -1 if r else None) for r in reversed_axes)
+    stored = np.ascontiguousarray(data.astype(dtype)[flips].transpose(axes))
+    return stored.transpose(np.argsort(axes))[flips]
+
+
+# a Fortran-order stack of 9 classes: numpy's own sum adds its classes in
+# order, and the C-order reference adds them pairwise
+_WIDE_FORTRAN = np.asfortranarray(np.random.default_rng(9).dirichlet(np.ones(9), size=(6, 5, 4)))
+
+
+def _tolerance_edge_stack():
+    """A Fortran-order float32 stack of 9 classes whose sums pass the sum
+    check in one of C order and Fortran order and fail it in the other."""
+    rng = np.random.default_rng(0)
+    while True:
+        vector = (rng.dirichlet(np.ones(9)) * (1 + PROB_SUM_TOL)).astype(np.float32)
+        stack = np.asfortranarray(np.stack([vector, vector]).reshape(2, 1, 1, 9))
+        fails = [np.abs(a.sum(axis=-1) - 1.0).max() > PROB_SUM_TOL for a in (stack, stack.copy())]
+        if fails[0] != fails[1]:
+            return stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laid_out_stacks())
+@example(_WIDE_FORTRAN)
+@example(_WIDE_FORTRAN.astype(np.float32))
+@example(_tolerance_edge_stack())
+def test_class_sums_and_checks_follow_the_c_order_reference_in_any_layout(data):
+    c_data = np.ascontiguousarray(data)
+    want = c_data.sum(axis=-1)
+    bits = np.uint32 if data.dtype == np.float32 else np.uint64
+    sums = [c_class_sums(data)]
+    if data.shape[-1] <= COLUMN_SUM_MAX_CLASSES:  # in-order adds: the same bits in any layout
+        sums.append(class_sums(data))
+    for got in sums:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(np.ascontiguousarray(got).view(bits), want.view(bits))
+    assert _check_outcome(check_probabilities, data) == _check_outcome(ref_check_probabilities, c_data)
